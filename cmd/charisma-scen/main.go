@@ -71,30 +71,35 @@ func runGen(args []string) error {
 		return fmt.Errorf("gen takes no positional arguments")
 	}
 
-	pts := scengen.Generate(scengen.Config{
+	cfg := scengen.Config{
 		Seed:          *seed,
 		Count:         *n,
 		MaxVoice:      *maxVoice,
 		MaxData:       *maxData,
 		MaxCells:      *maxCells,
 		MulticellFrac: *mcFrac,
-	})
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
 	}
-	if err := grid.WriteScenarioFile(w, pts); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "charisma-scen: wrote %d entries (seed %d) to %s\n", len(pts), *seed, *out)
+	pts := scengen.Generate(cfg)
+
+	if *out == "" {
+		return grid.WriteScenarioFile(os.Stdout, pts)
 	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	err = grid.WriteScenarioFile(f, pts)
+	// A failed close can lose buffered bytes, so it fails the write too.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "charisma-scen: wrote %d entries (seed %d) to %s\n", len(pts), *seed, *out)
 	return nil
 }
 

@@ -10,6 +10,15 @@
 //     and traffic sample paths for a given seed, so performance differences
 //     in the figures come from protocol behaviour, not sampling noise —
 //     mirroring the paper's "common simulation platform".
+//
+// A Stream is a math/rand Rand over the package's own source (source.go):
+// math/rand's additive lagged-Fibonacci generator, emitting exactly the
+// draws rand.NewSource would for the same seed, but seeded by jump-ahead
+// instead of a serial chain. Seeding is a large per-station setup cost of
+// a short replication (a birth probe, a fading view and a traffic source
+// per station; see DESIGN.md "Seeding cost"). The distribution code —
+// ziggurat NormFloat64/ExpFloat64, Intn, Perm — stays math/rand's own, so
+// only the seeding arithmetic is owned here.
 package rng
 
 import (
@@ -19,14 +28,21 @@ import (
 )
 
 // Stream is a deterministic random stream with the distribution helpers the
-// models need. It wraps math/rand with an explicit private source.
+// models need. The Rand and its source's 607-word register live inline, so
+// a stream is one allocation. Use it by pointer: the Rand points at the
+// register, so a copied Stream would still draw from the original's.
 type Stream struct {
-	r *rand.Rand
+	r   rand.Rand
+	src source
 }
 
-// New returns a stream seeded with the given value.
+// New returns a stream seeded with the given value. It draws exactly what
+// rand.New(rand.NewSource(seed)) would.
 func New(seed int64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(seed))}
+	s := new(Stream)
+	s.src.Seed(seed)
+	s.r = *rand.New(&s.src)
+	return s
 }
 
 // FNV-1a 64-bit, inlined so seed derivation is allocation-free (the
@@ -87,9 +103,12 @@ func SeedForIndexed(base int64, label string, idx ...int) int64 {
 	return int64(h)
 }
 
-// Reseed resets the stream to the state New(seed) would produce, reusing
-// the existing source. Hot construction paths (one birth probe per station
-// of a 10⁶-user cell) use it to avoid allocating a fresh stream per probe;
+// Reseed resets the stream to the state New(seed) would produce, in place
+// and without allocating: a jump-ahead fill of the existing register,
+// about 5× cheaper than math/rand's serial seed chain (BenchmarkStreamReseed
+// vs BenchmarkMathRandSeed). Hot construction paths (one birth probe per
+// station of a 10⁶-user cell, the per-station streams of a warm
+// replication arena) use it instead of a fresh stream;
 // Reseed(s) followed by any draw sequence matches New(s) exactly (pinned
 // by TestReseedMatchesNew).
 func (s *Stream) Reseed(seed int64) { s.r.Seed(seed) }

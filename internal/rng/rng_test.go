@@ -207,11 +207,11 @@ func TestPermIsPermutation(t *testing.T) {
 // reusable stream reseeded per station instead of allocating a stream each.
 func TestReseedMatchesNew(t *testing.T) {
 	s := New(1)
-	for _, seed := range []int64{7, 42, -3, 0, 1 << 40} {
+	for _, seed := range edgeSeeds {
 		s.Float64() // desync so Reseed must do real work
 		s.Reseed(seed)
 		fresh := New(seed)
-		for i := 0; i < 100; i++ {
+		for i := 0; i < sourceDraws; i++ {
 			if got, want := s.Float64(), fresh.Float64(); got != want {
 				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, i, got, want)
 			}

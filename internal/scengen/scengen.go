@@ -10,6 +10,8 @@
 package scengen
 
 import (
+	"fmt"
+
 	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/grid"
@@ -40,6 +42,35 @@ type Config struct {
 	MaxDurationSec float64
 	// Protocols restricts the protocol pool (default: all six).
 	Protocols []string
+}
+
+// ConfigError is the typed rejection Config.Validate returns: Field names
+// the offending Config field, Reason says why it was rejected.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("scengen: invalid %s: %s", e.Field, e.Reason)
+}
+
+// Validate rejects configurations the generator cannot draw from: negative
+// counts or population caps, and a multi-cell fraction that is not a
+// probability. Every rejection is a *ConfigError.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Count", c.Count}, {"MaxVoice", c.MaxVoice}, {"MaxData", c.MaxData}} {
+		if f.v < 0 {
+			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("negative value %d", f.v)}
+		}
+	}
+	if !(c.MulticellFrac >= 0 && c.MulticellFrac <= 1) {
+		return &ConfigError{Field: "MulticellFrac", Reason: fmt.Sprintf("%v outside [0,1]", c.MulticellFrac)}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

@@ -2,6 +2,8 @@ package scengen
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -72,5 +74,44 @@ func TestGeneratedCorpusLoadsAndValidates(t *testing.T) {
 	}
 	if multicells == 0 {
 		t.Error("corpus of 40 with MaxCells=4 generated no multi-cell entries")
+	}
+}
+
+func TestConfigValidateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"negative count", Config{Count: -1}, "Count"},
+		{"negative max voice", Config{Count: 5, MaxVoice: -2}, "MaxVoice"},
+		{"negative max data", Config{Count: 5, MaxData: -1}, "MaxData"},
+		{"multicell frac above one", Config{Count: 5, MaxCells: 3, MulticellFrac: 1.5}, "MulticellFrac"},
+		{"negative multicell frac", Config{Count: 5, MaxCells: 3, MulticellFrac: -0.1}, "MulticellFrac"},
+		{"NaN multicell frac", Config{Count: 5, MaxCells: 3, MulticellFrac: math.NaN()}, "MulticellFrac"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ce *ConfigError
+			if err := tc.cfg.Validate(); !errors.As(err, &ce) {
+				t.Fatalf("Validate() = %v, want a *ConfigError", err)
+			}
+			if ce.Field != tc.field {
+				t.Fatalf("rejected field %q, want %q", ce.Field, tc.field)
+			}
+		})
+	}
+}
+
+func TestConfigValidateAccepts(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{Count: 20},
+		{Count: 3, MaxVoice: 1, MaxData: 0, MaxCells: 4, MulticellFrac: 1},
+		{Count: 3, MaxCells: 2, MulticellFrac: 0},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+		Generate(cfg) // a valid config must generate without panicking
 	}
 }

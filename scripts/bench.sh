@@ -25,7 +25,8 @@ out=${BENCH_OUT:-BENCH_${pr}.json}
 # the idle-wake cycle over a 10⁵-station lazy cell (timer wheel, PR 6),
 # the warm-arena replication setup (PR 7), and the frame path with a live
 # obs.SimCounters read per frame (PR 8 — observability must be free).
-ZERO_ALLOC='^(ChannelBankFrame|ChannelBankQuery|ChannelReplayCatchUp|FadingAdvance|ModeSelection|EngineSchedule|EngineStepBatch|CharismaFrame|IdleWakeCell|ReplicationSetup|ObsOffFrame)$'
+# StreamReseed is the in-place jump-ahead reseed of a per-station stream.
+ZERO_ALLOC='^(ChannelBankFrame|ChannelBankQuery|ChannelReplayCatchUp|FadingAdvance|ModeSelection|EngineSchedule|EngineStepBatch|CharismaFrame|IdleWakeCell|ReplicationSetup|ObsOffFrame|StreamReseed)$'
 
 # Population-scaling ceiling: resident heap per idle station at 10⁵
 # stations (the same budget TestMillionStationMemoryBudget pins at 10⁶).
@@ -45,6 +46,9 @@ case "$mode" in
     # Warm-arena replication setup (white-box bench in internal/core).
     go test -run '^$' -benchtime 1x -benchmem -timeout 10m \
       -bench 'BenchmarkReplicationSetup' ./internal/core | tee -a "$raw"
+    # Per-station stream seeding (white-box benches in internal/rng).
+    go test -run '^$' -benchtime 1x -benchmem -timeout 10m \
+      -bench 'BenchmarkStreamReseed|BenchmarkDeriveIndexed' ./internal/rng | tee -a "$raw"
     go run ./cmd/benchsnap -in "$raw" -assert-zero-allocs "$ZERO_ALLOC" \
       -assert-max-metric "$MAX_B_PER_STATION"
     ;;
@@ -57,6 +61,8 @@ case "$mode" in
       . | tee "$raw"
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
       -bench 'BenchmarkReplicationSetup' ./internal/core | tee -a "$raw"
+    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
+      -bench 'BenchmarkStreamReseed|BenchmarkDeriveIndexed' ./internal/rng | tee -a "$raw"
     # Population-scaling family: B/station and ns/frame at 10⁴..10⁶.
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
       -bench 'BenchmarkIdleCellPopulation' . | tee -a "$raw"
