@@ -1,0 +1,109 @@
+package grid_test
+
+// Micro-benchmarks of the grid's warm path — what a sweep re-walked
+// against a filled cache spends its time on: loading the scenario file,
+// hashing specs, deriving RepKeys, and reading (and writing) the disk
+// tier's checksummed entries.
+
+import (
+	"bytes"
+	"testing"
+
+	"charisma/internal/core"
+	"charisma/internal/grid"
+	"charisma/internal/mac"
+	"charisma/internal/run"
+	"charisma/internal/scengen"
+)
+
+// benchCorpus is a pinned scengen corpus (single-cell and multicell
+// entries), the shape of the repository benchmark's corpus workloads.
+func benchCorpus(b *testing.B) []grid.Point {
+	b.Helper()
+	return scengen.Generate(scengen.Config{Seed: 20260808, Count: 300, MaxCells: 3})
+}
+
+// benchSpec is a small real scenario and its hash; its replication
+// result gives disk entries the full float surface.
+func benchSpec(b *testing.B) (string, grid.JobSpec) {
+	b.Helper()
+	sc := core.DefaultScenario(core.ProtoCharisma)
+	sc.NumVoice, sc.NumData, sc.Seed = 10, 3, 7
+	sc.WarmupSec, sc.DurationSec = 0.3, 1
+	spec := grid.ScenarioSpec(sc)
+	h, err := spec.Hash()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h, spec
+}
+
+// benchDisk returns a disk cache, 64 keys, and the result for them —
+// stored under every key when fill is set.
+func benchDisk(b *testing.B, fill bool) (grid.DiskCache, []string, mac.Result) {
+	b.Helper()
+	h, spec := benchSpec(b)
+	r, err := spec.RunRep(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := grid.NewDiskCache(b.TempDir(), nil)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = grid.RepKey(h, int64(i))
+		if fill {
+			c.Put(keys[i], r)
+		}
+	}
+	return c, keys, r
+}
+
+func BenchmarkLoadScenarioFile(b *testing.B) {
+	var file bytes.Buffer
+	if err := grid.WriteScenarioFile(&file, benchCorpus(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := grid.LoadScenarioFile(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSpecHash(b *testing.B) {
+	pts := benchCorpus(b)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, err := pts[i%len(pts)].Spec.Hash(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRepKey(b *testing.B) {
+	h, spec := benchSpec(b)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		grid.RepKey(h, run.RepSeed(spec.BaseSeed(), i&63))
+	}
+}
+
+func BenchmarkDiskCachePut(b *testing.B) {
+	c, keys, r := benchDisk(b, false)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		c.Put(keys[i%len(keys)], r)
+	}
+}
+
+func BenchmarkDiskCacheGet(b *testing.B) {
+	c, keys, _ := benchDisk(b, true)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, ok := c.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss on a filled cache")
+		}
+	}
+}

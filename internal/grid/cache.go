@@ -1,8 +1,9 @@
 package grid
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"log/slog"
 	"os"
@@ -18,7 +19,9 @@ import (
 // always byte-identical to re-running the simulation (mac.Result is plain
 // data and Go's JSON float formatting round-trips exactly).
 type Cache interface {
-	// Get returns the cached result for key, if present.
+	// Get returns the cached result for key, if present. Get must be safe
+	// for concurrent use: a session resolves its initial replications with
+	// parallel Gets.
 	Get(key string) (mac.Result, bool)
 	// Put stores the result for key. Put is best-effort: storage errors
 	// degrade to future misses, never to failures.
@@ -117,22 +120,56 @@ func (c *MemCache) Len() int {
 	return len(c.m)
 }
 
-// diskEntry is the on-disk envelope (format v2): the result's canonical
-// JSON plus a CRC-32C over those exact bytes. The checksum turns silent
-// disk corruption — a flipped bit inside a float's digits still parses as
-// valid JSON — into a detected, quarantined entry instead of a wrong
-// result served as a hit. v1 entries (bare mac.Result JSON, no checksum)
-// fail the check and are quarantined too: re-simulating beats trusting an
-// unverifiable byte-stream.
-type diskEntry struct {
-	Sum    string          `json:"sum"` // CRC-32C (Castagnoli) of Result, hex
-	Result json.RawMessage `json:"result"`
-}
+// A disk entry (format v2) is exactly these bytes:
+//
+//	{"sum":"<8 lowercase hex digits>","result":<body>}
+//
+// where body is the result's canonical JSON and the digits are CRC-32C
+// (Castagnoli) over body. The checksum turns silent disk corruption — a
+// flipped bit inside a float's digits still parses as valid JSON — into a
+// detected, quarantined entry instead of a wrong result served as a hit.
+// The layout itself is the format: Get checks it byte for byte, so a v1
+// entry (bare mac.Result JSON), a hand-reformatted entry or a truncated
+// one is quarantined too. That costs a re-simulation, never a wrong hit.
+const (
+	entryHead   = `{"sum":"`
+	entryMid    = `","result":`
+	entrySumLen = 8
+	entryBody   = len(entryHead) + entrySumLen + len(entryMid) // body offset
+)
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func entrySum(body []byte) string {
-	return fmt.Sprintf("%08x", crc32.Checksum(body, crcTable))
+// appendEntrySum appends body's CRC-32C as 8 lowercase hex digits.
+func appendEntrySum(dst, body []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(body, crcTable))
+	return hex.AppendEncode(dst, sum[:])
+}
+
+// encodeEntry wraps a result body in the v2 envelope.
+func encodeEntry(body []byte) []byte {
+	b := make([]byte, 0, entryBody+len(body)+1)
+	b = append(b, entryHead...)
+	b = appendEntrySum(b, body)
+	b = append(b, entryMid...)
+	b = append(b, body...)
+	return append(b, '}')
+}
+
+// entryResult returns the body of a well-formed v2 entry whose checksum
+// matches, or ok=false.
+func entryResult(b []byte) (body []byte, ok bool) {
+	if len(b) < entryBody+1 || string(b[:len(entryHead)]) != entryHead ||
+		string(b[entryBody-len(entryMid):entryBody]) != entryMid || b[len(b)-1] != '}' {
+		return nil, false
+	}
+	body = b[entryBody : len(b)-1]
+	var sum [entrySumLen]byte
+	if string(appendEntrySum(sum[:0], body)) != string(b[len(entryHead):len(entryHead)+entrySumLen]) {
+		return nil, false
+	}
+	return body, true
 }
 
 // diskState carries the optional mutable half of a DiskCache: degradation
@@ -202,13 +239,13 @@ func (c DiskCache) Get(key string) (mac.Result, bool) {
 	if err != nil {
 		return mac.Result{}, false
 	}
-	var e diskEntry
-	if err := json.Unmarshal(b, &e); err != nil || e.Sum != entrySum(e.Result) {
+	body, ok := entryResult(b)
+	if !ok {
 		c.quarantine(p, key)
 		return mac.Result{}, false
 	}
 	var r mac.Result
-	if err := json.Unmarshal(e.Result, &r); err != nil {
+	if err := json.Unmarshal(body, &r); err != nil {
 		c.quarantine(p, key)
 		return mac.Result{}, false
 	}
@@ -265,10 +302,7 @@ func (c DiskCache) put(key string, r mac.Result) error {
 	if err != nil {
 		return nil
 	}
-	b, err := json.Marshal(diskEntry{Sum: entrySum(body), Result: body})
-	if err != nil {
-		return nil
-	}
+	b := encodeEntry(body)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}

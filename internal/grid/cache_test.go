@@ -3,13 +3,14 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"reflect"
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
@@ -152,7 +153,7 @@ func TestDiskCacheChecksumCatchesSilentCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e diskEntry
+	var e legacyEntry
 	if err := json.Unmarshal(b, &e); err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +178,148 @@ func TestDiskCacheChecksumCatchesSilentCorruption(t *testing.T) {
 	if n := c.Stats().DiskCorrupt; n != 1 {
 		t.Fatalf("DiskCorrupt = %d, want 1", n)
 	}
+}
+
+// legacyEntry is the v2 envelope as a JSON struct, the way entries were
+// first written: json.Marshal(legacyEntry{...}) must stay byte-equal to
+// what DiskCache.Put writes, so caches filled then stay warm.
+type legacyEntry struct {
+	Sum    string          `json:"sum"`
+	Result json.RawMessage `json:"result"`
+}
+
+func legacyMarshal(t testing.TB, r mac.Result) []byte {
+	t.Helper()
+	body, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(legacyEntry{Sum: fmt.Sprintf("%08x", crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))), Result: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDiskEntryMatchesLegacyEncoding: Put writes exactly the bytes of the
+// struct-marshaled envelope, and an entry written that way reads back.
+func TestDiskEntryMatchesLegacyEncoding(t *testing.T) {
+	dir := t.TempDir()
+	c := NewDiskCache(dir, nil)
+	for i, r := range []mac.Result{realResult(t), {}, {Protocol: `<a&b> "q" \ é`, Frames: 1e-300}} {
+		key := RepKey("facade", int64(i))
+		want := legacyMarshal(t, r)
+		c.Put(key, r)
+		p, _ := c.EntryPath(key)
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("result %d: Put wrote\n%s\nwant\n%s", i, got, want)
+		}
+		other := RepKey("facade", int64(100+i))
+		op, _ := c.EntryPath(other)
+		if err := os.MkdirAll(filepath.Dir(op), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(op, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, ok := c.Get(other)
+		if !ok || !reflect.DeepEqual(back, r) {
+			t.Fatalf("result %d: legacy-written entry did not read back: %v %+v", i, ok, back)
+		}
+	}
+	if n := c.Stats().DiskCorrupt; n != 0 {
+		t.Fatalf("DiskCorrupt = %d, want 0", n)
+	}
+}
+
+// TestDiskCacheReformattedEntryQuarantined: the byte layout is the format.
+// A reformatted entry — valid JSON, right checksum — is quarantined, which
+// costs a re-simulation and can never serve a wrong result.
+func TestDiskCacheReformattedEntryQuarantined(t *testing.T) {
+	for name, edit := range map[string]func([]byte) []byte{
+		"indented": func(b []byte) []byte {
+			var out bytes.Buffer
+			json.Indent(&out, b, "", "  ")
+			return out.Bytes()
+		},
+		"trailing newline": func(b []byte) []byte { return append(b, '\n') },
+		"upper-case sum":   func(b []byte) []byte { return bytes.Replace(b, b[8:16], bytes.ToUpper(b[8:16]), 1) },
+		"reordered": func(b []byte) []byte {
+			var e legacyEntry
+			json.Unmarshal(b, &e)
+			return []byte(`{"result":` + string(e.Result) + `,"sum":"` + e.Sum + `"}`)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewDiskCache(t.TempDir(), nil)
+			key := RepKey("5eed", 1)
+			r := mac.Result{Protocol: "abcdef", Frames: 3}
+			c.Put(key, r)
+			p, _ := c.EntryPath(key)
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := edit(bytes.Clone(b))
+			if bytes.Equal(edited, b) {
+				t.Fatal("edit left the entry unchanged")
+			}
+			if err := os.WriteFile(p, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get(key); ok {
+				t.Fatalf("reformatted entry served as hit:\n%s", edited)
+			}
+			if n := c.Stats().DiskCorrupt; n != 1 {
+				t.Fatalf("DiskCorrupt = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// FuzzDiskEntry: arbitrary bytes at an entry's path never panic Get, and a
+// hit implies the exact layout Put writes, with a matching CRC-32C.
+func FuzzDiskEntry(f *testing.F) {
+	f.Add(legacyMarshal(f, mac.Result{Protocol: "charisma", Frames: 12.5}))
+	f.Add(legacyMarshal(f, mac.Result{}))
+	f.Add([]byte(`{"sum":"00000000","result":{}}`))
+	f.Add([]byte(`{"result":{},"sum":"00000000"}`))
+	f.Add([]byte(`{"Protocol":"v1"}`))
+	f.Add([]byte{})
+	dir := f.TempDir()
+	c := NewDiskCache(dir, nil)
+	key := RepKey("f022", 0)
+	p, _ := c.EntryPath(key)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := c.Get(key)
+		os.Remove(p)
+		if !ok {
+			return
+		}
+		const head, mid = `{"sum":"`, `","result":`
+		if len(data) < len(head)+8+len(mid)+1 || string(data[:len(head)]) != head ||
+			string(data[len(head)+8:len(head)+8+len(mid)]) != mid || data[len(data)-1] != '}' {
+			t.Fatalf("hit on an entry without the put layout: %q", data)
+		}
+		body := data[len(head)+8+len(mid) : len(data)-1]
+		if sum := fmt.Sprintf("%08x", crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))); sum != string(data[len(head):len(head)+8]) {
+			t.Fatalf("hit with checksum %s over a body summing to %s", data[len(head):len(head)+8], sum)
+		}
+		var want mac.Result
+		if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(r, want) {
+			t.Fatalf("hit %+v does not decode from the body (%v)", r, err)
+		}
+	})
 }
 
 // TestDiskCacheLegacyEntryQuarantined: a v1 entry (bare result JSON, no

@@ -17,10 +17,25 @@ package grid
 // semantically validated as it will run (payload defaults applied first),
 // producing []Point ready for RunPoints: scenario files ride the
 // content-addressed cache and the distributed grid unchanged.
+//
+// A line without axes is decoded in one pass, straight into the schema.
+// That is sound because no payload type has a map or interface field, or
+// a field whose name folds to "sweep" or "range": a line carrying an axis
+// can never strict-decode, so only lines that fail the one-pass decode
+// take the generic path (parse to a tree, collect axes, substitute,
+// re-encode, strict-decode), which expands them or reports the error.
+//
+// Repeated keys within one object are best avoided. On an axis-free line
+// encoding/json's rule applies: the last key in document order wins, and
+// a repeated object merges into the earlier one (as DecodeSpec does). On
+// a line with axes the tree round trip applies instead: a repeated key
+// replaces the earlier value, and keys that differ only in case resolve
+// in sorted key order.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,9 +45,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"charisma/internal/core"
 	"charisma/internal/multicell"
+	"charisma/internal/run"
 )
 
 // Expansion guardrails: a scenario file is user (and fuzzer) input, so
@@ -46,6 +63,10 @@ const (
 	MaxSpecsPerFile = 65536
 	// maxScenarioLine bounds one JSONL line's byte length.
 	maxScenarioLine = 1 << 20
+	// loadBatchBytes and loadBatchLines bound how much of a file is held
+	// for one parallel expansion round.
+	loadBatchBytes = 4 << 20
+	loadBatchLines = 128
 )
 
 // scenarioDoc is the per-line schema: a JobSpec plus the sweep-level
@@ -68,11 +89,23 @@ func LoadScenarioPath(path string) ([]Point, error) {
 }
 
 // LoadScenarioFile parses a JSONL scenario stream and expands every line
-// into its cross product of sweep points.
+// into its cross product of sweep points. Lines are read in batches and
+// each batch is expanded in parallel; the points come back in line order,
+// and an error names the lowest-numbered failing line, exactly as a
+// line-by-line load would.
 func LoadScenarioFile(r io.Reader) ([]Point, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxScenarioLine)
-	var pts []Point
+	var (
+		pts   []Point
+		buf   []byte // the batch's lines, back to back
+		lines []lineSpan
+	)
+	flush := func() (err error) {
+		pts, err = expandLines(pts, buf, lines)
+		buf, lines = buf[:0], lines[:0]
+		return err
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -80,16 +113,21 @@ func LoadScenarioFile(r io.Reader) ([]Point, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		ex, err := ExpandScenarioLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("grid: scenario file line %d: %w", lineNo, err)
+		lines = append(lines, lineSpan{no: lineNo, from: len(buf), to: len(buf) + len(line)})
+		buf = append(buf, line...)
+		if len(lines) == loadBatchLines || len(buf) >= loadBatchBytes {
+			if err := flush(); err != nil {
+				return nil, err
+			}
 		}
-		if len(pts)+len(ex) > MaxSpecsPerFile {
-			return nil, fmt.Errorf("grid: scenario file line %d: expansion exceeds %d specs", lineNo, MaxSpecsPerFile)
-		}
-		pts = append(pts, ex...)
+	}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("grid: scenario file line %d: longer than %d bytes: %w", lineNo+1, maxScenarioLine, err)
+		}
 		return nil, fmt.Errorf("grid: scenario file: %w", err)
 	}
 	if len(pts) == 0 {
@@ -98,17 +136,80 @@ func LoadScenarioFile(r io.Reader) ([]Point, error) {
 	return pts, nil
 }
 
+// lineSpan locates one scenario line in a batch buffer.
+type lineSpan struct{ no, from, to int }
+
+// expandLines expands one batch of lines over run.Map and appends the
+// points to pts in line order, enforcing MaxSpecsPerFile in line order.
+// Workers stop taking lines once one fails or the running total passes
+// the file cap; the fold expands such a skipped line itself if it gets
+// that far, so the outcome never depends on scheduling.
+func expandLines(pts []Point, buf []byte, lines []lineSpan) ([]Point, error) {
+	type expansion struct {
+		pts  []Point
+		err  error
+		done bool
+	}
+	var stop atomic.Bool
+	var total atomic.Int64
+	total.Store(int64(len(pts)))
+	exs, _ := run.Map(context.TODO(), 0, len(lines), func(i int) (expansion, error) {
+		if stop.Load() {
+			return expansion{}, nil
+		}
+		ex, err := ExpandScenarioLine(buf[lines[i].from:lines[i].to])
+		if err != nil || total.Add(int64(len(ex))) > MaxSpecsPerFile {
+			stop.Store(true)
+		}
+		return expansion{ex, err, true}, nil
+	})
+	for i, ln := range lines {
+		e := exs[i]
+		if !e.done {
+			e.pts, e.err = ExpandScenarioLine(buf[ln.from:ln.to])
+		}
+		if e.err != nil {
+			return nil, fmt.Errorf("grid: scenario file line %d: %w", ln.no, e.err)
+		}
+		if len(pts)+len(e.pts) > MaxSpecsPerFile {
+			return nil, fmt.Errorf("grid: scenario file line %d: expansion exceeds %d specs", ln.no, MaxSpecsPerFile)
+		}
+		pts = append(pts, e.pts...)
+	}
+	return pts, nil
+}
+
 // ExpandScenarioLine expands one scenario document into the cross product
-// of its axes. A document without axes yields exactly one point.
+// of its axes. A document without axes yields exactly one point, decoded
+// in one pass; any line that does not strict-decode as it stands takes
+// the generic path.
 func ExpandScenarioLine(line []byte) ([]Point, error) {
+	// A top-level null strict-decodes as an empty document; leave it to
+	// the generic path, which rejects every non-object.
+	if doc := bytes.TrimLeft(line, " \t\r\n"); len(doc) > 0 && doc[0] == '{' {
+		var d scenarioDoc
+		if strictDecode(line, &d) == nil {
+			pt, err := d.point()
+			if err != nil {
+				return nil, err
+			}
+			return []Point{pt}, nil
+		}
+	}
+	return expandGeneric(line)
+}
+
+// expandGeneric is the axis-aware path: parse to a tree, collect the
+// axes, and strict-decode every substituted combination.
+func expandGeneric(line []byte) ([]Point, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber() // numeric literals survive substitution verbatim
 	var doc any
 	if err := dec.Decode(&doc); err != nil {
 		return nil, err
 	}
-	if dec.More() {
-		return nil, errors.New("trailing data after document")
+	if !atEOF(dec) {
+		return nil, errTrailingDoc
 	}
 	root, ok := doc.(map[string]any)
 	if !ok {
@@ -309,21 +410,42 @@ func rangeValues(spec map[string]any) ([]any, error) {
 	return vals, nil
 }
 
+// errTrailingDoc rejects anything but whitespace after a line's document.
+var errTrailingDoc = errors.New("trailing data after document")
+
+// strictDecode decodes b, which must hold exactly one JSON document, into
+// v with unknown fields rejected.
+func strictDecode(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if !atEOF(dec) {
+		return errTrailingDoc
+	}
+	return nil
+}
+
 // decodeDoc strict-decodes one fully-substituted document into a sweep
-// point, inferring Kind from the payload when absent, and validates the
-// spec both structurally and as it will run (defaults applied first —
-// exactly RunRep's execution path).
+// point.
 func decodeDoc(root map[string]any) (Point, error) {
 	b, err := json.Marshal(root)
 	if err != nil {
 		return Point{}, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var d scenarioDoc
-	if err := dec.Decode(&d); err != nil {
+	if err := strictDecode(b, &d); err != nil {
 		return Point{}, err
 	}
+	return d.point()
+}
+
+// point turns a decoded document into a sweep point, inferring Kind from
+// the payload when absent, and validates the spec both structurally and
+// as it will run (defaults applied first — exactly RunRep's execution
+// path).
+func (d scenarioDoc) point() (Point, error) {
 	if d.Replications < 0 {
 		return Point{}, fmt.Errorf("negative Replications %d", d.Replications)
 	}

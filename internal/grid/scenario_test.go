@@ -2,11 +2,18 @@ package grid
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"charisma/internal/channel"
 	"charisma/internal/core"
+	"charisma/internal/frame"
+	"charisma/internal/mac"
 	"charisma/internal/multicell"
+	"charisma/internal/phy"
 )
 
 func TestLoadScenarioFileSingle(t *testing.T) {
@@ -97,6 +104,11 @@ func TestLoadScenarioFileRejects(t *testing.T) {
 		{"descending range", `{"scenario": {"protocol": "charisma", "numVoice": {"range": {"from": 10, "to": 5, "step": 1}}}}`},
 		{"zero-step range", `{"scenario": {"protocol": "charisma", "numVoice": {"range": {"from": 1, "to": 5, "step": 0}}}}`},
 		{"trailing data", `{"scenario": {"protocol": "charisma", "numVoice": 1}} extra`},
+		{"trailing brace", `{"scenario": {"protocol": "charisma", "numVoice": 1}}}`},
+		{"trailing bracket", `{"scenario": {"protocol": "charisma", "numVoice": 1}}]`},
+		{"trailing brace on a sweep", `{"scenario": {"protocol": "charisma", "numVoice": {"sweep": [1, 2]}}}}`},
+		{"second document", `{"scenario": {"protocol": "charisma", "numVoice": 1}} {}`},
+		{"null document", `null`},
 		{"oversized product", `{"scenario": {"protocol": "charisma", "numVoice": {"range": {"from": 1, "to": 100, "step": 1}}, "numData": {"range": {"from": 1, "to": 100, "step": 1}}}}`},
 		{"rmav multicell", `{"multicell": {"cells": 2, "protocol": "rmav", "numVoice": 1, "decisionPeriodFrames": 1}}`},
 	}
@@ -106,6 +118,174 @@ func TestLoadScenarioFileRejects(t *testing.T) {
 				t.Fatalf("loaded %q without error", c.file)
 			}
 		})
+	}
+}
+
+// TestLoadScenarioFileLongLineNumbered: a line past the length limit is
+// reported with its line number, like every other per-line error.
+func TestLoadScenarioFileLongLineNumbered(t *testing.T) {
+	file := validLine(5) + "\n# comment\n" + `{"scenario": {"protocol": "` + strings.Repeat("x", maxScenarioLine) + `"}}` + "\n"
+	_, err := LoadScenarioFile(strings.NewReader(file))
+	if err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Fatalf("err = %v, want a line 3 error", err)
+	}
+	// An earlier bad line still wins.
+	_, err = LoadScenarioFile(strings.NewReader("{}\n" + file))
+	if err == nil || !strings.Contains(err.Error(), "line 1:") {
+		t.Fatalf("err = %v, want a line 1 error", err)
+	}
+}
+
+func validLine(nv int) string {
+	return fmt.Sprintf(`{"scenario": {"protocol": "charisma", "numVoice": %d, "durationSec": 1}}`, nv)
+}
+
+// TestLoadScenarioFileParallelOrder: however the batches are split over
+// the cores, points come back in line order and the error names the
+// lowest-numbered failing line with its own message.
+func TestLoadScenarioFileParallelOrder(t *testing.T) {
+	const n = 1300 // several load batches
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		if i%100 == 0 {
+			b.WriteString("# comment\n\n")
+		}
+		b.WriteString(validLine(i) + "\n")
+	}
+	good := b.String()
+	pts, err := LoadScenarioFile(strings.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != n {
+		t.Fatalf("got %d points, want %d", len(pts), n)
+	}
+	for i, p := range pts {
+		if p.Spec.Scenario.NumVoice != i+1 {
+			t.Fatalf("point %d has numVoice %d: out of line order", i, p.Spec.Scenario.NumVoice)
+		}
+	}
+
+	lines := strings.Split(strings.TrimSuffix(good, "\n"), "\n")
+	lines[700] = `{"scenario": {"protocol": "aloha", "numVoice": 1}}`
+	lines[650] = `{"scenario": {"protocol": "charisma", "numVoice": 1, "bogus": 1}}`
+	lines[1200] = `not json`
+	_, err = LoadScenarioFile(strings.NewReader(strings.Join(lines, "\n")))
+	if err == nil || !strings.HasPrefix(err.Error(), "grid: scenario file line 651: ") || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("err = %v, want line 651's unknown-field error", err)
+	}
+}
+
+// TestExpandLinesFileCapInLineOrder: MaxSpecsPerFile is enforced in line
+// order, even when workers skipped lines after passing the cap.
+func TestExpandLinesFileCapInLineOrder(t *testing.T) {
+	var buf []byte
+	var spans []lineSpan
+	for i := 1; i <= 40; i++ {
+		line := validLine(i)
+		if i == 30 {
+			line = "{}" // invalid, but past the cap: never reported
+		}
+		spans = append(spans, lineSpan{no: i, from: len(buf), to: len(buf) + len(line)})
+		buf = append(buf, line...)
+	}
+	_, err := expandLines(make([]Point, MaxSpecsPerFile-5), buf, spans)
+	want := fmt.Sprintf("grid: scenario file line 6: expansion exceeds %d specs", MaxSpecsPerFile)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestScenarioRepeatedKeys pins the repeated-key rule: on an axis-free
+// line encoding/json decides (last key in document order wins, repeated
+// objects merge); on a line with axes the tree round trip decides (a
+// repeated key replaces, case variants resolve in sorted key order).
+func TestScenarioRepeatedKeys(t *testing.T) {
+	cases := []struct {
+		name   string
+		line   string
+		nv, nd []int // per expanded point
+		err    bool
+	}{
+		{name: "scalar, last wins", line: `{"scenario": {"protocol": "charisma", "numVoice": 5, "numVoice": 9}}`, nv: []int{9}, nd: []int{0}},
+		{name: "case variants, document order", line: `{"scenario": {"protocol": "charisma", "numVoice": 5, "NumVoice": 7}}`, nv: []int{7}, nd: []int{0}},
+		{name: "case variants reversed", line: `{"scenario": {"protocol": "charisma", "NumVoice": 7, "numVoice": 5}}`, nv: []int{5}, nd: []int{0}},
+		{name: "objects merge", line: `{"scenario": {"protocol": "charisma", "numVoice": 5}, "scenario": {"numData": 3}}`, nv: []int{5}, nd: []int{3}},
+		{name: "axis line: objects replace", line: `{"scenario": {"protocol": "charisma", "numVoice": 5}, "scenario": {"numData": {"sweep": [3, 4]}}}`, err: true},
+		{name: "axis line: case variants sorted", line: `{"scenario": {"protocol": "charisma", "numVoice": 5, "NumVoice": 7, "numData": {"sweep": [1, 2]}}}`, nv: []int{5, 5}, nd: []int{1, 2}},
+		{name: "axis line: scalar, last wins", line: `{"scenario": {"protocol": "charisma", "numVoice": 9, "numVoice": 5, "numData": {"sweep": [1]}}}`, nv: []int{5}, nd: []int{1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pts, err := ExpandScenarioLine([]byte(c.line))
+			if c.err {
+				if err == nil {
+					t.Fatalf("loaded %d points, want an error", len(pts))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) != len(c.nv) {
+				t.Fatalf("got %d points, want %d", len(pts), len(c.nv))
+			}
+			for i, p := range pts {
+				if sc := p.Spec.Scenario; sc.NumVoice != c.nv[i] || sc.NumData != c.nd[i] {
+					t.Errorf("point %d: numVoice %d numData %d, want %d %d", i, sc.NumVoice, sc.NumData, c.nv[i], c.nd[i])
+				}
+			}
+		})
+	}
+}
+
+// TestScenarioSchemaHasNoAxisShapes guards the one-pass decode: a line
+// carrying an axis must never strict-decode, which holds while no type in
+// the schema has a map or interface field, a custom JSON decoder, or a
+// field whose name folds to "sweep" or "range".
+func TestScenarioSchemaHasNoAxisShapes(t *testing.T) {
+	unmarshaler := reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		if typ.Implements(unmarshaler) || reflect.PointerTo(typ).Implements(unmarshaler) {
+			t.Errorf("%s: %v decodes itself", path, typ)
+		}
+		switch typ.Kind() {
+		case reflect.Map, reflect.Interface:
+			t.Errorf("%s: %v field", path, typ.Kind())
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() && !f.Anonymous {
+					continue
+				}
+				name := f.Name
+				if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag != "" {
+					name = tag
+				}
+				if strings.EqualFold(name, "sweep") || strings.EqualFold(name, "range") {
+					t.Errorf("%s.%s: field name folds to an axis key", path, f.Name)
+				}
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("scenarioDoc", reflect.TypeOf(scenarioDoc{}))
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(core.Scenario{}), reflect.TypeOf(multicell.Params{}), reflect.TypeOf(channel.Params{}),
+		reflect.TypeOf(phy.Params{}), reflect.TypeOf(mac.Config{}), reflect.TypeOf(frame.Geometry{}),
+		reflect.TypeOf(mac.CharismaParams{}),
+	} {
+		if !seen[typ] {
+			t.Errorf("%v is not reached from scenarioDoc: the walk misses part of the schema", typ)
+		}
 	}
 }
 
@@ -162,17 +342,99 @@ func TestWriteScenarioFileRoundTrip(t *testing.T) {
 	}
 }
 
+// repeatedKeys reports whether any object in the JSON document repeats a
+// key (case-insensitively, as struct decoding matches them). A malformed
+// document reports what precedes the fault; such a line never
+// strict-decodes, so both load paths treat it alike anyway.
+func repeatedKeys(b []byte) (repeated bool) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	var value func() bool
+	value = func() bool {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok {
+		case json.Delim('{'):
+			var keys []string
+			for dec.More() {
+				k, err := dec.Token()
+				if err != nil {
+					return false
+				}
+				for _, seen := range keys {
+					if strings.EqualFold(seen, k.(string)) {
+						repeated = true
+					}
+				}
+				keys = append(keys, k.(string))
+				if !value() {
+					return false
+				}
+			}
+			_, err = dec.Token()
+			return err == nil
+		case json.Delim('['):
+			for dec.More() {
+				if !value() {
+					return false
+				}
+			}
+			_, err = dec.Token()
+			return err == nil
+		}
+		return true
+	}
+	value()
+	return repeated
+}
+
 // FuzzScenarioFile extends the PR 3 codec fuzz family to the JSONL
 // loader: arbitrary bytes must never panic, and every successfully loaded
 // file must round-trip each expanded spec through the canonical codec to
-// the same content hash.
+// the same content hash. Every line without repeated keys must also give
+// the same points (and spec hashes), or the same error, from the one-pass
+// path as from the generic path, which stays the reference.
 func FuzzScenarioFile(f *testing.F) {
 	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": 30, "numData": 5}}`))
 	f.Add([]byte(`{"scenario": {"protocol": {"sweep": ["charisma", "rama"]}, "numVoice": {"range": {"from": 20, "to": 60, "step": 20}}}, "replications": 2}`))
 	f.Add([]byte(`{"multicell": {"cells": 2, "protocol": "drma", "numVoice": 8, "decisionPeriodFrames": 40}}`))
 	f.Add([]byte("# comment\n\n{\"kind\": \"scenario\", \"scenario\": {\"protocol\": \"rmav\", \"numVoice\": 1, \"speedsKmh\": [50]}}"))
 	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": {"sweep": [1, 2]}, "channel": {"speedKmh": {"range": {"from": 10, "to": 30, "step": 10}}}}}`))
+	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": 3}}}`))
+	f.Add([]byte(`{"Scenario": {"Protocol": "rama", "NumData": 2, "Channel": {"SpeedKmh": 1e400}}}`))
+	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": 4, "numVoice": 6}}`))
+	f.Add([]byte(` null `))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			if len(line) == 0 || line[0] == '#' || len(line) > maxScenarioLine {
+				continue
+			}
+			if repeatedKeys(line) {
+				continue
+			}
+			got, gerr := ExpandScenarioLine(line)
+			want, werr := expandGeneric(line)
+			// Where the one-pass decode answers, the error text must match
+			// too; otherwise both ran the generic path, whose axis errors
+			// may name whichever bad axis its map walk met first.
+			onePass := strictDecode(line, &scenarioDoc{}) == nil
+			if (gerr == nil) != (werr == nil) || onePass && gerr != nil && gerr.Error() != werr.Error() {
+				t.Fatalf("line %q: one-pass error %v, generic error %v", line, gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("line %q: one-pass points differ from the generic path's", line)
+			}
+			for i := range got {
+				hg, _ := got[i].Spec.Hash()
+				hw, _ := want[i].Spec.Hash()
+				if hg != hw {
+					t.Fatalf("line %q point %d: hash %s, generic %s", line, i, hg, hw)
+				}
+			}
+		}
+
 		pts, err := LoadScenarioFile(bytes.NewReader(data))
 		if err != nil {
 			return

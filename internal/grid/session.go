@@ -133,7 +133,9 @@ var sessionSerial atomic.Int64
 type Session struct {
 	points []Point
 	hashes []string
+	keys   [][]string // point → RepKeys of its initial replications
 	cache  Cache
+	pre    map[string]*mac.Result // initial cache answers (nil: miss), only inside NewSession
 	prec   Precision
 	serial int64
 
@@ -213,40 +215,101 @@ func NewSession(points []Point, cache Cache, prec Precision) (*Session, error) {
 	s.progCond = sync.NewCond(&s.mu)
 	s.auditCond = sync.NewCond(&s.mu)
 	s.repDur = obs.NewHistogram(repDurBuckets...)
-	for j, pt := range points {
-		if err := pt.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: point %d: %w", j, err)
-		}
-		h, err := pt.Spec.Hash()
+
+	// Hash every point and derive its initial keys, then resolve each
+	// distinct key against the cache once — both spread over run.Map
+	// before s.mu is taken. The answers fold in below in (point, rep)
+	// order, exactly as serial Gets would; growth keeps serial Gets.
+	s.keys = make([][]string, len(points))
+	errs := make([]error, len(points))
+	run.Map(context.TODO(), 0, len(points), func(j int) (struct{}, error) {
+		errs[j] = s.hashPoint(j)
+		return struct{}{}, nil
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("grid: point %d: %w", j, err)
+			return nil, err
 		}
-		s.hashes[j] = h
-		s.states[j] = &pointState{}
 	}
+	var distinct []string
+	s.pre = make(map[string]*mac.Result)
+	for _, ks := range s.keys {
+		for _, k := range ks {
+			if _, dup := s.pre[k]; !dup {
+				s.pre[k] = nil
+				distinct = append(distinct, k)
+			}
+		}
+	}
+	answers, _ := run.Map(context.TODO(), 0, len(distinct), func(i int) (*mac.Result, error) {
+		if r, hit := cache.Get(distinct[i]); hit {
+			return &r, nil
+		}
+		return nil, nil
+	})
+	for i, k := range distinct {
+		s.pre[k] = answers[i]
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var work []int
-	for j, pt := range points {
-		n := pt.Replications
-		if n < 1 {
-			n = 1
-		}
-		if s.prec.Enabled() && n > s.prec.repCap() {
-			n = s.prec.repCap()
-		}
-		s.growPoint(j, n, &work)
+	for j, ks := range s.keys {
+		s.states[j] = &pointState{}
+		s.growPoint(j, len(ks), &work)
 	}
+	s.pre = nil
 	s.settleLoop(work)
 	s.checkDone()
 	s.bump()
 	return s, nil
 }
 
-// repKey derives the content address of (point j, rep). It reads only
-// immutable session state, so no lock is needed.
+// hashPoint validates point j, hashes its spec, and derives the keys of
+// its initial replications. Each call writes only index j.
+func (s *Session) hashPoint(j int) error {
+	pt := s.points[j]
+	if err := pt.Spec.Validate(); err != nil {
+		return fmt.Errorf("grid: point %d: %w", j, err)
+	}
+	h, err := pt.Spec.Hash()
+	if err != nil {
+		return fmt.Errorf("grid: point %d: %w", j, err)
+	}
+	s.hashes[j] = h
+	n := max(pt.Replications, 1)
+	if s.prec.Enabled() {
+		n = min(n, s.prec.repCap())
+	}
+	ks := make([]string, n)
+	for rep := range ks {
+		ks[rep] = RepKey(h, run.RepSeed(pt.Spec.BaseSeed(), rep))
+	}
+	s.keys[j] = ks
+	return nil
+}
+
+// repKey derives the content address of (point j, rep), memoized for the
+// initial replications. It reads only immutable session state, so no lock
+// is needed.
 func (s *Session) repKey(j, rep int) string {
+	if ks := s.keys[j]; rep < len(ks) {
+		return ks[rep]
+	}
 	return RepKey(s.hashes[j], run.RepSeed(s.points[j].Spec.BaseSeed(), rep))
+}
+
+// lookup resolves a slot's key: from the prefetched answers while
+// NewSession folds in the initial replications, from the cache after.
+// Caller holds s.mu.
+func (s *Session) lookup(key string) (mac.Result, bool) {
+	if r, ok := s.pre[key]; ok {
+		if r == nil {
+			return mac.Result{}, false
+		}
+		return *r, true
+	}
+	return s.cache.Get(key)
 }
 
 // bump advances the progress version and wakes progress subscribers.
@@ -277,7 +340,7 @@ func (s *Session) growPoint(j, target int, work *[]int) {
 // identical task, or enqueue a fresh one. Caller holds s.mu.
 func (s *Session) scheduleRep(j, rep int) {
 	key := s.repKey(j, rep)
-	if res, ok := s.cache.Get(key); ok {
+	if res, ok := s.lookup(key); ok {
 		st := s.states[j]
 		st.results[rep] = res
 		st.ok[rep] = true

@@ -272,6 +272,116 @@ func TestMulticellSpecMatchesPlanJob(t *testing.T) {
 	}
 }
 
+// TestNewSessionPrefetchMatchesSerial: NewSession resolves its initial
+// replications with parallel cache Gets, one per distinct key. Over a
+// tiered mem+disk stack with keys repeated across points, the slots, the
+// queued misses, the hit count and the cache's own counters must be the
+// same on every run and equal to a serial walk of the distinct keys in
+// (point, rep) order.
+func TestNewSessionPrefetchMatchesSerial(t *testing.T) {
+	a, b, c := tinyScenario(core.ProtoCharisma, 8, 0), tinyScenario(core.ProtoRAMA, 8, 0), tinyScenario(core.ProtoDRMA, 0, 4)
+	pts := []Point{
+		{ScenarioSpec(a), 3}, {ScenarioSpec(b), 2}, {ScenarioSpec(a), 2}, {ScenarioSpec(c), 1},
+		{ScenarioSpec(b), 3}, {ScenarioSpec(a), 1}, {ScenarioSpec(c), 2},
+	}
+	type slot struct{ point, rep int }
+	var slots []slot
+	var keys []string
+	for j, pt := range pts {
+		h, err := pt.Spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < pt.Replications; rep++ {
+			slots = append(slots, slot{j, rep})
+			keys = append(keys, RepKey(h, run.RepSeed(pt.Spec.BaseSeed(), rep)))
+		}
+	}
+
+	// Warm part of the disk: every key except b's rep 2 and all of c's.
+	dir := t.TempDir()
+	disk := NewDiskCache(dir, nil)
+	stored := map[string]mac.Result{}
+	for i, k := range keys {
+		p := pts[slots[i].point].Spec.Scenario.Protocol
+		if _, ok := stored[k]; ok || p == core.ProtoDRMA || p == core.ProtoRAMA && slots[i].rep == 2 {
+			continue
+		}
+		stored[k] = mac.Result{Protocol: p, Frames: float64(len(stored)) + 0.25, VoiceLossRate: 1 / float64(i+3)}
+		disk.Put(k, stored[k])
+	}
+
+	// The serial reference: one Get per distinct key, in slot order.
+	ref := Tiered(NewMemCache(), NewDiskCache(dir, nil))
+	answer := map[string]bool{}
+	var wantQueue []slot
+	wantHits := 0
+	for i, k := range keys {
+		hit, seen := answer[k]
+		if !seen {
+			_, hit = ref.Get(k)
+			answer[k] = hit
+			if !hit {
+				wantQueue = append(wantQueue, slots[i])
+			}
+		}
+		if hit {
+			wantHits++
+		}
+	}
+	wantStats := ref.(StatsReporter).Stats()
+
+	for trial := 0; trial < 8; trial++ {
+		cache := Tiered(NewMemCache(), NewDiskCache(dir, nil))
+		sess, err := NewSession(pts, cache, Precision{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			st := sess.states[slots[i].point]
+			want, hit := stored[k]
+			if st.ok[slots[i].rep] != hit || !reflect.DeepEqual(st.results[slots[i].rep], want) {
+				t.Fatalf("trial %d slot %v: ok %v result %+v, want %v %+v", trial, slots[i], st.ok[slots[i].rep], st.results[slots[i].rep], hit, want)
+			}
+		}
+		var queue []slot
+		for _, tk := range sess.queue {
+			queue = append(queue, slot{tk.Point, tk.Rep})
+		}
+		if !reflect.DeepEqual(queue, wantQueue) {
+			t.Fatalf("trial %d: queued %v, want %v", trial, queue, wantQueue)
+		}
+		if sess.CacheHits() != wantHits {
+			t.Fatalf("trial %d: %d hits, want %d", trial, sess.CacheHits(), wantHits)
+		}
+		if got := cache.(StatsReporter).Stats(); got != wantStats {
+			t.Fatalf("trial %d: cache stats %+v, want %+v", trial, got, wantStats)
+		}
+	}
+
+	// Fully warm: every run is done at once with identical Results.
+	warm := []Point{pts[0], pts[1], pts[2], pts[5]}
+	var first []mac.Result
+	for trial := 0; trial < 4; trial++ {
+		sess, err := NewSession(warm, Tiered(NewMemCache(), NewDiskCache(dir, nil)), Precision{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sess.Done() {
+			t.Fatal("fully cached session not done")
+		}
+		rs, err := sess.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial == 0 {
+			first = rs
+		} else if !reflect.DeepEqual(rs, first) {
+			t.Fatalf("trial %d: Results differ from trial 0", trial)
+		}
+	}
+}
+
 // TestSessionContextCancellation: cancelling the context unblocks workers
 // and Results reports the incomplete session.
 func TestSessionContextCancellation(t *testing.T) {

@@ -108,10 +108,18 @@ func DecodeSpec(b []byte) (JobSpec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return JobSpec{}, fmt.Errorf("grid: decode spec: %w", err)
 	}
-	if dec.More() {
+	if !atEOF(dec) {
 		return JobSpec{}, errors.New("grid: trailing data after spec")
 	}
 	return s, nil
+}
+
+// atEOF reports whether nothing but whitespace follows the decoder's last
+// value. (Decoder.More is no substitute: it reports false at a stray
+// closing bracket.)
+func atEOF(dec *json.Decoder) bool {
+	_, err := dec.Token()
+	return err == io.EOF
 }
 
 // specMagic frames the binary envelope ("CHARISMA GRID spec v1").

@@ -91,6 +91,10 @@ func TestSpecDecodeRejectsGarbage(t *testing.T) {
 		[]byte(""),
 		[]byte("{"),
 		[]byte(`{"Kind":"scenario"} trailing`),
+		[]byte(`{"Kind":"scenario"}}`),
+		[]byte(`{"Kind":"scenario"}]`),
+		[]byte(`{"Kind":"scenario"}}}`),
+		[]byte(`{"Kind":"scenario"} {}`),
 		[]byte(`{"Kind":"scenario","NoSuchField":1}`),
 	}
 	for i, b := range cases {

@@ -28,6 +28,10 @@ out=${BENCH_OUT:-BENCH_${pr}.json}
 # StreamReseed is the in-place jump-ahead reseed of a per-station stream.
 ZERO_ALLOC='^(ChannelBankFrame|ChannelBankQuery|ChannelReplayCatchUp|FadingAdvance|ModeSelection|EngineSchedule|EngineStepBatch|CharismaFrame|IdleWakeCell|ReplicationSetup|ObsOffFrame|StreamReseed)$'
 
+# The grid's warm-path micro-benches (a sweep re-walked against a filled
+# cache): scenario-file load, spec hash, RepKey, disk-cache get and put.
+GRID_BENCH='^Benchmark(LoadScenarioFile|SpecHash|RepKey|DiskCacheGet|DiskCachePut)$'
+
 # Population-scaling ceiling: resident heap per idle station at 10⁵
 # stations (the same budget TestMillionStationMemoryBudget pins at 10⁶).
 MAX_B_PER_STATION='^IdleCellPopulation/n=100000$:B/station:64'
@@ -49,6 +53,9 @@ case "$mode" in
     # Per-station stream seeding (white-box benches in internal/rng).
     go test -run '^$' -benchtime 1x -benchmem -timeout 10m \
       -bench 'BenchmarkStreamReseed|BenchmarkDeriveIndexed' ./internal/rng | tee -a "$raw"
+    # The grid's warm path: scenario load, spec hashing, RepKey, disk tier.
+    go test -run '^$' -benchtime 1x -benchmem -timeout 10m \
+      -bench "$GRID_BENCH" ./internal/grid | tee -a "$raw"
     go run ./cmd/benchsnap -in "$raw" -assert-zero-allocs "$ZERO_ALLOC" \
       -assert-max-metric "$MAX_B_PER_STATION"
     ;;
@@ -63,6 +70,8 @@ case "$mode" in
       -bench 'BenchmarkReplicationSetup' ./internal/core | tee -a "$raw"
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
       -bench 'BenchmarkStreamReseed|BenchmarkDeriveIndexed' ./internal/rng | tee -a "$raw"
+    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
+      -bench "$GRID_BENCH" ./internal/grid | tee -a "$raw"
     # Population-scaling family: B/station and ns/frame at 10⁴..10⁶.
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
       -bench 'BenchmarkIdleCellPopulation' . | tee -a "$raw"
