@@ -19,11 +19,11 @@ import (
 	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/experiments"
+	"charisma/internal/grid"
 	"charisma/internal/mac"
 	"charisma/internal/multicell"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
-	"charisma/internal/run"
 	"charisma/internal/sim"
 	"charisma/internal/traffic"
 )
@@ -414,8 +414,8 @@ func BenchmarkEngineStepBatch(b *testing.B) {
 }
 
 // BenchmarkScenarioRun tracks the end-to-end allocation footprint of a
-// complete (short) scenario run — the unit the replication runner fans
-// out by the thousand.
+// complete (short) scenario run — the unit a sweep fans out by the
+// thousand.
 func BenchmarkScenarioRun(b *testing.B) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice, sc.NumData = 30, 5
@@ -429,22 +429,22 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicatedSweep exercises the replication-aware runner the way
-// the figure sweeps use it: protocols × loads × replications as one flat
-// concurrent plan.
+// BenchmarkReplicatedSweep drives a sweep the way the figure sweeps run
+// one: protocols × loads × replications as one grid session on the
+// loopback pool.
 func BenchmarkReplicatedSweep(b *testing.B) {
-	var scs []core.Scenario
+	var pts []grid.Point
 	for _, p := range []string{core.ProtoCharisma, core.ProtoDTDMAFR} {
 		for _, nv := range []int{20, 40} {
 			sc := core.DefaultScenario(p)
 			sc.NumVoice = nv
 			sc.WarmupSec, sc.DurationSec = 0.25, 1
-			scs = append(scs, sc)
+			pts = append(pts, grid.Point{Spec: grid.ScenarioSpec(sc), Replications: 4})
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := run.Replicated(context.Background(), scs, 4)
+		rs, err := grid.RunPoints(context.Background(), pts, grid.DriveConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,7 +32,6 @@ import (
 	"charisma/internal/core"
 	"charisma/internal/grid"
 	"charisma/internal/mac"
-	"charisma/internal/sim"
 )
 
 // Protocol selects one of the six implemented uplink access control
@@ -229,7 +228,8 @@ func Run(o Options) (Result, error) {
 // runScenarios executes scenarios on the sweep grid's in-process loopback
 // transport: replications resolve against the (optional) content-addressed
 // cache, grow adaptively when TargetPrecision asks for it, and merge in
-// replication order — byte-identical to the plain replication runner.
+// replication order — byte-identical to running each replication in turn
+// under run.RepSeed.
 func (o Options) runScenarios(ctx context.Context, scs []core.Scenario) ([]mac.Result, error) {
 	points := make([]grid.Point, len(scs))
 	for i, sc := range scs {
@@ -295,7 +295,3 @@ func FrameDuration() time.Duration {
 	d := core.DefaultScenario(string(ProtocolCHARISMA)).MAC.Geometry.Duration()
 	return time.Duration(d.Seconds() * float64(time.Second))
 }
-
-// internal reference so the sim package's clock constants stay part of the
-// public contract documented here: one frame is 800 symbols at 320 kHz.
-var _ = sim.Second

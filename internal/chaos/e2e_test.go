@@ -11,7 +11,6 @@ import (
 
 	"charisma/internal/core"
 	"charisma/internal/grid"
-	"charisma/internal/run"
 )
 
 func e2eScenarios() []core.Scenario {
@@ -64,19 +63,19 @@ func TestInjectCacheFaultsDetectedByGrid(t *testing.T) {
 // a sweep over real HTTP with one worker injecting wire faults on every
 // class and one worker lying on every result must still finish — via
 // backoff, retries, lease re-queueing, and the byzantine audit — with
-// results byte-identical to the in-process runner, and with the liar
-// quarantined.
+// results byte-identical to a fault-free loopback sweep (which the grid
+// tests pin to the serial reference), and with the liar quarantined.
 func TestChaoticSweepByteIdentical(t *testing.T) {
 	const reps = 2
 	ctx := context.Background()
 	scs := e2eScenarios()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(scs, reps))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pts := make([]grid.Point, len(scs))
 	for i, sc := range scs {
 		pts[i] = grid.Point{Spec: grid.ScenarioSpec(sc), Replications: reps}
+	}
+	want, err := grid.RunPoints(ctx, pts, grid.DriveConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sess, err := grid.NewSession(pts, nil, grid.Precision{})
 	if err != nil {
@@ -146,6 +145,6 @@ func TestChaoticSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("chaotic sweep differs from in-process runner")
+		t.Fatal("chaotic sweep differs from the loopback reference")
 	}
 }

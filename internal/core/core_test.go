@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"charisma/internal/mac"
@@ -219,64 +218,6 @@ func TestCommonRandomNumbersAcrossProtocols(t *testing.T) {
 		if gen[i] != gen[0] || dat[i] != dat[0] {
 			t.Fatalf("traffic realization differs across protocols: %v / %v", gen, dat)
 		}
-	}
-}
-
-func TestRunManyPreservesOrder(t *testing.T) {
-	scs := []Scenario{
-		shortScenario(ProtoCharisma, 5, 0),
-		shortScenario(ProtoRAMA, 5, 0),
-		shortScenario(ProtoDRMA, 5, 0),
-	}
-	rs, err := RunMany(scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("%d results", len(rs))
-	}
-	want := []string{"charisma", "rama", "drma"}
-	for i, r := range rs {
-		if r.Protocol != want[i] {
-			t.Fatalf("result %d = %s, want %s", i, r.Protocol, want[i])
-		}
-	}
-}
-
-func TestRunManyMatchesRun(t *testing.T) {
-	sc := shortScenario(ProtoDRMA, 8, 2)
-	single, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := RunMany([]Scenario{sc, sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch[0] != single || batch[1] != single {
-		t.Fatal("RunMany results differ from Run (parallelism broke determinism)")
-	}
-}
-
-func TestRunManyReportsErrors(t *testing.T) {
-	if _, err := RunMany([]Scenario{shortScenario("bogus", 1, 0)}); err == nil {
-		t.Fatal("invalid scenario not reported")
-	}
-}
-
-// Every failing scenario must surface, not just the first (errors.Join).
-func TestRunManyJoinsAllErrors(t *testing.T) {
-	_, err := RunMany([]Scenario{
-		shortScenario("bogus-one", 1, 0),
-		shortScenario(ProtoCharisma, 5, 0),
-		shortScenario("bogus-two", 1, 0),
-	})
-	if err == nil {
-		t.Fatal("invalid scenarios not reported")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "bogus-one") || !strings.Contains(msg, "bogus-two") {
-		t.Fatalf("error lost a failure: %v", msg)
 	}
 }
 

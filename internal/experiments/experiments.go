@@ -20,7 +20,6 @@ import (
 	"charisma/internal/grid"
 	"charisma/internal/mac"
 	"charisma/internal/phy"
-	"charisma/internal/sim"
 	"charisma/internal/stats"
 )
 
@@ -148,8 +147,8 @@ func metricCI(m Metric, r mac.Result) float64 {
 // runScenarios executes one sweep's scenarios as a grid session: every
 // (scenario, replication) pair is resolved against the cache, deduplicated
 // in flight, executed by the loopback pool and any attached remote
-// workers, and merged in rep order — byte-identical to the in-process
-// run.Runner plan it replaces.
+// workers, and merged in rep order — byte-identical to running each
+// replication in turn under run.RepSeed.
 func (rc RunConfig) runScenarios(ctx context.Context, scs []core.Scenario) ([]mac.Result, error) {
 	points := make([]grid.Point, len(scs))
 	for i, sc := range scs {
@@ -416,7 +415,3 @@ func Table1() []Table1Row {
 		{"(*) reconstructed", "unreadable in the source scan; see DESIGN.md §3"},
 	}
 }
-
-// internal reference keeps the sim package linked for the symbol-clock
-// constants documented throughout.
-var _ = sim.Second

@@ -22,7 +22,7 @@ import (
 // lying worker cannot poison the content-addressed cache or the sweep.
 //
 // With Frac = 1 every remote result is verified and a fixed-replication
-// sweep is guaranteed byte-identical to the in-process runner no matter
+// sweep is guaranteed byte-identical to the serial reference no matter
 // what workers return. With Frac < 1 detection is probabilistic per
 // result, but one caught lie still evicts everything the liar touched.
 // Under adaptive precision a lie that influenced a growth decision before

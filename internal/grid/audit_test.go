@@ -9,16 +9,15 @@ import (
 	"time"
 
 	"charisma/internal/rng"
-	"charisma/internal/run"
 )
 
 // TestAuditCatchesLyingWorker: with -audit-frac 1, a worker that posts a
 // plausible-but-wrong result is caught by local re-execution, the worker
 // is quarantined, the oracle's own result lands instead, and the sweep
-// finishes byte-identical to the in-process runner.
+// finishes byte-identical to the serial reference.
 func TestAuditCatchesLyingWorker(t *testing.T) {
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), 1))
+	want, err := serialReference(sweepScenarios(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestAuditCatchesLyingWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("audited sweep differs from in-process runner despite the lie")
+		t.Fatal("audited sweep differs from the serial reference despite the lie")
 	}
 }
 
@@ -101,7 +100,7 @@ func TestQuarantinedWorkerGetsNoTasks(t *testing.T) {
 // touched survives.
 func TestQuarantineUnwindsDeliveredResults(t *testing.T) {
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), 1))
+	want, err := serialReference(sweepScenarios(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +177,18 @@ func TestQuarantineUnwindsDeliveredResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("unwound sweep differs from in-process runner")
+		t.Fatal("unwound sweep differs from the serial reference")
 	}
 }
 
 // TestAuditedRemoteSweepByteIdentical: honest workers over real HTTP
 // with every result audited — all audits pass, nobody is quarantined,
-// and the bytes match the in-process runner. The cost of -audit-frac 1
+// and the bytes match the serial reference. The cost of -audit-frac 1
 // is re-execution time, never correctness.
 func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 	const reps = 2
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), reps))
+	want, err := serialReference(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +234,6 @@ func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("audited remote sweep differs from in-process runner")
+		t.Fatal("audited remote sweep differs from the serial reference")
 	}
 }

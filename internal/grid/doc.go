@@ -12,8 +12,8 @@
 //   - A JobSpec is a declarative, serializable description of one
 //     simulation — a single-cell core.Scenario or a multicell deployment —
 //     parameters, not closures. It has a canonical JSON encoding (plus a
-//     framed binary envelope) and a stable SHA-256 content hash, replacing
-//     the unserializable run.Job.Custom path as the plan-transport boundary.
+//     framed binary envelope) and a stable SHA-256 content hash, so it can
+//     cross any process boundary.
 //   - A Cache stores one mac.Result per replication under
 //     RepKey(hash(JobSpec), RepSeed): repeated sweep points and re-anchored
 //     figures reuse prior replications, and a re-run sweep is a cache walk.
@@ -53,7 +53,8 @@
 // key ever lands, and JobSpec.RunRep is a deterministic function of the
 // spec and the rep seed, so crash timing, duplicate deliveries, and
 // zombie workers can never change the bytes a sweep produces — a
-// crash-recovered sweep is byte-identical to the in-process runner.
+// crash-recovered sweep is byte-identical to a serial run of every
+// replication under run.RepSeed.
 //
 // # Progress streaming
 //

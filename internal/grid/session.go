@@ -623,19 +623,14 @@ func (s *Session) Renew(id int64, ttl time.Duration) bool {
 	return true
 }
 
-// TryNext pops a queued task without blocking, under a non-expiring
-// lease. ok reports a task was returned; done reports the session has
-// finished (no task will ever come again). Neither ok nor done means the
-// queue is momentarily empty — more tasks may appear when adaptive growth
-// triggers or an expired lease re-queues one.
-func (s *Session) TryNext() (t Task, ok, done bool) {
-	return s.TryClaim("", 0)
-}
-
 // TryClaim pops a queued task without blocking, leased to worker with
 // deadline ttl from now (ttl ≤ 0 means the lease never expires). The
 // worker name feeds the re-queue exclusion — a worker is skipped over a
-// task it previously timed out on while other work exists.
+// task it previously timed out on while other work exists. ok reports a
+// task was returned; done reports the session has finished (no task will
+// ever come again). Neither ok nor done means the queue is momentarily
+// empty — more tasks may appear when adaptive growth triggers or an
+// expired lease re-queues one.
 func (s *Session) TryClaim(worker string, ttl time.Duration) (t Task, ok, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -882,9 +877,9 @@ func (s *Session) Replications(j int) int {
 }
 
 // Results aggregates each point's successful replications, in rep-index
-// order, via mac.AggregateReplications. Like run.Runner, failures never
-// discard a sweep: partial per-point aggregates are returned alongside the
-// joined error (which also flags an unfinished session).
+// order, via mac.AggregateReplications. Failures never discard a sweep:
+// partial per-point aggregates are returned alongside the joined error
+// (which also flags an unfinished session).
 func (s *Session) Results() ([]mac.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -23,6 +23,26 @@ func sweepScenarios() []core.Scenario {
 	}
 }
 
+// serialReference is the oracle every sweep path is held to: each
+// replication of each scenario run in turn under run.RepSeed, folded per
+// scenario by mac.AggregateReplications.
+func serialReference(scs []core.Scenario, reps int) ([]mac.Result, error) {
+	out := make([]mac.Result, len(scs))
+	for j, base := range scs {
+		runs := make([]mac.Result, reps)
+		for i := range runs {
+			sc := base
+			sc.Seed = run.RepSeed(base.Seed, i)
+			var err error
+			if runs[i], err = sc.Run(); err != nil {
+				return nil, err
+			}
+		}
+		out[j] = mac.AggregateReplications(runs)
+	}
+	return out, nil
+}
+
 func sweepPoints(reps int) []Point {
 	scs := sweepScenarios()
 	pts := make([]Point, len(scs))
@@ -33,20 +53,20 @@ func sweepPoints(reps int) []Point {
 }
 
 // TestGridPathsByteIdentical is the acceptance gate for the subsystem: a
-// replicated sweep must produce byte-identical mac.Results across all four
-// execution paths — in-process runner, loopback grid, multi-worker grid,
-// and warm cache.
+// replicated sweep must produce byte-identical mac.Results on every
+// execution path — loopback grid, multi-worker grid, and warm cache —
+// and match the serial reference.
 func TestGridPathsByteIdentical(t *testing.T) {
 	const reps = 3
 	ctx := context.Background()
 
-	// Path 1: the in-process replication runner.
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), reps))
+	// The reference: every replication run in turn.
+	want, err := serialReference(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Path 2: grid session on the loopback transport.
+	// Path 1: grid session on the loopback transport.
 	loop, err := NewSession(sweepPoints(reps), nil, Precision{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,10 +79,10 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("loopback grid differs from in-process runner")
+		t.Fatal("loopback grid differs from the serial reference")
 	}
 
-	// Path 3: coordinator + two workers over real HTTP.
+	// Path 2: coordinator + two workers over real HTTP.
 	sess, err := NewSession(sweepPoints(reps), nil, Precision{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +116,13 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("multi-worker grid differs from in-process runner")
+		t.Fatal("multi-worker grid differs from the serial reference")
 	}
 	if sess.Executed() == 0 {
 		t.Fatal("remote workers executed nothing")
 	}
 
-	// Path 4: warm cache — populate a disk cache, then re-run the sweep
+	// Path 3: warm cache — populate a disk cache, then re-run the sweep
 	// against it: zero simulations, identical bytes.
 	cache := NewCache(t.TempDir())
 	first, err := NewSession(sweepPoints(reps), cache, Precision{})
@@ -130,7 +150,7 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("warm cache differs from in-process runner")
+		t.Fatal("warm cache differs from the serial reference")
 	}
 }
 
@@ -245,16 +265,21 @@ func TestSessionStrayResultsIgnored(t *testing.T) {
 	}
 }
 
-// TestMulticellSpecMatchesPlanJob: the serializable multicell spec is the
-// transportable replacement for multicell.PlanJob — same seeds, same
-// normalization, same aggregate.
-func TestMulticellSpecMatchesPlanJob(t *testing.T) {
+// TestMulticellSpecMatchesRunReplicated: a multicell point through a
+// session agrees with multicell.RunReplicated, which pools the same
+// replications by its own path. Frames counts the window once per cell
+// frame rather than once per deployment frame; the per-cell-frame
+// throughput and every other field are the same.
+func TestMulticellSpecMatchesRunReplicated(t *testing.T) {
 	p := tinyMulticell()
+	p.NumData = 4 // data traffic: the throughput normalization must survive the fold
 	const reps = 2
-	want, err := run.Runner{}.Run(context.Background(),
-		run.Plan{Jobs: []run.Job{multicell.PlanJob(p, reps)}})
+	want, err := multicell.RunReplicated(context.Background(), p, reps)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.DataDelivered == 0 {
+		t.Fatal("deployment delivered no data; normalization not exercised")
 	}
 	sess, err := NewSession([]Point{{Spec: MulticellSpec(p), Replications: reps}}, nil, Precision{})
 	if err != nil {
@@ -263,12 +288,21 @@ func TestMulticellSpecMatchesPlanJob(t *testing.T) {
 	if err := RunLocal(context.Background(), sess, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Results()
+	rs, err := sess.Results()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("multicell spec differs from PlanJob:\n%+v\n%+v", want[0], got[0])
+	got := rs[0]
+	if expect := want.Frames / float64(p.Cells); got.Frames != expect {
+		t.Fatalf("Frames %v, want %v (per-cell-frame normalization)", got.Frames, expect)
+	}
+	if got.DataThroughputPerFrame != want.DataThroughputPerFrame {
+		t.Fatalf("throughput %v, RunReplicated %v", got.DataThroughputPerFrame, want.DataThroughputPerFrame)
+	}
+	got.Frames = want.Frames
+	got.InfoUtilization = want.InfoUtilization // frame-weighted; weights differ only by the constant cell factor
+	if got != want.Result {
+		t.Fatalf("multicell spec differs from RunReplicated beyond normalization:\n%+v\n%+v", got, want.Result)
 	}
 }
 

@@ -27,8 +27,7 @@ const (
 // JobSpec declares one simulation as data: exactly one of the payload
 // pointers is set, matching Kind. Both payloads are plain parameter structs
 // (ints, floats, strings, float slices), so a spec round-trips losslessly
-// through its codec and can cross a process boundary — unlike run.Job's
-// Custom closure, which this type replaces as the plan-transport currency.
+// through its codec and can cross a process boundary.
 //
 // The canonical encoding is JSON with the fixed struct field order and
 // Go's shortest-round-trip float formatting; Hash is SHA-256 over it.
@@ -46,9 +45,9 @@ func ScenarioSpec(sc core.Scenario) JobSpec {
 	return JobSpec{Kind: KindScenario, Scenario: &sc}
 }
 
-// MulticellSpec wraps a multi-cell deployment into a spec. It supersedes
-// multicell.PlanJob for transport: the deployment travels as parameters
-// and is normalized the same way on whichever worker runs it.
+// MulticellSpec wraps a multi-cell deployment into a spec: the deployment
+// travels as parameters, and RunRep normalizes its result the same way on
+// whichever worker runs it.
 func MulticellSpec(p multicell.Params) JobSpec {
 	return JobSpec{Kind: KindMulticell, Multicell: &p}
 }
@@ -182,11 +181,14 @@ func RepKey(specHash string, repSeed int64) string {
 }
 
 // RunRep executes replication rep of the spec through the existing engine,
-// under the seed run.RepSeed(BaseSeed, rep) — exactly the discipline
-// run.Runner applies, so grid results are byte-identical to in-process
-// plans. Multicell results are normalized to per-cell-frame equivalents,
-// matching multicell.PlanJob, so the generic replication fold recomputes
-// throughput consistently.
+// under the seed run.RepSeed(BaseSeed, rep), so a sweep's results are
+// byte-identical to a serial loop of the same runs. A multicell result is
+// the deployment-wide aggregate with Frames normalized to per-cell-frame
+// equivalents (a deployment sums frames across cells; a sweep point
+// counts the measurement window once), so the generic replication fold
+// recomputes DataThroughputPerFrame in the per-cell-frame normalization
+// multicell.Run and RunReplicated use. The handoff count is a
+// deployment-level statistic and is not carried in a mac.Result.
 func (s JobSpec) RunRep(rep int) (mac.Result, error) {
 	if err := s.Validate(); err != nil {
 		return mac.Result{}, err

@@ -161,7 +161,8 @@ func TestRepKeyDistinctPerRep(t *testing.T) {
 }
 
 // TestRunRepMatchesRunner pins the seed discipline: RunRep(rep) must equal
-// the replication runner's task for the same (scenario, rep).
+// a direct Scenario.Run under run.RepSeed — the serial reference's run for
+// the same (scenario, rep).
 func TestRunRepMatchesRunner(t *testing.T) {
 	sc := tinyScenario(core.ProtoRAMA, 8, 2)
 	spec := ScenarioSpec(sc)

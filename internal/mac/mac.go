@@ -319,8 +319,7 @@ type System struct {
 
 	// DebugVoiceTx, when non-nil, observes every voice transmission
 	// (station, mode, scheduler-side amplitude estimate, estimate age,
-	// outcome counts). Used by calibration diagnostics and tests; nil in
-	// production runs.
+	// outcome counts). Only tests install it; nil in production runs.
 	DebugVoiceTx func(st *Station, m phy.Mode, estAmp float64, estAge sim.Time, ok, errs int)
 
 	// DebugEndFrame, when non-nil, observes every completed frame with

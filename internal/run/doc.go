@@ -1,25 +1,21 @@
-// Package run is the replication-aware parallel execution layer between
-// the scenario layer (core) and every consumer of results (the public
-// facade, the experiment sweeps, the cmd entry points).
+// Package run owns the replication seed discipline and the bounded
+// worker pool the rest of the system shares.
 //
 // The paper's evaluation rests on replicated stochastic simulations with
-// common random numbers: each scenario must be run N independent times
-// under seeds derived from one base seed, and the reported uncertainty
-// must come from across-replication dispersion, not from within-run
-// sample counts. This package owns that methodology end to end:
+// common random numbers: each scenario runs N independent times under
+// seeds derived from one base seed, and the reported uncertainty comes
+// from across-replication dispersion, not from within-run sample counts.
+// Executing and pooling those replications is the sweep grid's job
+// (internal/grid); this package supplies the two pieces it builds on.
 //
-//   - A Plan expands scenarios into (scenario, replication) tasks, with
-//     per-replication seeds derived via rng.SeedFor(seed, "rep", i).
-//     Replication 0 keeps the base seed, so a 1-replication plan is
-//     byte-identical to Scenario.Run and adding replications only ever
-//     extends a sweep.
-//   - A Runner executes the flat task list on a bounded worker pool with
-//     context cancellation. Every task writes into a fixed slot and the
-//     per-job fold visits replications in index order, so the numbers are
-//     byte-identical for any worker count — parallelism is purely a
+//   - RepSeed(base, i) derives replication i's seed via
+//     rng.SeedForIndexed(base, "rep", i). Replication 0 keeps the base
+//     seed, so a 1-replication run is byte-identical to Scenario.Run and
+//     adding replications only ever extends a sweep.
+//   - Map runs n independent tasks on a bounded worker pool with context
+//     cancellation. Every task writes into a fixed slot, so the outputs
+//     are byte-identical for any worker count — parallelism is purely a
 //     throughput knob.
-//   - Per-job results aggregate through mac.AggregateReplications into
-//     pooled counters plus across-replication Student-t CI95 half-widths.
 //
 // Common random numbers survive replication: traffic and channel streams
 // derive from the scenario seed only, so replication i of every protocol
@@ -28,9 +24,11 @@
 // # Byte-identity contract
 //
 // RepSeed(base, i) is the single source of replication seeds for the
-// whole system: the in-process Runner, the grid's JobSpec.RunRep, and the
-// content-addressed cache key RepKey all derive from it. Any executor
+// whole system: the grid's JobSpec.RunRep, multicell.RunReplicated, and
+// the content-addressed cache key RepKey all derive from it. Any executor
 // given (job, rep) therefore runs the identical simulation, which is what
 // lets the distributed grid re-queue crashed tasks, dedupe in-flight
-// work, and replay sweeps from cache without ever changing a result byte.
+// work, and replay sweeps from cache without ever changing a result byte,
+// and what lets a plain serial loop of Scenario.Run over RepSeed serve as
+// the reference every sweep path is tested against.
 package run

@@ -3,65 +3,12 @@ package run
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"charisma/internal/core"
-	"charisma/internal/mac"
 	"charisma/internal/rng"
 )
-
-// Job is one simulation together with its replication count: either a
-// single-cell core scenario or, via Custom, any other seeded simulation
-// (multicell deployments plug in this way).
-type Job struct {
-	Scenario core.Scenario
-	// Custom, when non-nil, runs instead of Scenario. It receives the
-	// replication's derived seed (RepSeed(CustomSeed, i)), so non-scenario
-	// simulations replicate under exactly the same seed discipline as
-	// scenarios and can share a plan with them.
-	Custom func(seed int64) (mac.Result, error)
-	// CustomSeed is the base seed Custom replications derive from.
-	CustomSeed int64
-	// Replications is the number of independent runs pooled into this
-	// job's result; values below 1 are treated as 1.
-	Replications int
-}
-
-func (j Job) reps() int {
-	if j.Replications < 1 {
-		return 1
-	}
-	return j.Replications
-}
-
-// Plan is a flat batch of jobs executed as one concurrent unit. Sweeps
-// build a single plan covering every (protocol, load, replication) cell
-// so the worker pool stays saturated across the whole sweep instead of
-// draining between points.
-type Plan struct {
-	Jobs []Job
-}
-
-// NewPlan wraps scenarios into a plan with a uniform replication count.
-func NewPlan(scs []core.Scenario, replications int) Plan {
-	jobs := make([]Job, len(scs))
-	for i, sc := range scs {
-		jobs[i] = Job{Scenario: sc, Replications: replications}
-	}
-	return Plan{Jobs: jobs}
-}
-
-// Tasks returns the total number of simulation runs the plan expands to.
-func (p Plan) Tasks() int {
-	n := 0
-	for _, j := range p.Jobs {
-		n += j.reps()
-	}
-	return n
-}
 
 // RepSeed derives the seed of replication i from a job's base seed.
 // Replication 0 keeps the base seed — a single-replication run is exactly
@@ -74,90 +21,6 @@ func RepSeed(base int64, i int) int64 {
 		return base
 	}
 	return rng.SeedForIndexed(base, "rep", i)
-}
-
-// Runner executes plans on a bounded worker pool.
-type Runner struct {
-	// Workers bounds concurrency; values below 1 mean GOMAXPROCS.
-	Workers int
-}
-
-// errNotRun marks tasks the worker pool never reached (cancellation).
-var errNotRun = errors.New("run: task not executed")
-
-// Run executes every replication of every job concurrently and returns
-// one aggregated mac.Result per job, in job order. All jobs run even when
-// some fail; the returned error joins every per-task failure (and the
-// context's error, if it was cancelled). Results are returned even then:
-// each job aggregates its successful replications, so a single failed
-// replication costs one sample, not the whole sweep. A job with no
-// successful replication reports a zero Result.
-func (r Runner) Run(ctx context.Context, p Plan) ([]mac.Result, error) {
-	type task struct{ job, rep int }
-	tasks := make([]task, 0, p.Tasks())
-	for j, job := range p.Jobs {
-		for i := 0; i < job.reps(); i++ {
-			tasks = append(tasks, task{job: j, rep: i})
-		}
-	}
-
-	// taskErrs distinguishes, per task, success (nil) from failure and
-	// from never-ran, so the per-job fold can skip exactly the replications
-	// that produced no result. Writes happen before Map's pool drains and
-	// reads after it returns, so no further synchronization is needed.
-	taskErrs := make([]error, len(tasks))
-	for k := range taskErrs {
-		taskErrs[k] = errNotRun
-	}
-	flat, err := Map(ctx, r.Workers, len(tasks), func(k int) (res mac.Result, err error) {
-		defer func() { taskErrs[k] = err }()
-		t := tasks[k]
-		if j := p.Jobs[t.job]; j.Custom != nil {
-			res, err := j.Custom(RepSeed(j.CustomSeed, t.rep))
-			if err != nil {
-				return mac.Result{}, fmt.Errorf("run: job %d (custom) rep %d: %w", t.job, t.rep, err)
-			}
-			return res, nil
-		}
-		sc := p.Jobs[t.job].Scenario
-		sc.Seed = RepSeed(sc.Seed, t.rep)
-		res, err = sc.Run()
-		if err != nil {
-			return mac.Result{}, fmt.Errorf("run: job %d (%s) rep %d: %w", t.job, sc.Protocol, t.rep, err)
-		}
-		return res, nil
-	})
-
-	out := make([]mac.Result, len(p.Jobs))
-	k := 0
-	for j, job := range p.Jobs {
-		n := job.reps()
-		if err == nil {
-			out[j] = mac.AggregateReplications(flat[k : k+n])
-		} else {
-			good := make([]mac.Result, 0, n)
-			for i := 0; i < n; i++ {
-				if taskErrs[k+i] == nil {
-					good = append(good, flat[k+i])
-				}
-			}
-			out[j] = mac.AggregateReplications(good)
-		}
-		k += n
-	}
-	return out, err
-}
-
-// Scenarios executes each scenario once (no replication) on the default
-// worker count — the drop-in concurrent batch primitive.
-func Scenarios(ctx context.Context, scs []core.Scenario) ([]mac.Result, error) {
-	return Runner{}.Run(ctx, NewPlan(scs, 1))
-}
-
-// Replicated executes each scenario with the given replication count on
-// the default worker count.
-func Replicated(ctx context.Context, scs []core.Scenario, replications int) ([]mac.Result, error) {
-	return Runner{}.Run(ctx, NewPlan(scs, replications))
 }
 
 // Map runs fn(0..n-1) on a bounded worker pool and returns the results in

@@ -4,22 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-
-	"charisma/internal/core"
-	"charisma/internal/mac"
 )
-
-func shortScenario(proto string, nv, nd int) core.Scenario {
-	sc := core.DefaultScenario(proto)
-	sc.NumVoice = nv
-	sc.NumData = nd
-	sc.WarmupSec = 0.5
-	sc.DurationSec = 2
-	return sc
-}
 
 func TestRepSeed(t *testing.T) {
 	if RepSeed(42, 0) != 42 {
@@ -38,148 +25,6 @@ func TestRepSeed(t *testing.T) {
 	}
 	if RepSeed(42, 1) == RepSeed(43, 1) {
 		t.Fatal("different base seeds derived the same replication seed")
-	}
-}
-
-func TestPlanTasks(t *testing.T) {
-	p := NewPlan([]core.Scenario{shortScenario(core.ProtoCharisma, 5, 0), shortScenario(core.ProtoRAMA, 5, 0)}, 4)
-	if got := p.Tasks(); got != 8 {
-		t.Fatalf("Tasks = %d, want 8", got)
-	}
-	// Replication counts below 1 normalize to 1.
-	p.Jobs[0].Replications = 0
-	if got := p.Tasks(); got != 5 {
-		t.Fatalf("Tasks = %d, want 5", got)
-	}
-}
-
-// A 1-replication plan must be byte-identical to the legacy Scenario.Run.
-func TestSingleReplicationMatchesScenarioRun(t *testing.T) {
-	sc := shortScenario(core.ProtoDRMA, 8, 2)
-	single, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Scenarios(context.Background(), []core.Scenario{sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0] != single {
-		t.Fatal("runner single-rep result differs from Scenario.Run")
-	}
-}
-
-// Same seed + same plan must produce byte-identical results for worker
-// counts 1, 4 and GOMAXPROCS: parallelism is a throughput knob only.
-func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	plan := NewPlan([]core.Scenario{
-		shortScenario(core.ProtoCharisma, 10, 2),
-		shortScenario(core.ProtoRAMA, 10, 2),
-		shortScenario(core.ProtoDTDMAFR, 10, 2),
-	}, 4)
-	var baseline []mac.Result
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		rs, err := Runner{Workers: workers}.Run(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if baseline == nil {
-			baseline = rs
-			continue
-		}
-		for i := range rs {
-			if rs[i] != baseline[i] {
-				t.Fatalf("workers=%d job %d differs from workers=1", workers, i)
-			}
-		}
-	}
-}
-
-func TestRunPreservesJobOrder(t *testing.T) {
-	plan := NewPlan([]core.Scenario{
-		shortScenario(core.ProtoCharisma, 5, 0),
-		shortScenario(core.ProtoRAMA, 5, 0),
-		shortScenario(core.ProtoDRMA, 5, 0),
-	}, 2)
-	rs, err := Runner{}.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"charisma", "rama", "drma"}
-	for i, r := range rs {
-		if r.Protocol != want[i] {
-			t.Fatalf("result %d = %s, want %s", i, r.Protocol, want[i])
-		}
-	}
-}
-
-func TestReplicationAggregation(t *testing.T) {
-	const reps = 8
-	sc := shortScenario(core.ProtoCharisma, 12, 3)
-	rs, err := Replicated(context.Background(), []core.Scenario{sc}, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rs[0]
-	if r.Reps.Replications != reps {
-		t.Fatalf("Replications = %d, want %d", r.Reps.Replications, reps)
-	}
-	single, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replication 0 keeps the base seed, so pooled counters must cover at
-	// least the single run and roughly reps times its window.
-	if r.VoiceGenerated <= single.VoiceGenerated {
-		t.Fatalf("pooled voice %d not above single-run %d", r.VoiceGenerated, single.VoiceGenerated)
-	}
-	if r.Frames < float64(reps)*single.Frames*0.99 {
-		t.Fatalf("pooled frames %v, want ~%v", r.Frames, float64(reps)*single.Frames)
-	}
-	// Independent seeds differ, so across-rep dispersion must be real.
-	if r.Reps.VoiceLossCI95 <= 0 {
-		t.Fatalf("VoiceLossCI95 = %v, want > 0 across %d independent reps", r.Reps.VoiceLossCI95, reps)
-	}
-}
-
-// Replication must preserve the common-random-numbers pairing: rep i of
-// every protocol observes identical traffic realizations.
-func TestReplicationPreservesCRN(t *testing.T) {
-	plan := NewPlan([]core.Scenario{
-		shortScenario(core.ProtoCharisma, 10, 3),
-		shortScenario(core.ProtoDRMA, 10, 3),
-	}, 3)
-	rs, err := Runner{}.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].VoiceGenerated != rs[1].VoiceGenerated || rs[0].DataGenerated != rs[1].DataGenerated {
-		t.Fatalf("pooled traffic differs across protocols: %d/%d vs %d/%d",
-			rs[0].VoiceGenerated, rs[0].DataGenerated, rs[1].VoiceGenerated, rs[1].DataGenerated)
-	}
-}
-
-func TestRunJoinsAllErrors(t *testing.T) {
-	bad1 := shortScenario(core.ProtoCharisma, 5, 0)
-	bad1.Protocol = "bogus-a"
-	bad2 := shortScenario(core.ProtoCharisma, 5, 0)
-	bad2.Protocol = "bogus-b"
-	_, err := Scenarios(context.Background(), []core.Scenario{bad1, shortScenario(core.ProtoRAMA, 5, 0), bad2})
-	if err == nil {
-		t.Fatal("invalid scenarios not reported")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "bogus-a") || !strings.Contains(msg, "bogus-b") {
-		t.Fatalf("error does not join both failures: %v", msg)
-	}
-}
-
-func TestRunContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Scenarios(ctx, []core.Scenario{shortScenario(core.ProtoCharisma, 5, 0)})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -203,56 +48,11 @@ func TestMapOrderAndErrors(t *testing.T) {
 	}
 }
 
-// TestRunPartialResultsOnFailure: a failed replication costs one sample,
-// not the sweep — the runner returns per-job aggregates over the
-// successful replications alongside the joined error.
-func TestRunPartialResultsOnFailure(t *testing.T) {
-	fail := errors.New("rep exploded")
-	plan := Plan{Jobs: []Job{
-		{Scenario: shortScenario(core.ProtoCharisma, 5, 0), Replications: 2},
-		{
-			// Replication 1 of this custom job fails; replication 0 succeeds.
-			Custom: func(seed int64) (mac.Result, error) {
-				if seed != RepSeed(9, 0) {
-					return mac.Result{}, fail
-				}
-				return mac.Result{Protocol: "custom", Frames: 10, DataDelivered: 5}, nil
-			},
-			CustomSeed:   9,
-			Replications: 2,
-		},
-	}}
-	rs, err := Runner{}.Run(context.Background(), plan)
-	if err == nil || !strings.Contains(err.Error(), "rep exploded") {
-		t.Fatalf("error %v does not surface the failure", err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("partial results missing: %v", rs)
-	}
-	if rs[0].Frames == 0 || rs[0].Reps.Replications != 2 {
-		t.Fatalf("healthy job lost its aggregate: %+v", rs[0])
-	}
-	if rs[1].Reps.Replications != 1 || rs[1].DataDelivered != 5 {
-		t.Fatalf("failed job should aggregate its one good rep: %+v", rs[1])
-	}
-}
-
-// TestRunPartialResultsAllFailed: a job whose every replication failed
-// reports a zero Result, not garbage.
-func TestRunPartialResultsAllFailed(t *testing.T) {
-	bad := shortScenario(core.ProtoCharisma, 5, 0)
-	bad.Protocol = "bogus"
-	rs, err := Runner{}.Run(context.Background(), NewPlan([]core.Scenario{bad, shortScenario(core.ProtoRAMA, 5, 0)}, 2))
-	if err == nil {
-		t.Fatal("bogus protocol not reported")
-	}
-	if len(rs) != 2 {
-		t.Fatalf("partial results missing: %v", rs)
-	}
-	if rs[0] != (mac.Result{}) {
-		t.Fatalf("all-failed job not zero: %+v", rs[0])
-	}
-	if rs[1].Frames == 0 {
-		t.Fatalf("healthy job lost: %+v", rs[1])
+func TestRunContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Map(ctx, 0, 4, func(i int) (int, error) { return i, nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

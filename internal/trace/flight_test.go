@@ -13,7 +13,9 @@ import (
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
+	"charisma/internal/phy"
 	"charisma/internal/prof"
+	"charisma/internal/sim"
 	"charisma/internal/trace"
 )
 
@@ -201,4 +203,44 @@ func sigquitHelper() {
 	_ = syscall.Kill(os.Getpid(), syscall.SIGQUIT)
 	time.Sleep(30 * time.Second) // the handler exits the process first
 	os.Exit(3)
+}
+
+// TestRecordingDoesNotPerturbResults: an observer never changes a result
+// byte — neither an armed flight recorder around Scenario.Run nor a
+// DebugVoiceTx hook on a hand-driven frame loop, which must still see
+// the transmissions it exists to observe.
+func TestRecordingDoesNotPerturbResults(t *testing.T) {
+	sc := core.DefaultScenario(core.ProtoCharisma)
+	sc.NumVoice = 25
+	sc.WarmupSec, sc.DurationSec = 0.3, 1
+	plain, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.ArmFlight(32, filepath.Join(t.TempDir(), "flight.jsonl"))
+	defer trace.ArmFlight(0, "")
+	armed, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed != plain {
+		t.Fatal("an armed flight recorder changed Scenario.Run's result")
+	}
+
+	frameLoop := func(observe bool) (res mac.Result, seen int) {
+		sys, proto := buildCell(t, 25)
+		if observe {
+			sys.DebugVoiceTx = func(*mac.Station, phy.Mode, float64, sim.Time, int, int) { seen++ }
+		}
+		runFrames(sys, proto, 2000)
+		return sys.M.Result(proto.Name(), sys.Cfg.Geometry.FrameSymbols), seen
+	}
+	want, _ := frameLoop(false)
+	got, seen := frameLoop(true)
+	if seen == 0 {
+		t.Fatal("DebugVoiceTx saw no voice transmissions in 2000 frames of a 25-talker cell")
+	}
+	if got != want {
+		t.Fatal("a DebugVoiceTx observer changed the frame loop's result")
+	}
 }
