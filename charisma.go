@@ -6,7 +6,7 @@
 //
 // including the proposed CHARISMA protocol, the five baseline protocols it
 // is evaluated against (RAMA, RMAV, DRMA, D-TDMA/FR, D-TDMA/VR), and every
-// substrate the evaluation depends on: a discrete-event simulator, the
+// substrate the evaluation depends on: a frame-clocked simulator, the
 // Rayleigh/log-normal burst-error channel model, the 6-mode adaptive
 // physical layer, and the integrated voice/data traffic models.
 //

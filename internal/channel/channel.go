@@ -297,8 +297,12 @@ func (b *Bank) Classes() int { return len(b.pl.classes) }
 // stable for the life of the bank.
 func (b *Bank) User(i int) *Fading { return &b.pl.views[i] }
 
-// Advance steps every user's channel by dt in one batch over the plane.
-func (b *Bank) Advance(dt sim.Time) { b.pl.advanceAll(dt) }
+// Advance steps every user's channel by dt, in user order.
+func (b *Bank) Advance(dt sim.Time) {
+	for i := range b.pl.views {
+		b.pl.advanceUser(i, dt)
+	}
+}
 
 // Obs returns the bank's plane-level lazy-replay counters. Read only
 // from the goroutine driving the bank's cell, or after it has quiesced.

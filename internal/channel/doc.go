@@ -19,8 +19,8 @@
 // (see plane.go): a Fading value is a thin per-user view over the plane, so
 // the public API — and, critically, each user's private draw order, hence
 // every result byte — is unchanged from the original scalar implementation
-// while advancement is one batch loop and amplitude conversions are
-// memoized per step.
+// while AR(1) step coefficients are shared per parameter class and
+// amplitude conversions are memoized per step.
 //
 // # Draw-order contract
 //

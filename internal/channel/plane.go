@@ -2,8 +2,8 @@ package channel
 
 // This file implements the structure-of-arrays fading plane: the backing
 // store every Fading value is a view into. The per-user state of the §4.2
-// two-component model lives in parallel slices advanced by one tight batch
-// loop, with
+// two-component model lives in parallel slices and advances one user at a
+// time (stepUser; Bank.Advance loops over the users), with
 //
 //   - AR(1) step coefficients computed once per (dt, parameter class) for
 //     the whole plane instead of being re-derived (and their √(1−ρ²)
@@ -173,47 +173,8 @@ func (pl *plane) stepUser(i int, rhoS, innovS, rhoL, innovL, mean float64) {
 	pl.step[i]++
 }
 
-// advanceAll steps every user by dt — the Bank.Advance batch loop. The
-// single-class fast path (every bank except the mixed-speed experiment)
-// hoists the state slices into locals resliced to a common length, so the
-// loop body runs bounds-check-free with the coefficients in registers.
-func (pl *plane) advanceAll(dt sim.Time) {
-	if dt < 0 {
-		panic("channel: negative time step")
-	}
-	if len(pl.classes) != 1 {
-		for i := range pl.gRe {
-			c := &pl.classes[pl.classOf[i]]
-			rhoS, innovS, rhoL, innovL := c.coeffs(dt)
-			pl.stepUser(i, rhoS, innovS, rhoL, innovL, c.p.ShadowMeanDB)
-		}
-		return
-	}
-	rhoS, innovS, rhoL, innovL := pl.classes[0].coeffs(dt)
-	mean := pl.classes[0].p.ShadowMeanDB
-	n := len(pl.gRe)
-	gRe, gIm, sh := pl.gRe[:n], pl.gIm[:n], pl.shadowDB[:n]
-	pgRe, pgIm, psh := pl.prevGRe[:n], pl.prevGIm[:n], pl.prevShadowDB[:n]
-	step, ampStep := pl.step[:n], pl.ampStep[:n]
-	amp, prevAmp, prevStep := pl.amp[:n], pl.prevAmp[:n], pl.prevStep[:n]
-	streams := pl.streams[:n]
-	for i := 0; i < n; i++ {
-		if ampStep[i] == step[i] {
-			prevAmp[i] = amp[i]
-			prevStep[i] = step[i] + 1
-		}
-		pgRe[i], pgIm[i], psh[i] = gRe[i], gIm[i], sh[i]
-		s := streams[i]
-		wRe, wIm := s.ComplexGaussian()
-		gRe[i] = rhoS*gRe[i] + innovS*wRe
-		gIm[i] = rhoS*gIm[i] + innovS*wIm
-		w := s.Normal(0, 1)
-		sh[i] = mean + rhoL*(sh[i]-mean) + innovL*w
-		step[i]++
-	}
-}
-
-// advanceUser steps a single user by dt (the per-view Advance).
+// advanceUser steps a single user by dt (the per-view Advance, and
+// Bank.Advance once per user).
 func (pl *plane) advanceUser(i int, dt sim.Time) {
 	if dt < 0 {
 		panic("channel: negative time step")

@@ -111,6 +111,36 @@ func TestArenaPopulationResize(t *testing.T) {
 	}
 }
 
+// TestEngineFiresOncePerFrame pins the traffic the frame clock is sized
+// for: under every protocol, RMAV's variable-length frames included, a run
+// fires its engine exactly once per frame, and the arena's engine keeps
+// counting across the Reset between replications.
+func TestEngineFiresOncePerFrame(t *testing.T) {
+	a := newRunArena()
+	var total uint64
+	perProto := map[string]int64{}
+	for _, sc := range arenaScenarios() {
+		if _, err := sc.runIn(a); err != nil {
+			t.Fatalf("%s: %v", sc.Protocol, err)
+		}
+		frames := a.sys.FrameIndex()
+		if frames <= 0 {
+			t.Fatalf("%s: ran %d frames", sc.Protocol, frames)
+		}
+		perProto[sc.Protocol] = frames
+		total += uint64(frames)
+		if got := a.eng.Obs().EngineEvents; got != total {
+			t.Errorf("%s: EngineEvents = %d after this run's %d frames, want %d (one per frame, cumulative)",
+				sc.Protocol, got, frames, total)
+		}
+	}
+	// Every scenario simulates the same span, so only variable-length
+	// frames can change the count.
+	if perProto[ProtoRMAV] == perProto[ProtoCharisma] {
+		t.Fatalf("rmav ran %d frames like charisma: variable frames not exercised", perProto[ProtoRMAV])
+	}
+}
+
 // BenchmarkReplicationSetup measures the steady-state per-replication
 // setup on a warm arena — build, protocol init, engine reset, and full
 // materialization of a 50-station cell. The CI bench smoke gates this at

@@ -1,7 +1,7 @@
 // Package core is the paper's "common simulation platform" (§5): it
 // assembles a cell — channel bank, physical layer, traffic sources, one of
 // the six access control protocols — from a declarative Scenario, drives
-// the TDMA frame cadence on the discrete-event engine, and harvests the
+// the TDMA frame cadence on the sim frame clock, and harvests the
 // paper's metrics after a warm-up transient.
 //
 // All six protocols run against byte-identical channel and traffic sample
@@ -211,7 +211,7 @@ func (sc Scenario) Validate() error {
 
 // runArena owns every allocation a scenario run can recycle across
 // replications: the lazy system (station/registry/request slabs), the
-// discrete-event engine, the channel slab, per-slot RNG streams and
+// frame clock, the channel slab, per-slot RNG streams and
 // traffic sources, the PHY modem, and one protocol instance per name.
 // Scenario.Run borrows an arena from a sync.Pool, rebuilds the cell into
 // it, and returns it — so a parameter sweep's rep N+1 reuses rep N's
@@ -502,10 +502,9 @@ func (sc Scenario) runIn(a *runArena) (mac.Result, error) {
 		}()
 	}
 	marked := false
-	// One recurring event drives the TDMA cadence; the step returns each
+	// One recurring driver is the TDMA cadence: the step returns each
 	// frame's (possibly variable) duration as the delay to the next tick,
-	// so the whole run reuses a single event slot and the engine's
-	// single-event solo lane.
+	// so the engine fires exactly once per frame.
 	eng.ScheduleEvery(0, func(e *sim.Engine) sim.Time {
 		if !marked && sys.Now() >= warmup {
 			sys.M.Mark()

@@ -11,9 +11,8 @@
 //
 //   - A JobSpec is a declarative, serializable description of one
 //     simulation — a single-cell core.Scenario or a multicell deployment —
-//     parameters, not closures. It has a canonical JSON encoding (plus a
-//     framed binary envelope) and a stable SHA-256 content hash, so it can
-//     cross any process boundary.
+//     parameters, not closures. It has a canonical JSON encoding and a
+//     stable SHA-256 content hash, so it can cross any process boundary.
 //   - A Cache stores one mac.Result per replication under
 //     RepKey(hash(JobSpec), RepSeed): repeated sweep points and re-anchored
 //     figures reuse prior replications, and a re-run sweep is a cache walk.

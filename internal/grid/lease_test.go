@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"charisma/internal/core"
+	"charisma/internal/mac"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -186,45 +189,56 @@ func TestRequeueAvoidsDeadWorker(t *testing.T) {
 	}
 }
 
-// TestZeroLeaseCompleteRetiresLease: a direct completion that echoes no
-// lease (legacy callers) must still retire the key's outstanding lease,
-// or the janitor would re-queue — and a worker re-execute — a task that
-// already finished.
-func TestZeroLeaseCompleteRetiresLease(t *testing.T) {
-	// Two points keep the session — and its expiry janitor — alive after
-	// the first completion.
-	scs := sweepScenarios()[:2]
-	pts := make([]Point, len(scs))
-	for i, sc := range scs {
-		pts[i] = Point{Spec: ScenarioSpec(sc), Replications: 1}
-	}
-	sess, err := NewSession(pts, nil, Precision{})
+// TestLeaselessResultRejectedOverHTTP: a result posted without a lease —
+// here a forged one for a queued task nobody claimed — is answered 400,
+// counted as rejected, and never reaches the cache; the sweep then still
+// matches the serial reference byte for byte.
+func TestLeaselessResultRejectedOverHTTP(t *testing.T) {
+	const reps = 2
+	want, err := serialReference(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, ok, _ := sess.TryClaim("w1", 60*time.Millisecond)
-	if !ok {
-		t.Fatal("no task to claim")
-	}
-	res, err := tk.Spec.RunRep(tk.Rep)
+	cache := NewMemCache()
+	sess, err := NewSession(sweepPoints(reps), cache, Precision{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: tk.Rep, Result: res}); err != nil {
+	sv := NewServer()
+	sv.Attach(sess)
+	hs := httptest.NewServer(sv)
+	defer hs.Close()
+
+	_, id, _ := sv.current()
+	forged, err := json.Marshal(wireResult{Session: id, TaskResult: TaskResult{
+		Point: 0, Rep: 0, Result: mac.Result{Protocol: "forged", VoiceLossRate: 1},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p := sess.Progress(); p.Leases != 0 {
-		t.Fatalf("%d dead leases survive the completion", p.Leases)
-	}
-	time.Sleep(200 * time.Millisecond) // well past the lease deadline
-	if n := sess.Requeues(); n != 0 {
-		t.Fatalf("completed task re-queued %d times by a stale lease", n)
-	}
-	if err := RunLocal(context.Background(), sess, 1); err != nil {
+	resp, err := http.Post(hs.URL+"/result", "application/json", bytes.NewReader(forged))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Executed() != 2 {
-		t.Fatalf("executed %d simulations, want 2 (no re-execution)", sess.Executed())
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("lease-less result answered %d, want 400", resp.StatusCode)
+	}
+	if n := sv.resultsRejected.Load(); n != 1 {
+		t.Fatalf("%d results counted as rejected, want 1", n)
+	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("lease-less result reached the cache (%d entries)", n)
+	}
+	if err := RunLocal(context.Background(), sess, 2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("sweep with a forged lease-less result differs from the serial reference")
 	}
 }
 

@@ -48,7 +48,8 @@ const maxResultBody = 1 << 20
 //	POST /heartbeat ← {Session, Lease} → 204 lease renewed | 409 lease or
 //	               session superseded (abandon the task)
 //	POST /result ← {Session, Lease, Point, Rep, Err?, Result} → 204
-//	               (accepted or discarded as stale) | 409 stale session
+//	               (accepted or discarded as stale) | 400 malformed or
+//	               lease-less result | 409 stale session
 //	GET  /progress → 200 Progress snapshot | 204 no session attached
 //	GET  /stats  → 200 {Executed, CacheHits, Requeues, Done}
 //	GET  /metrics → 200 Prometheus text exposition (see metrics.go)
@@ -173,7 +174,8 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		// A result under a superseded lease is discarded inside Complete;
 		// the worker is answered 204 either way — there is nothing it
-		// should retry.
+		// should retry. A result Complete rejects (no lease, unknown
+		// point, negative rep) is answered 400.
 		if err := sess.Complete(res.TaskResult); err != nil {
 			sv.resultsRejected.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)

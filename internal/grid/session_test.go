@@ -248,20 +248,39 @@ func TestSessionStrayResultsIgnored(t *testing.T) {
 	if err := sess.Complete(TaskResult{Point: 0, Rep: -1}); err == nil {
 		t.Fatal("negative rep accepted")
 	}
-	// A result for a rep that was never scheduled has no in-flight entry:
-	// it must be dropped without reaching the cache, where a later, wider
-	// sweep of the same spec would hit it.
-	if err := sess.Complete(TaskResult{Point: 0, Rep: 57, Result: mac.Result{Protocol: "forged"}}); err != nil {
-		t.Fatalf("stray rep should be dropped quietly, got %v", err)
+	// A result for a rep that was never scheduled must never reach the
+	// cache, where a later, wider sweep of the same spec would hit it.
+	// Without a lease it is rejected; under a live lease for another task
+	// it is dropped quietly and the lease stays good for its own task.
+	stray := mac.Result{Protocol: "forged"}
+	if err := sess.Complete(TaskResult{Point: 0, Rep: 57, Result: stray}); err == nil {
+		t.Fatal("lease-less stray result accepted")
+	}
+	tk, ok, _ := sess.TryClaim("w1", 0)
+	if !ok {
+		t.Fatal("no task to claim")
+	}
+	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: 57, Lease: tk.Lease, Result: stray}); err != nil {
+		t.Fatalf("stray rep under a live lease should be dropped quietly, got %v", err)
 	}
 	if n := cache.Len(); n != 0 {
 		t.Fatalf("stray result reached the cache (%d entries)", n)
+	}
+	res, err := tk.Spec.RunRep(tk.Rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: tk.Rep, Lease: tk.Lease, Result: res}); err != nil {
+		t.Fatal(err)
 	}
 	if err := RunLocal(context.Background(), sess, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
+	}
+	if n := cache.Len(); n != len(sweepScenarios()) {
+		t.Fatalf("cache holds %d entries, want one per scheduled task (%d)", n, len(sweepScenarios()))
 	}
 }
 

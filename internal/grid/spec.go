@@ -121,41 +121,6 @@ func atEOF(dec *json.Decoder) bool {
 	return err == io.EOF
 }
 
-// specMagic frames the binary envelope ("CHARISMA GRID spec v1").
-var specMagic = []byte("CHGRID1\x00")
-
-// MarshalBinary wraps the canonical encoding in a length-prefixed binary
-// envelope (magic, big-endian length, payload) for raw-socket transports
-// and on-disk spec files.
-func (s JobSpec) MarshalBinary() ([]byte, error) {
-	body, err := s.Encode()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, len(specMagic)+4+len(body))
-	buf = append(buf, specMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	return append(buf, body...), nil
-}
-
-// UnmarshalBinary parses a binary envelope produced by MarshalBinary.
-func (s *JobSpec) UnmarshalBinary(b []byte) error {
-	if len(b) < len(specMagic)+4 || !bytes.Equal(b[:len(specMagic)], specMagic) {
-		return errors.New("grid: bad spec envelope")
-	}
-	n := binary.BigEndian.Uint32(b[len(specMagic) : len(specMagic)+4])
-	rest := b[len(specMagic)+4:]
-	if uint64(len(rest)) != uint64(n) {
-		return errors.New("grid: spec envelope length mismatch")
-	}
-	sp, err := DecodeSpec(rest)
-	if err != nil {
-		return err
-	}
-	*s = sp
-	return nil
-}
-
 // Hash returns the spec's stable content hash: SHA-256 over the canonical
 // encoding, hex-encoded.
 func (s JobSpec) Hash() (string, error) {

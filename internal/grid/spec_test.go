@@ -70,18 +70,6 @@ func TestSpecCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(b, b2) {
 			t.Fatalf("encoding not canonical:\n%s\n%s", b, b2)
 		}
-
-		bin, err := spec.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromBin JobSpec
-		if err := fromBin.UnmarshalBinary(bin); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(spec, fromBin) {
-			t.Fatal("binary round trip mismatch")
-		}
 	}
 }
 
@@ -101,10 +89,6 @@ func TestSpecDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeSpec(b); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
-	}
-	var s JobSpec
-	if err := s.UnmarshalBinary([]byte("not an envelope")); err == nil {
-		t.Fatal("bad envelope accepted")
 	}
 }
 
@@ -216,30 +200,5 @@ func FuzzSpecCodec(f *testing.F) {
 		if err1 != nil || err2 != nil || h1 != h2 {
 			t.Fatalf("hash unstable across round trip: %q/%v vs %q/%v", h1, err1, h2, err2)
 		}
-		// The binary envelope must round-trip the same value.
-		bin, err := spec.MarshalBinary()
-		if err != nil {
-			t.Fatalf("marshal binary: %v", err)
-		}
-		var fromBin JobSpec
-		if err := fromBin.UnmarshalBinary(bin); err != nil {
-			t.Fatalf("unmarshal binary: %v", err)
-		}
-		if !reflect.DeepEqual(spec, fromBin) {
-			t.Fatal("binary envelope not value-preserving")
-		}
-	})
-}
-
-// FuzzSpecEnvelope feeds arbitrary bytes to the binary decoder: it must
-// reject or accept without panicking, never misread lengths.
-func FuzzSpecEnvelope(f *testing.F) {
-	if b, err := ScenarioSpec(tinyScenario(core.ProtoCharisma, 5, 0)).MarshalBinary(); err == nil {
-		f.Add(b)
-	}
-	f.Add([]byte("CHGRID1\x00\x00\x00\x00\x00"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s JobSpec
-		_ = s.UnmarshalBinary(data)
 	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -33,53 +34,81 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// once returns a step that records its firing time and stops.
+func once(fires *[]Time) StepFunc {
+	return func(e *Engine) Time {
+		*fires = append(*fires, e.Now())
+		return -1
+	}
+}
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
-		at := at
-		e.Schedule(at, func(*Engine) { order = append(order, at) })
+		e.ScheduleEvery(at, once(&order))
 	}
 	e.Run()
-	for i := 1; i < len(order); i++ {
-		if order[i-1] > order[i] {
-			t.Fatalf("events out of order: %v", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("executed %d events, want 5", len(order))
+	want := []Time{10, 20, 30, 40, 50}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("fired at %v, want %v", order, want)
 	}
 	if e.Now() != 50 {
 		t.Fatalf("clock = %v, want 50", e.Now())
 	}
 }
 
+// Drivers due at the same time fire in the order they were armed, and a
+// re-arm counts as arming again: a driver armed for t+800 before the
+// periodic driver re-arms for t+800 fires ahead of it.
 func TestEngineStableFIFOAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 100; i++ {
-		i := i
-		e.Schedule(10, func(*Engine) { order = append(order, i) })
+		e.ScheduleEvery(10, func(*Engine) Time {
+			order = append(order, i)
+			return -1
+		})
 	}
 	e.Run()
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("same-time events not FIFO: order[%d] = %d", i, v)
+			t.Fatalf("same-time drivers not FIFO: order[%d] = %d", i, v)
 		}
+	}
+
+	var ticks []string
+	n, t0 := 0, e.Now()
+	e.ScheduleEvery(t0, func(*Engine) Time {
+		ticks = append(ticks, "tick")
+		if n++; n == 3 {
+			return -1
+		}
+		return 800
+	})
+	e.ScheduleEvery(t0+800, func(*Engine) Time {
+		ticks = append(ticks, "once")
+		return -1
+	})
+	e.Run()
+	if want := []string{"tick", "once", "tick", "tick"}; !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("drivers fired %v, want %v", ticks, want)
 	}
 }
 
+// A step may schedule further drivers.
 func TestEngineScheduleFromHandler(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var step Handler
-	step = func(eng *Engine) {
+	var step StepFunc
+	step = func(eng *Engine) Time {
 		count++
 		if count < 10 {
-			eng.ScheduleAfter(5, step)
+			eng.ScheduleEvery(eng.Now()+5, step)
 		}
+		return -1
 	}
-	e.Schedule(0, step)
+	e.ScheduleEvery(0, step)
 	e.Run()
 	if count != 10 {
 		t.Fatalf("chained steps = %d, want 10", count)
@@ -91,104 +120,25 @@ func TestEngineScheduleFromHandler(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func(*Engine) {})
+	var fires []Time
+	e.ScheduleEvery(10, once(&fires))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func(*Engine) {})
+	e.ScheduleEvery(5, once(&fires))
 }
 
 func TestEngineNilHandlerPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil handler did not panic")
+			t.Fatal("nil step did not panic")
 		}
 	}()
-	e.Schedule(0, nil)
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
-		}
-	}()
-	e.ScheduleAfter(-1, func(*Engine) {})
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.Schedule(10, func(*Engine) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelAfterFire(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(10, func(*Engine) {})
-	e.Run()
-	if e.Cancel(id) {
-		t.Fatal("Cancel after fire returned true")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func(*Engine) { fired = append(fired, at) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock = %v, want 25", e.Now())
-	}
-	e.RunUntil(40) // inclusive boundary
-	if len(fired) != 4 {
-		t.Fatalf("RunUntil(40) fired %d total events, want 4", len(fired))
-	}
-}
-
-func TestEngineRunUntilEmptyAdvancesClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("clock = %v, want 1000", e.Now())
-	}
-}
-
-func TestEnginePendingAndExecuted(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(1, func(*Engine) {})
-	e.Schedule(2, func(*Engine) {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Cancel(id)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Executed() != 1 {
-		t.Fatalf("Executed = %d, want 1", e.Executed())
-	}
+	e.ScheduleEvery(0, nil)
 }
 
 func TestScheduleEveryFixedPeriod(t *testing.T) {
@@ -202,17 +152,11 @@ func TestScheduleEveryFixedPeriod(t *testing.T) {
 		return 10
 	})
 	e.Run()
-	want := []Time{5, 15, 25, 35}
-	if len(fires) != len(want) {
-		t.Fatalf("fired %d times, want %d", len(fires), len(want))
+	if want := []Time{5, 15, 25, 35}; !reflect.DeepEqual(fires, want) {
+		t.Fatalf("fired at %v, want %v", fires, want)
 	}
-	for i, at := range want {
-		if fires[i] != at {
-			t.Fatalf("firing %d at %v, want %v", i, fires[i], at)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("stopped recurrence left %d pending events", e.Pending())
+	if got := e.Obs().EngineEvents; got != 4 {
+		t.Fatalf("EngineEvents = %d, want 4", got)
 	}
 }
 
@@ -232,177 +176,136 @@ func TestScheduleEveryVariablePeriod(t *testing.T) {
 		return d
 	})
 	e.Run()
-	want := []Time{0, 3, 10, 11}
-	if len(fires) != len(want) {
+	if want := []Time{0, 3, 10, 11}; !reflect.DeepEqual(fires, want) {
 		t.Fatalf("fired at %v, want %v", fires, want)
 	}
-	for j := range want {
-		if fires[j] != want[j] {
-			t.Fatalf("fired at %v, want %v", fires, want)
-		}
-	}
 }
 
-func TestScheduleEveryCancelFromOutside(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	id := e.ScheduleEvery(0, func(*Engine) Time {
-		count++
-		return 10
-	})
-	e.Schedule(25, func(eng *Engine) {
-		if !eng.Cancel(id) {
-			t.Error("Cancel of a live recurrence returned false")
-		}
-	})
-	e.Run()
-	if count != 3 { // fires at 0, 10, 20; cancelled at 25
-		t.Fatalf("recurrence fired %d times, want 3", count)
-	}
-}
-
-func TestScheduleEveryInterleavesWithOneShots(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.ScheduleEvery(0, func(eng *Engine) Time {
-		order = append(order, "tick")
-		if eng.Now() >= 20 {
-			return -1
-		}
-		return 10
-	})
-	e.Schedule(10, func(*Engine) { order = append(order, "shot") })
-	e.Run()
-	// The tick re-armed at 10 gets a later seq than the one-shot that was
-	// scheduled first, so FIFO puts the one-shot ahead of it.
-	want := []string{"tick", "shot", "tick", "tick"}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}
-
-// A recycled event slot must not honour EventIDs from its previous life.
-func TestStaleEventIDAfterSlotReuse(t *testing.T) {
-	e := NewEngine()
-	id1 := e.Schedule(1, func(*Engine) {})
-	e.Run()
-	id2 := e.Schedule(2, func(*Engine) {}) // reuses the freed slot
-	if e.Cancel(id1) {
-		t.Fatal("stale EventID cancelled a recycled slot")
-	}
-	if !e.Cancel(id2) {
-		t.Fatal("fresh EventID failed to cancel")
-	}
-}
-
-func TestZeroEventIDInvalid(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(1, func(*Engine) {})
-	if e.Cancel(EventID{}) {
-		t.Fatal("zero EventID cancelled something")
-	}
-}
-
-// Steady-state scheduling must not allocate: the arena and free list
-// absorb every schedule/fire cycle once grown.
-func TestEngineSteadyStateAllocationFree(t *testing.T) {
-	e := NewEngine()
-	h := func(*Engine) {}
-	// Warm up the arena and heap to their high-water marks.
-	for j := 0; j < 64; j++ {
-		e.Schedule(e.Now()+Time(j%7), h)
-	}
-	e.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for j := 0; j < 64; j++ {
-			e.Schedule(e.Now()+Time(j%7), h)
+// Reset must leave the engine equivalent to a fresh one in behaviour
+// (same firing order, same clock), drop drivers still pending, and keep
+// EngineEvents cumulative.
+func TestEngineResetBehavesLikeFresh(t *testing.T) {
+	script := func(e *Engine, trace *[]Time) {
+		for _, at := range []Time{7, 3, 3, 9, 7} {
+			n := 0
+			e.ScheduleEvery(at, func(eng *Engine) Time {
+				*trace = append(*trace, eng.Now())
+				if n++; n == 2 {
+					return -1
+				}
+				return at
+			})
 		}
 		e.Run()
+	}
+	var fresh, reused []Time
+	script(NewEngine(), &fresh)
+
+	er := NewEngine()
+	var scratch []Time
+	script(er, &scratch)
+	// Left pending across the Reset: it must never fire afterwards.
+	er.ScheduleEvery(er.Now()+50, func(*Engine) Time {
+		t.Error("driver pending at Reset fired after it")
+		return -1
 	})
-	if allocs > 0 {
-		t.Fatalf("steady-state schedule/run allocates %v per cycle, want 0", allocs)
+	er.Reset()
+	if er.Now() != 0 {
+		t.Fatalf("post-Reset clock = %v, want 0", er.Now())
+	}
+	script(er, &reused)
+	if !reflect.DeepEqual(fresh, reused) {
+		t.Fatalf("reset engine trace %v != fresh trace %v", reused, fresh)
+	}
+	if got, want := er.Obs().EngineEvents, uint64(2*len(fresh)); got != want {
+		t.Fatalf("EngineEvents = %d across a Reset, want cumulative %d", got, want)
 	}
 }
 
-func TestEngineCancelMiddleOfLargeHeap(t *testing.T) {
+// Steady-state reuse must not allocate: Reset keeps the driver slice, so
+// a Reset/ScheduleEvery/Run cycle with a prebuilt step is free.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	e := NewEngine()
-	ids := make([]EventID, 0, 100)
-	fired := make(map[Time]bool)
-	for i := 0; i < 100; i++ {
-		at := Time(i)
-		ids = append(ids, e.Schedule(at, func(*Engine) { fired[at] = true }))
-	}
-	for i := 0; i < 100; i += 3 {
-		if !e.Cancel(ids[i]) {
-			t.Fatalf("Cancel(%d) failed", i)
+	n := 0
+	step := func(*Engine) Time {
+		if n++; n%100 == 0 {
+			return -1
 		}
+		return 800
 	}
-	e.Run()
-	for i := 0; i < 100; i++ {
-		want := i%3 != 0
-		if fired[Time(i)] != want {
-			t.Fatalf("event %d fired=%v, want %v", i, fired[Time(i)], want)
-		}
+	cycle := func() {
+		e.Reset()
+		e.ScheduleEvery(0, step)
+		e.ScheduleEvery(400, step)
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("steady-state reset/schedule/run allocates %v per cycle, want 0", allocs)
 	}
 }
 
-// Property: for any random schedule, events fire in non-decreasing time
-// order and every non-cancelled event fires exactly once.
+// Property: for any set of drivers with random starts and periods,
+// firings come in non-decreasing time order and every driver fires
+// exactly as often as its step allows.
 func TestEngineOrderingProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		total := int(n%64) + 1
-		fired := 0
+		total := int(n%16) + 1
+		want, fired := 0, 0
 		last := Time(-1)
 		ok := true
 		for i := 0; i < total; i++ {
-			at := Time(r.Intn(1000))
-			e.Schedule(at, func(*Engine) {
+			period, left := Time(r.Intn(50)), r.Intn(8)+1
+			want += left
+			e.ScheduleEvery(Time(r.Intn(1000)), func(eng *Engine) Time {
 				fired++
-				if at < last {
+				if eng.Now() < last {
 					ok = false
 				}
-				last = at
+				last = eng.Now()
+				if left--; left == 0 {
+					return -1
+				}
+				return period
 			})
 		}
 		e.Run()
-		return ok && fired == total
+		return ok && fired == want && e.Obs().EngineEvents == uint64(want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: interleaving Step and Schedule preserves causality (the clock
-// never runs backwards).
+// Property: random delays and drivers scheduled from steps preserve
+// causality (the clock never runs backwards).
 func TestEngineClockMonotoneProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		var step Handler
 		remaining := 100
-		step = func(eng *Engine) {
+		prev := Time(0)
+		ok := true
+		var step StepFunc
+		step = func(eng *Engine) Time {
+			if eng.Now() < prev {
+				ok = false
+			}
+			prev = eng.Now()
 			if remaining == 0 {
-				return
+				return -1
 			}
 			remaining--
-			eng.ScheduleAfter(Time(r.Intn(10)), step)
-		}
-		e.Schedule(0, step)
-		prev := Time(0)
-		for e.Step() {
-			if e.Now() < prev {
-				return false
+			if r.Intn(4) == 0 {
+				eng.ScheduleEvery(eng.Now()+Time(r.Intn(10)), step)
 			}
-			prev = e.Now()
+			return Time(r.Intn(10))
 		}
-		return true
+		e.ScheduleEvery(0, step)
+		e.Run()
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
-// Package sim provides a minimal deterministic discrete-event simulation
-// engine: an integer simulated clock, an allocation-free 4-ary-heap event
-// queue with stable FIFO ordering among simultaneous events, a recurring
-// frame driver (ScheduleEvery), and a run loop.
+// Package sim provides the simulation's frame clock: an integer simulated
+// clock and an Engine that fires recurring drivers (ScheduleEvery) in time
+// order, first-armed first among drivers due together. The paper's uplink
+// is frame-synchronous, so a scenario run schedules exactly one driver,
+// the TDMA frame tick, whose step returns each frame's (possibly
+// variable) length; station wakes live in the MAC's timer wheel.
 //
 // The whole reproduction is clocked in modulation symbols of the 320 kHz
 // TDMA air interface described in the paper (Table 1): one tick is one

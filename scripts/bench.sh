@@ -20,13 +20,13 @@ out=${BENCH_OUT:-BENCH_${pr}.json}
 
 # The hot paths that must stay allocation-free: the channel plane's frame
 # advance, its memoized queries and batched replay, mode selection, the
-# event engine's steady state and equal-timestamp batch dispatch (PR 7),
+# frame clock's recurring driver,
 # the CHARISMA frame path over an active cell (request free list, PR 5),
 # the idle-wake cycle over a 10⁵-station lazy cell (timer wheel, PR 6),
 # the warm-arena replication setup (PR 7), and the frame path with a live
 # obs.SimCounters read per frame (PR 8 — observability must be free).
 # StreamReseed is the in-place jump-ahead reseed of a per-station stream.
-ZERO_ALLOC='^(ChannelBankFrame|ChannelBankQuery|ChannelReplayCatchUp|FadingAdvance|ModeSelection|EngineSchedule|EngineStepBatch|CharismaFrame|IdleWakeCell|ReplicationSetup|ObsOffFrame|StreamReseed)$'
+ZERO_ALLOC='^(ChannelBankFrame|ChannelBankQuery|ChannelReplayCatchUp|FadingAdvance|ModeSelection|EngineScheduleEvery|CharismaFrame|IdleWakeCell|ReplicationSetup|ObsOffFrame|StreamReseed)$'
 
 # The grid's warm-path micro-benches (a sweep re-walked against a filled
 # cache): scenario-file load, spec hash, RepKey, disk-cache get and put.
@@ -41,7 +41,7 @@ case "$mode" in
     raw=$(mktemp)
     trap 'rm -f "$raw"' EXIT
     go test -run '^$' -benchtime 1x -benchmem -timeout 10m \
-      -bench 'BenchmarkChannelBank|BenchmarkChannelReplayCatchUp|BenchmarkFadingAdvance|BenchmarkModeSelection|BenchmarkEngineSchedule$|BenchmarkEngineStepBatch|BenchmarkCharismaFrame|BenchmarkObsOffFrame|BenchmarkIdleWakeCell' \
+      -bench 'BenchmarkChannelBank|BenchmarkChannelReplayCatchUp|BenchmarkFadingAdvance|BenchmarkModeSelection|BenchmarkEngineScheduleEvery|BenchmarkCharismaFrame|BenchmarkObsOffFrame|BenchmarkIdleWakeCell' \
       . | tee "$raw"
     # The 10⁵ population point runs separately: its sub-bench pattern would
     # otherwise filter the flat benchmarks above.
@@ -64,7 +64,7 @@ case "$mode" in
     trap 'rm -f "$raw"' EXIT
     # Substrate microbenches: repeated samples for a stable min/median.
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench 'BenchmarkChannelBankFrame|BenchmarkChannelBankQuery|BenchmarkChannelReplayCatchUp|BenchmarkFadingAdvance|BenchmarkModeSelection|BenchmarkCharismaFrame|BenchmarkObsOffFrame|BenchmarkScenarioRun|BenchmarkEngineSchedule$|BenchmarkEngineStepBatch|BenchmarkSimulatedSecondAllProtocols|BenchmarkIdleWakeCell' \
+      -bench 'BenchmarkChannelBankFrame|BenchmarkChannelBankQuery|BenchmarkChannelReplayCatchUp|BenchmarkFadingAdvance|BenchmarkModeSelection|BenchmarkCharismaFrame|BenchmarkObsOffFrame|BenchmarkScenarioRun|BenchmarkEngineScheduleEvery|BenchmarkSimulatedSecondAllProtocols|BenchmarkIdleWakeCell' \
       . | tee "$raw"
     go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
       -bench 'BenchmarkReplicationSetup' ./internal/core | tee -a "$raw"
