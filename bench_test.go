@@ -530,9 +530,9 @@ func BenchmarkIdleCellPopulation(b *testing.B) {
 
 // BenchmarkIdleWakeCell measures the steady-state idle-wake cycle at 10⁵
 // stations: 2000 voice stations cycle talkspurt→idle→wheel-wake while the
-// rest stay parked. Part of the zero-alloc gate in scripts/bench.sh — after
-// warmup the wake path (collect, materialize-free advance, re-arm,
-// cascade) must run allocation-free.
+// rest stay parked. After warmup the wake path (collect, materialize-free
+// advance, re-arm, cascade) allocates only when a wheel bucket grows past
+// its high-water mark; TestIdleWakeHotPathAllocs in internal/mac guards it.
 func BenchmarkIdleWakeCell(b *testing.B) {
 	const n, active = 100_000, 2000
 	vp := traffic.DefaultVoiceParams()
@@ -561,7 +561,8 @@ func BenchmarkIdleWakeCell(b *testing.B) {
 	// only reaches its terminal capacity after ~65 packets accumulate in
 	// one talkspurt, which takes ~1.3 simulated seconds of talking. 32000
 	// frames ≈ 32 talk/silence cycles leaves no straggler among 2000
-	// sources, after which the frame path is allocation-free.
+	// sources, after which the frame path allocates only when a wheel
+	// bucket grows past its high-water mark.
 	for f := 0; f < 32000; f++ {
 		sys.BeginFrame()
 		sys.EndFrame(sys.FrameDuration())
@@ -606,45 +607,70 @@ func BenchmarkMulticellSharded(b *testing.B) {
 	}
 }
 
-// TestActiveFrameSteadyStateAllocs is the allocs/op regression guard on
-// the *active*-cell frame path, complementing the idle-cell
-// TestFrameHotPathAllocs in internal/mac: once the request free list and
-// the schedulers' candidate scratch reach their high-water marks, a frame
-// of every protocol — with and without the BS request queue — must not
-// allocate at all.
+// steadyFrames is the batch the frame-path allocation guards count: 8,000
+// frames, 20 simulated seconds. testing.AllocsPerRun(1, batch) returns the
+// batch's exact malloc count, so a rate below one per frame cannot round
+// down to zero.
+const steadyFrames = 8000
+
+// maxSteadyMallocs caps the mallocs of one steadyFrames batch. What is left
+// after the warm-up is rare high-water growth of traffic buffers and
+// timer-wheel buckets (at most 34 in any guarded cell); a malloc every
+// 125 frames already exceeds it.
+const maxSteadyMallocs = 64
+
+// runFrames steps proto over sys for n frames.
+func runFrames(sys *mac.System, proto mac.Protocol, n int) {
+	for f := 0; f < n; f++ {
+		sys.BeginFrame()
+		sys.EndFrame(proto.RunFrame(sys))
+	}
+}
+
+// steadyMallocs warms proto over sys for 22,000 frames, then returns the
+// exact malloc count of one steadyFrames batch. AllocsPerRun runs the batch
+// once unmeasured first, so the count covers frames 30,000 to 38,000.
+func steadyMallocs(sys *mac.System, proto mac.Protocol) float64 {
+	runFrames(sys, proto, 22000)
+	return testing.AllocsPerRun(1, func() { runFrames(sys, proto, steadyFrames) })
+}
+
+// TestActiveFrameSteadyStateAllocs is the allocation guard on the
+// *active*-cell frame path, complementing the idle-cell
+// TestFrameHotPathAllocs in internal/mac: once the request free list, the
+// BS queue buffers and the schedulers' scratch reach their high-water
+// marks, a 60-voice cell of every protocol, with and without the BS
+// request queue, at 10 and at 40 data stations, stays within
+// maxSteadyMallocs per steadyFrames frames.
 func TestActiveFrameSteadyStateAllocs(t *testing.T) {
 	for _, p := range core.Protocols() {
 		for _, q := range []bool{false, true} {
-			sc := core.DefaultScenario(p)
-			sc.NumVoice, sc.NumData = 60, 10
-			sc.UseQueue = q
-			sys, proto, err := sc.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			proto.Init(sys)
-			for f := 0; f < 2000; f++ {
-				sys.BeginFrame()
-				sys.EndFrame(proto.RunFrame(sys))
-			}
-			avg := testing.AllocsPerRun(2000, func() {
-				sys.BeginFrame()
-				sys.EndFrame(proto.RunFrame(sys))
-			})
-			if avg != 0 {
-				t.Errorf("%s queue=%v: %.4f allocs/frame at steady state, want 0", p, q, avg)
+			for _, nd := range []int{10, 40} {
+				sc := core.DefaultScenario(p)
+				sc.NumVoice, sc.NumData = 60, nd
+				sc.UseQueue = q
+				sys, proto, err := sc.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				proto.Init(sys)
+				n := steadyMallocs(sys, proto)
+				t.Logf("%s queue=%v Nd=%d: %.0f mallocs", p, q, nd, n)
+				if n > maxSteadyMallocs {
+					t.Errorf("%s queue=%v Nd=%d: %.0f mallocs in %d steady-state frames, want <= %d",
+						p, q, nd, n, steadyFrames, maxSteadyMallocs)
+				}
 			}
 		}
 	}
 }
 
 // TestObsOffHotPathAllocs is the observability cost gate: with no
-// observer attached (no trace recorder, no flight recorder) the
-// always-compiled-in obs.SimCounters must be invisible — the
-// steady-state frame path stays at exactly 0 allocs/op while the
-// counters demonstrably advance. If instrumentation ever grows an
-// allocation or an atomic on the frame path, this fails before any
-// golden or bench gate does.
+// observer attached (no flight recorder) the always-compiled-in
+// obs.SimCounters must be invisible. The steady-state frame path stays
+// within the active-frame malloc ceiling while the counters demonstrably
+// advance. If instrumentation ever grows an allocation per frame, this
+// fails before any golden or bench gate does.
 func TestObsOffHotPathAllocs(t *testing.T) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice, sc.NumData = 60, 10
@@ -653,21 +679,20 @@ func TestObsOffHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto.Init(sys)
-	for f := 0; f < 2000; f++ {
-		sys.BeginFrame()
-		sys.EndFrame(proto.RunFrame(sys))
-	}
+	runFrames(sys, proto, 22000)
+	// AllocsPerRun calls the batch twice and counts only the second call,
+	// so the snapshot the last call takes opens the measured frames.
 	before := *sys.Obs()
-	avg := testing.AllocsPerRun(2000, func() {
-		sys.BeginFrame()
-		sys.EndFrame(proto.RunFrame(sys))
+	n := testing.AllocsPerRun(1, func() {
+		before = *sys.Obs()
+		runFrames(sys, proto, steadyFrames)
 	})
-	if avg != 0 {
-		t.Errorf("%.4f allocs/frame with live counters, want 0", avg)
-	}
 	after := *sys.Obs()
+	if n > maxSteadyMallocs {
+		t.Errorf("%.0f mallocs in %d frames with live counters, want <= %d", n, steadyFrames, maxSteadyMallocs)
+	}
 	if after.WheelArms <= before.WheelArms {
-		t.Error("WheelArms did not advance across 2000 active frames")
+		t.Error("WheelArms did not advance during the measured frames")
 	}
 	if after.CandHits+after.CandMisses <= before.CandHits+before.CandMisses {
 		t.Error("candidate-cache counters did not advance")
@@ -679,8 +704,8 @@ func TestObsOffHotPathAllocs(t *testing.T) {
 var obsBenchSink uint64
 
 // BenchmarkObsOffFrame is BenchmarkCharismaFrame plus a counter read per
-// frame — the number the zero-alloc gate in scripts/bench.sh checks to
-// prove observability rides along for free.
+// frame: the cost of observability, whose allocations
+// TestObsOffHotPathAllocs guards.
 func BenchmarkObsOffFrame(b *testing.B) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice, sc.NumData = 60, 10
@@ -714,9 +739,9 @@ func BenchmarkCharismaFrame(b *testing.B) {
 	proto.Init(sys)
 	// Warm up past the transient: the request free list and the
 	// scheduler's candidate scratch reach their high-water marks within
-	// a few talkspurt cycles, after which the frame path is
-	// allocation-free (the zero-alloc gate in scripts/bench.sh measures
-	// exactly this steady state).
+	// a few talkspurt cycles, after which the frame path allocates only
+	// on rare high-water growth (TestActiveFrameSteadyStateAllocs guards
+	// this cell among others).
 	for f := 0; f < 2000; f++ {
 		sys.BeginFrame()
 		sys.EndFrame(proto.RunFrame(sys))

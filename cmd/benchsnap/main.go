@@ -1,17 +1,15 @@
 // Command benchsnap converts `go test -bench` output into a committed
-// perf-trajectory snapshot (BENCH_<pr>.json) and enforces allocation
-// budgets in CI.
+// perf-trajectory snapshot (BENCH_<pr>.json) and compares two snapshots.
+// It gates no allocation budget; the Go allocation guards do that.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem | benchsnap -pr 4 -out BENCH_4.json
-//	benchsnap -in raw.txt -out /dev/null -assert-zero-allocs 'ChannelBank|Engine'
 //
 // Multiple -count samples of one benchmark are pooled: the snapshot keeps
 // the minimum and median ns/op (minimum approximates the noise floor,
-// median the typical run), the maximum allocs/op (the conservative value
-// the allocation guard checks), and the last value of every custom
-// b.ReportMetric column.
+// median the typical run), the maximum allocs/op (the conservative
+// value), and the last value of every custom b.ReportMetric column.
 //
 // Snapshot comparison (the CI perf-regression gate):
 //
@@ -42,7 +40,6 @@ type sample struct {
 	nsPerOp     float64
 	bytesPerOp  int64
 	allocsPerOp int64
-	hasAllocs   bool
 	metrics     map[string]float64
 }
 
@@ -91,7 +88,6 @@ func parseLine(line string) (name string, s sample, ok bool) {
 			s.bytesPerOp = int64(v)
 		case "allocs/op":
 			s.allocsPerOp = int64(v)
-			s.hasAllocs = true
 		default:
 			s.metrics[unit] = v
 		}
@@ -101,13 +97,9 @@ func parseLine(line string) (name string, s sample, ok bool) {
 
 func main() {
 	var (
-		in       = flag.String("in", "", "raw `go test -bench` output (default stdin)")
-		out      = flag.String("out", "", "snapshot JSON path (empty or /dev/null = don't write)")
-		pr       = flag.Int("pr", 0, "PR number stamped into the snapshot")
-		assertRe = flag.String("assert-zero-allocs", "",
-			"regex of benchmark names (without the Benchmark prefix) that must report 0 allocs/op; violations exit 1")
-		assertMax = flag.String("assert-max-metric", "",
-			"ceiling on a custom metric, as <name-regex>:<metric>:<max> (e.g. 'IdleCellPopulation/n=100000:B/station:64'); violations exit 1")
+		in      = flag.String("in", "", "raw `go test -bench` output (default stdin)")
+		out     = flag.String("out", "", "snapshot JSON path (empty or /dev/null = don't write)")
+		pr      = flag.Int("pr", 0, "PR number stamped into the snapshot")
 		snapIn  = flag.String("snap", "", "load an existing snapshot JSON as the new side instead of parsing raw bench output")
 		compare = flag.String("compare", "", "old snapshot JSON to diff the new snapshot against; regressions exit 1")
 		cmpRe   = flag.String("compare-names", "",
@@ -118,10 +110,6 @@ func main() {
 	flag.Parse()
 
 	if *snapIn != "" {
-		if *assertRe != "" || *assertMax != "" {
-			fmt.Fprintln(os.Stderr, "benchsnap: -assert-* need raw bench input, not -snap (asserts check per-sample values)")
-			os.Exit(1)
-		}
 		snap, err := readSnapshot(*snapIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
@@ -204,93 +192,6 @@ func main() {
 			st.Metrics = nil
 		}
 		snap.Benchmarks[name] = st
-	}
-
-	if *assertRe != "" {
-		re, err := regexp.Compile(*assertRe)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
-		matched, failed := 0, 0
-		for _, name := range order {
-			if !re.MatchString(name) {
-				continue
-			}
-			matched++
-			for _, s := range samples[name] {
-				if !s.hasAllocs {
-					fmt.Fprintf(os.Stderr, "benchsnap: %s has no allocs/op column (run with -benchmem)\n", name)
-					failed++
-					break
-				}
-				if s.allocsPerOp != 0 {
-					fmt.Fprintf(os.Stderr, "benchsnap: alloc regression: %s reports %d allocs/op, want 0\n",
-						name, s.allocsPerOp)
-					failed++
-					break
-				}
-			}
-		}
-		if matched == 0 {
-			fmt.Fprintf(os.Stderr, "benchsnap: -assert-zero-allocs %q matched no benchmarks\n", *assertRe)
-			os.Exit(1)
-		}
-		if failed > 0 {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchsnap: %d benchmarks allocation-free\n", matched)
-	}
-
-	if *assertMax != "" {
-		// Split from the right: the metric unit and the ceiling contain no
-		// colon, the name regex may.
-		last := strings.LastIndex(*assertMax, ":")
-		mid := strings.LastIndex((*assertMax)[:max(last, 0)], ":")
-		if last < 0 || mid < 0 {
-			fmt.Fprintf(os.Stderr, "benchsnap: -assert-max-metric wants <name-regex>:<metric>:<max>, got %q\n", *assertMax)
-			os.Exit(1)
-		}
-		nameRe, metric := (*assertMax)[:mid], (*assertMax)[mid+1:last]
-		ceil, err := strconv.ParseFloat((*assertMax)[last+1:], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsnap: bad -assert-max-metric ceiling: %v\n", err)
-			os.Exit(1)
-		}
-		re, err := regexp.Compile(nameRe)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
-		matched, failed := 0, 0
-		for _, name := range order {
-			if !re.MatchString(name) {
-				continue
-			}
-			matched++
-			for _, s := range samples[name] {
-				v, ok := s.metrics[metric]
-				if !ok {
-					fmt.Fprintf(os.Stderr, "benchsnap: %s reports no %q metric\n", name, metric)
-					failed++
-					break
-				}
-				if v > ceil {
-					fmt.Fprintf(os.Stderr, "benchsnap: metric regression: %s %s = %g, ceiling %g\n",
-						name, metric, v, ceil)
-					failed++
-					break
-				}
-			}
-		}
-		if matched == 0 {
-			fmt.Fprintf(os.Stderr, "benchsnap: -assert-max-metric %q matched no benchmarks\n", nameRe)
-			os.Exit(1)
-		}
-		if failed > 0 {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchsnap: %d benchmarks within the %s ceiling of %g\n", matched, metric, ceil)
 	}
 
 	if *compare != "" {

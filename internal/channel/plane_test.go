@@ -192,30 +192,39 @@ func TestBankFuncPerUserParams(t *testing.T) {
 }
 
 // TestBankFrameHotPathAllocs is the channel-plane analogue of the mac
-// registry's frame-allocs guard: advancing a bank, querying amplitudes,
-// and replaying deferred steps must all be allocation-free. CI runs it as
-// a regression gate.
+// registry's frame-allocs guard: advancing a bank or one station,
+// querying amplitudes, replaying deferred steps and measuring estimates
+// must all be allocation-free. Each operation is counted exactly over a
+// batch of 1,000 calls, so even one malloc in the batch fails. The guard
+// takes the fewest of three batches: runtime-internal mallocs (a new
+// thread, timer-heap growth) land in the process-wide count at random,
+// while one on the measured path recurs in every batch.
 func TestBankFrameHotPathAllocs(t *testing.T) {
 	bank := NewBank(256, DefaultParams(), 1)
-	if n := testing.AllocsPerRun(100, func() { bank.Advance(frameDur) }); n != 0 {
-		t.Fatalf("Bank.Advance allocates %v per frame, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		for u := 0; u < bank.Size(); u++ {
-			benchSink += bank.User(u).Amplitude()
-		}
-	}); n != 0 {
-		t.Fatalf("amplitude queries allocate %v per sweep, want 0", n)
-	}
 	f := bank.User(0)
-	if n := testing.AllocsPerRun(100, func() { f.AdvanceSteps(frameDur, 16) }); n != 0 {
-		t.Fatalf("AdvanceSteps allocates %v per catch-up, want 0", n)
-	}
 	obs := rng.New(7)
-	if n := testing.AllocsPerRun(100, func() {
-		benchSink += f.MeasureEstimate(0.05, obs, 0).Amp
-	}); n != 0 {
-		t.Fatalf("MeasureEstimate allocates %v per call, want 0", n)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Bank.Advance", func() { bank.Advance(frameDur) }},
+		{"Fading.Advance", func() { f.Advance(frameDur) }},
+		{"amplitude sweep", func() {
+			for u := 0; u < bank.Size(); u++ {
+				benchSink += bank.User(u).Amplitude()
+			}
+		}},
+		{"AdvanceSteps", func() { f.AdvanceSteps(frameDur, 16) }},
+		{"MeasureEstimate", func() { benchSink += f.MeasureEstimate(0.05, obs, 0).Amp }},
+	} {
+		batch := func() {
+			for i := 0; i < 1000; i++ {
+				c.op()
+			}
+		}
+		if n := min(testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch)); n != 0 {
+			t.Errorf("%s: %.0f mallocs in 1000 calls, want 0", c.name, n)
+		}
 	}
 }
 

@@ -34,9 +34,15 @@
 //   - Request objects are pooled per System (BorrowRequest/FreeRequest):
 //     a request lives from creation to retirement (served, rejected, or
 //     scrubbed) and is then recycled, so schedulers allocate nothing per
-//     frame once scratch high-water marks are reached.
+//     frame once scratch high-water marks are reached. TakeQueue hands
+//     out the BS request queue's contents but keeps its backing array,
+//     so a per-frame take and re-enqueue reuses one buffer.
 //
-// TestFrameHotPathAllocs (idle cell) and the facade-level
+// TestFrameHotPathAllocs (idle cell), TestIdleWakeHotPathAllocs (idle-wake
+// cycle at 10⁵ stations) and the facade-level
 // TestActiveFrameSteadyStateAllocs (active cell, every protocol, both
-// queue variants) pin these invariants.
+// queue variants) pin these invariants. Each counts every malloc of one
+// batch of frames: the idle cell must make none, and the other two allow
+// 64 per 8,000 frames for a traffic buffer or wheel bucket growing past
+// its high-water mark.
 package mac

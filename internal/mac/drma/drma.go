@@ -82,7 +82,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		p.servedAt[r.St.ID] = frame
 	}
 	reserved := s.VoiceReservationsDue()
-	ri := 0
+	ri, gi := 0, 0
 
 	for slot := 0; slot < g.DRMAInfoSlots; slot++ {
 		// The BS announcement: is this slot assigned?
@@ -94,9 +94,9 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 			s.M.AddInfoUsed(g.InfoSlotSymbols)
 			continue
 		}
-		if len(grants) > 0 {
-			r := grants[0]
-			grants = grants[1:]
+		if gi < len(grants) {
+			r := grants[gi]
+			gi++
 			s.SetPendingAtBS(r.St, false)
 			if r.Kind == mac.KindVoice {
 				if r.St.Voice().Buffered() > 0 {
@@ -126,11 +126,12 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	}
 
 	// Winners that found no free slot keep their dynamic reservation and
-	// take the first slots of upcoming frames.
-	for _, r := range grants {
+	// take the first slots of upcoming frames. The unserved tail moves to
+	// the front of the same backing array, so pending keeps its capacity.
+	for _, r := range grants[gi:] {
 		s.SetPendingAtBS(r.St, true)
 	}
-	p.pending = grants
+	p.pending = grants[:copy(grants, grants[gi:])]
 	return g.Duration()
 }
 

@@ -947,10 +947,11 @@ func (s *System) PopQueueAt(i int) *Request {
 
 // TakeQueue empties the queue and returns its contents, clearing each
 // station's pending flag. CHARISMA uses this to rebuild its candidate pool
-// every frame.
+// every frame. The queue keeps the backing array, so the returned slice is
+// valid only until the next Enqueue, PopQueueAt or TakeQueue.
 func (s *System) TakeQueue() []*Request {
 	q := s.queue
-	s.queue = nil
+	s.queue = q[:0]
 	for _, r := range q {
 		s.SetPendingAtBS(r.St, false)
 	}

@@ -118,11 +118,11 @@ func BenchmarkFrame(b *testing.B) {
 	}
 }
 
-// TestFrameHotPathAllocs is the allocs/op regression guard on the frame hot
-// path: with the station registry in place, a frame over a 10⁴-station cell
-// whose population is parked idle must not allocate at all — idle stations
-// are neither scanned nor advanced, and every active-path scratch is reused
-// across frames.
+// TestFrameHotPathAllocs is the allocation guard on the frame hot path:
+// with the station registry in place, a batch of 1,000 frames over a
+// 10⁴-station cell whose population is parked idle must not allocate at
+// all — idle stations are neither scanned nor advanced, and every
+// active-path scratch is reused across frames.
 func TestFrameHotPathAllocs(t *testing.T) {
 	sys, p := mostlyIdleSystem(t, 10_000, 1e6, core.ProtoDRMA)
 	// Warm up past transients so every scratch slice has reached its
@@ -131,11 +131,16 @@ func TestFrameHotPathAllocs(t *testing.T) {
 		sys.BeginFrame()
 		sys.EndFrame(p.RunFrame(sys))
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		sys.BeginFrame()
-		sys.EndFrame(p.RunFrame(sys))
-	})
-	if avg != 0 {
-		t.Fatalf("frame hot path allocates %.2f allocs/frame over an idle cell, want 0", avg)
+	batch := func() {
+		for f := 0; f < 1000; f++ {
+			sys.BeginFrame()
+			sys.EndFrame(p.RunFrame(sys))
+		}
+	}
+	// The fewest of three exact counts: runtime-internal mallocs (a new
+	// thread, timer-heap growth) land in the process-wide count at random,
+	// while one on the measured path recurs in every batch.
+	if n := min(testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch)); n != 0 {
+		t.Fatalf("frame hot path: %.0f mallocs in 1000 frames over an idle cell, want 0", n)
 	}
 }

@@ -1,7 +1,7 @@
 // Package mathx supplies the small numeric substrate shared by the channel
-// and PHY models: dB conversions, the Gaussian Q-function, safe clamping,
-// and the Jakes autocorrelation helper used to map Doppler spread to an
-// AR(1) fading-process coefficient.
+// and PHY models: power and amplitude dB conversions, and the
+// exponential-decay autocorrelation the channel plane uses to map a
+// coherence time to its AR(1) fading-process coefficient.
 package mathx
 
 import "math"
@@ -31,27 +31,6 @@ func AmpLinearToDB(lin float64) float64 {
 	return 20 * math.Log10(lin)
 }
 
-// Q is the Gaussian tail function Q(x) = P(N(0,1) > x).
-func Q(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// JakesCorrelation returns the theoretical autocorrelation of Clarke/Jakes
-// Rayleigh fading at lag tau seconds for Doppler spread fd Hz:
-// rho = J0(2*pi*fd*tau). It can be negative at large lags.
-func JakesCorrelation(fdHz, tauSec float64) float64 {
-	return math.J0(2 * math.Pi * fdHz * tauSec)
-}
-
 // ExpCorrelation is the exponential-decay autocorrelation model
 // rho = exp(-tau/Tc) the paper's MAC analysis effectively assumes (CSI
 // "approximately constant" over a couple of frames, coherence time
@@ -62,6 +41,3 @@ func ExpCorrelation(coherenceSec, tauSec float64) float64 {
 	}
 	return math.Exp(-tauSec / coherenceSec)
 }
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

@@ -44,50 +44,6 @@ func TestAmpDBConversions(t *testing.T) {
 	}
 }
 
-func TestQFunction(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1, 0.158655},
-		{2, 0.022750},
-		{3, 0.001350},
-		{-1, 0.841345},
-	}
-	for _, c := range cases {
-		if got := Q(c.x); math.Abs(got-c.want) > 1e-5 {
-			t.Errorf("Q(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestQMonotoneDecreasing(t *testing.T) {
-	prev := 1.0
-	for x := -5.0; x <= 5; x += 0.25 {
-		q := Q(x)
-		if q > prev {
-			t.Fatalf("Q not monotone at %v", x)
-		}
-		prev = q
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp misbehaved")
-	}
-}
-
-func TestJakesCorrelationAnchors(t *testing.T) {
-	// J0(0) = 1.
-	if got := JakesCorrelation(100, 0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("rho(0) = %v", got)
-	}
-	// First zero of J0 is at 2.405: tau = 2.405/(2*pi*fd).
-	tau := 2.404826 / (2 * math.Pi * 100)
-	if got := JakesCorrelation(100, tau); math.Abs(got) > 1e-4 {
-		t.Fatalf("rho at first zero = %v, want ~0", got)
-	}
-}
-
 func TestExpCorrelation(t *testing.T) {
 	if got := ExpCorrelation(0.01, 0); got != 1 {
 		t.Fatalf("rho(0) = %v, want 1", got)
@@ -106,11 +62,5 @@ func TestExpCorrelation(t *testing.T) {
 			t.Fatal("ExpCorrelation not monotone")
 		}
 		prev = r
-	}
-}
-
-func TestLerp(t *testing.T) {
-	if Lerp(0, 10, 0.5) != 5 || Lerp(2, 4, 0) != 2 || Lerp(2, 4, 1) != 4 {
-		t.Fatal("Lerp misbehaved")
 	}
 }

@@ -8,7 +8,7 @@
 //     system, a fading plane). Incrementing one is a register add — no
 //     atomics, no branches, no allocations — so the counters are
 //     compiled in permanently without disturbing the hot-path
-//     zero-alloc gates or the golden byte-identity suite (they never
+//     allocation guards or the golden byte-identity suite (they never
 //     touch an RNG stream). Each component exposes its own counter
 //     block through an Obs()-style accessor; blocks from different
 //     components are combined with Add at read time.

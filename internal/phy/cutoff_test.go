@@ -112,12 +112,20 @@ func TestAmpCutoffBoundary(t *testing.T) {
 	}
 }
 
+// TestModeSelectionAllocFree counts batches of 1,000 mode selections over
+// amplitudes 0.01 to 4.96: none may allocate.
 func TestModeSelectionAllocFree(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
-	if n := testing.AllocsPerRun(100, func() {
-		modeSink = a.ModeForAmplitude(0.8)
-	}); n != 0 {
-		t.Fatalf("ModeForAmplitude allocates %v, want 0", n)
+	batch := func() {
+		for i := 0; i < 1000; i++ {
+			modeSink = a.ModeForAmplitude(0.01 + float64(i%100)*0.05)
+		}
+	}
+	// The fewest of three exact counts: runtime-internal mallocs (a new
+	// thread, timer-heap growth) land in the process-wide count at random,
+	// while one on the measured path recurs in every batch.
+	if n := min(testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch)); n != 0 {
+		t.Fatalf("ModeForAmplitude: %.0f mallocs in 1000 calls, want 0", n)
 	}
 }
 

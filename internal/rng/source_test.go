@@ -117,22 +117,32 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 }
 
 // TestStreamAllocs pins the inline layout: New is one allocation (the
-// Stream with its Rand and register) and Reseed none.
+// Stream with its Rand and register) and Reseed none, counted exactly over
+// batches of 100 calls each.
 func TestStreamAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { streamSink = New(42) }); n != 1 {
-		t.Fatalf("New allocates %v per call, want 1", n)
+	if n := batchMallocs(func() {
+		for i := 0; i < 100; i++ {
+			streamSink = New(42)
+		}
+	}); n != 100 {
+		t.Fatalf("New: %.0f mallocs in 100 calls, want 100", n)
 	}
 	s := New(1)
 	seed := int64(0)
-	if n := testing.AllocsPerRun(100, func() { seed++; s.Reseed(seed) }); n != 0 {
-		t.Fatalf("Reseed allocates %v per call, want 0", n)
+	if n := batchMallocs(func() {
+		for i := 0; i < 100; i++ {
+			seed++
+			s.Reseed(seed)
+		}
+	}); n != 0 {
+		t.Fatalf("Reseed: %.0f mallocs in 100 calls, want 0", n)
 	}
 }
 
 var streamSink *Stream
 
 // BenchmarkStreamReseed is the per-station seeding cost of the arena and
-// birth-probe paths (gated allocation-free in scripts/bench.sh).
+// birth-probe paths (held allocation-free by TestStreamAllocs).
 func BenchmarkStreamReseed(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

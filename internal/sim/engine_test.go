@@ -240,8 +240,16 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		e.Run()
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
-		t.Fatalf("steady-state reset/schedule/run allocates %v per cycle, want 0", allocs)
+	batch := func() {
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+	}
+	// The fewest of three exact counts: runtime-internal mallocs (a new
+	// thread, timer-heap growth) land in the process-wide count at random,
+	// while one on the measured path recurs in every batch.
+	if allocs := min(testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch)); allocs != 0 {
+		t.Fatalf("steady-state reset/schedule/run: %.0f mallocs in 100 cycles, want 0", allocs)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package stats provides the measurement substrate for the simulation
-// platform: streaming mean/variance (Welford), rate counters, histograms
-// with quantile queries, and normal-approximation confidence intervals.
+// platform: streaming mean/variance (Welford) with normal and Student-t
+// confidence intervals, rate counters, and the (x, y) series the
+// experiment harness emits figure data and capacity crossings from.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MeanVar accumulates a stream of observations and reports mean, variance
@@ -35,13 +35,6 @@ func (m *MeanVar) Add(x float64) {
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
 	m.m2 += delta * (x - m.mean)
-}
-
-// AddN records the same observation n times.
-func (m *MeanVar) AddN(x float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		m.Add(x)
-	}
 }
 
 // Count returns the number of observations.
@@ -119,28 +112,6 @@ func TCritical95(df int) float64 {
 	}
 }
 
-// Merge folds another accumulator into this one (parallel reduction).
-func (m *MeanVar) Merge(o *MeanVar) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n := m.n + o.n
-	delta := o.mean - m.mean
-	mean := m.mean + delta*float64(o.n)/float64(n)
-	m2 := m.m2 + o.m2 + delta*delta*float64(m.n)*float64(o.n)/float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-	m.n, m.mean, m.m2 = n, mean, m2
-}
-
 // Reset clears the accumulator.
 func (m *MeanVar) Reset() { *m = MeanVar{} }
 
@@ -177,90 +148,6 @@ func Ratio(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// Histogram is a fixed-width linear histogram over [lo, hi) with overflow
-// and underflow buckets, supporting approximate quantiles.
-type Histogram struct {
-	lo, hi   float64
-	width    float64
-	buckets  []uint64
-	under    uint64
-	over     uint64
-	count    uint64
-	sum      float64
-	exactMax float64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]uint64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	h.sum += x
-	if x > h.exactMax {
-		h.exactMax = x
-	}
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the exact running mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Max returns the largest observation seen.
-func (h *Histogram) Max() float64 { return h.exactMax }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) using linear
-// interpolation within the containing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q >= 1 {
-		q = 1
-	}
-	target := q * float64(h.count)
-	acc := float64(h.under)
-	if target <= acc {
-		return h.lo
-	}
-	for i, b := range h.buckets {
-		next := acc + float64(b)
-		if target <= next && b > 0 {
-			frac := (target - acc) / float64(b)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		acc = next
-	}
-	return h.exactMax
 }
 
 // Series is a labelled sequence of (x, y) points plus an optional error bar,
@@ -301,23 +188,4 @@ func (s *Series) CrossingX(level float64, descending bool) float64 {
 		}
 	}
 	return math.NaN()
-}
-
-// SortByX sorts the series points by ascending x.
-func (s *Series) SortByX() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(idx))
-	y := make([]float64, len(idx))
-	e := make([]float64, len(idx))
-	for i, j := range idx {
-		x[i], y[i] = s.X[j], s.Y[j]
-		if j < len(s.Err) {
-			e[i] = s.Err[j]
-		}
-	}
-	s.X, s.Y, s.Err = x, y, e
 }

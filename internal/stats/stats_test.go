@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanVarBasics(t *testing.T) {
@@ -42,48 +40,6 @@ func TestMeanVarSingle(t *testing.T) {
 	}
 }
 
-func TestMeanVarAddN(t *testing.T) {
-	var a, b MeanVar
-	a.AddN(2.5, 10)
-	for i := 0; i < 10; i++ {
-		b.Add(2.5)
-	}
-	if a.Mean() != b.Mean() || a.Count() != b.Count() {
-		t.Fatal("AddN disagrees with repeated Add")
-	}
-}
-
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestMeanVarMergeProperty(t *testing.T) {
-	prop := func(seed int64, nA, nB uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		var a, b, all MeanVar
-		for i := 0; i < int(nA); i++ {
-			x := r.NormFloat64()
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < int(nB); i++ {
-			x := r.NormFloat64() * 3
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		if a.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		return math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-all.Variance()) < 1e-6 &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanVarReset(t *testing.T) {
 	var m MeanVar
 	m.Add(1)
@@ -116,52 +72,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %v, want ~50", med)
-	}
-	p95 := h.Quantile(0.95)
-	if p95 < 90 || p95 > 100 {
-		t.Fatalf("p95 = %v, want ~95", p95)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-}
-
-func TestHistogramOverUnderflow(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(15)
-	h.Add(5)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 15 {
-		t.Fatalf("max = %v", h.Max())
-	}
-	if math.Abs(h.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestSeriesCrossingAscending(t *testing.T) {
 	s := Series{Label: "x"}
 	s.Append(10, 0.001, 0)
@@ -191,20 +101,6 @@ func TestSeriesCrossingNone(t *testing.T) {
 	s.Append(1, 2, 0)
 	if !math.IsNaN(s.CrossingX(10, false)) {
 		t.Fatal("expected NaN for no crossing")
-	}
-}
-
-func TestSeriesSortByX(t *testing.T) {
-	s := Series{}
-	s.Append(3, 30, 1)
-	s.Append(1, 10, 2)
-	s.Append(2, 20, 3)
-	s.SortByX()
-	if s.X[0] != 1 || s.X[1] != 2 || s.X[2] != 3 {
-		t.Fatalf("x not sorted: %v", s.X)
-	}
-	if s.Y[0] != 10 || s.Err[0] != 2 {
-		t.Fatal("y/err not carried with x")
 	}
 }
 
