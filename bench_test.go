@@ -1,5 +1,6 @@
 // Benchmark harness: one target per table/figure of the paper's evaluation
-// plus the DESIGN.md §5 ablations and substrate micro-benchmarks.
+// plus ablations of CHARISMA's mechanisms (each names the paper section of
+// the one it varies) and substrate micro-benchmarks.
 //
 // The figure benches regenerate each panel at reduced effort (short
 // measurement windows, thinned sweeps) so `go test -bench=.` stays in CI
@@ -180,7 +181,7 @@ func BenchmarkSpeedSweep(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------------
+// --- Ablations: one CHARISMA mechanism varied per benchmark ----------------
 
 func ablationCell(mutate func(*core.Scenario)) (float64, error) {
 	sc := core.DefaultScenario(core.ProtoCharisma)

@@ -20,11 +20,12 @@
 //	})
 //	fmt.Println(res.VoiceLossRate, res.DataThroughputPerFrame)
 //
-// See README.md for the architecture and EXPERIMENTS.md for the
-// reproduction of every table and figure.
+// See README.md for the architecture and, under "Reproducing the paper",
+// how every table and figure is regenerated.
 package charisma
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -68,7 +69,9 @@ func AllProtocols() []Protocol {
 }
 
 // Options configures one simulation run. The zero value of every field is
-// replaced by the paper's (reconstructed) Table 1 defaults.
+// replaced by the paper's (reconstructed) Table 1 defaults, and a negative
+// duration, speed, count or precision is rejected with a validation error
+// naming the field.
 type Options struct {
 	// Protocol picks the access scheme (default CHARISMA).
 	Protocol Protocol
@@ -185,7 +188,27 @@ func fromInternal(r mac.Result) Result {
 	}
 }
 
+// nonNegative rejects a negative option value: zero selects the option's
+// default, and a negative value has no meaning of its own.
+func nonNegative[T int | float64 | time.Duration](field string, v T) error {
+	if v < 0 {
+		return &core.ValidationError{Field: field, Reason: fmt.Sprintf("negative value %v (0 selects the default)", v)}
+	}
+	return nil
+}
+
 func (o Options) scenario() (core.Scenario, error) {
+	if err := cmp.Or(
+		nonNegative("Warmup", o.Warmup),
+		nonNegative("Duration", o.Duration),
+		nonNegative("SpeedKmh", o.SpeedKmh),
+		nonNegative("Replications", o.Replications),
+		nonNegative("Workers", o.Workers),
+		nonNegative("TargetPrecision", o.TargetPrecision),
+		nonNegative("MaxReplications", o.MaxReplications),
+	); err != nil {
+		return core.Scenario{}, err
+	}
 	proto := o.Protocol
 	if proto == "" {
 		proto = ProtocolCHARISMA

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"charisma/internal/core"
 )
 
 func quickOpts(p Protocol) Options {
@@ -55,6 +57,55 @@ func TestRunProducesMetrics(t *testing.T) {
 func TestRunRejectsEmptyCell(t *testing.T) {
 	if _, err := Run(Options{}); err == nil {
 		t.Fatal("empty cell accepted")
+	}
+}
+
+// TestNegativeOptionsRejected: zero selects an option's default, so a
+// negative value must be rejected with a *core.ValidationError naming the
+// field rather than run as if it were zero.
+func TestNegativeOptionsRejected(t *testing.T) {
+	wantField := func(t *testing.T, err error, field string) {
+		t.Helper()
+		var ve *core.ValidationError
+		if !errors.As(err, &ve) || ve.Field != field {
+			t.Fatalf("err = %v, want a *core.ValidationError for %s", err, field)
+		}
+	}
+	for field, set := range map[string]func(*Options){
+		"Warmup":          func(o *Options) { o.Warmup = -3 * time.Second },
+		"Duration":        func(o *Options) { o.Duration = -time.Second },
+		"SpeedKmh":        func(o *Options) { o.SpeedKmh = -20 },
+		"Replications":    func(o *Options) { o.Replications = -1 },
+		"Workers":         func(o *Options) { o.Workers = -1 },
+		"TargetPrecision": func(o *Options) { o.TargetPrecision = -0.5 },
+		"MaxReplications": func(o *Options) { o.MaxReplications = -1 },
+	} {
+		t.Run("Options."+field, func(t *testing.T) {
+			o := quickOpts(ProtocolCHARISMA)
+			set(&o)
+			_, err := Run(o)
+			wantField(t, err, field)
+			_, err = Compare(o, ProtocolDRMA)
+			wantField(t, err, field)
+		})
+	}
+	for field, set := range map[string]func(*MultiCellOptions){
+		"Cells":               func(o *MultiCellOptions) { o.Cells = -2 },
+		"HandoffHysteresisDB": func(o *MultiCellOptions) { o.HandoffHysteresisDB = -4 },
+		"HandoffPeriod":       func(o *MultiCellOptions) { o.HandoffPeriod = -time.Millisecond },
+		"Workers":             func(o *MultiCellOptions) { o.Workers = -1 },
+		"ShadowSigmaDB":       func(o *MultiCellOptions) { o.ShadowSigmaDB = -1 },
+		"SpeedKmh":            func(o *MultiCellOptions) { o.SpeedKmh = -20 },
+		"Warmup":              func(o *MultiCellOptions) { o.Warmup = -time.Second },
+		"Duration":            func(o *MultiCellOptions) { o.Duration = -time.Second },
+		"Replications":        func(o *MultiCellOptions) { o.Replications = -1 },
+	} {
+		t.Run("MultiCellOptions."+field, func(t *testing.T) {
+			o := MultiCellOptions{VoiceUsers: 10, Duration: time.Second}
+			set(&o)
+			_, err := RunMultiCell(o)
+			wantField(t, err, field)
+		})
 	}
 }
 

@@ -111,7 +111,6 @@ func main() {
 		rc.Replications = *reps
 	}
 	rc.Workers = *workers
-	rc.CacheDir = *cacheDir
 	// One cache for the whole process: the in-memory tier spans panels,
 	// so figures that sweep identical scenarios (Fig. 12/13) share
 	// replications even without -cache-dir.

@@ -24,6 +24,7 @@ import (
 
 	"charisma"
 	"charisma/internal/experiments"
+	"charisma/internal/grid"
 	"charisma/internal/prof"
 	"charisma/internal/trace"
 )
@@ -79,6 +80,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	if *cells < 0 {
+		fatal("charisma-sim: -cells must not be negative, got", *cells)
+	}
 	if *scenario != "" {
 		if *all || *cells >= 2 {
 			fatal("charisma-sim: -scenario carries its own protocols and cell counts; drop -all/-cells")
@@ -86,7 +90,7 @@ func main() {
 		rc := experiments.RunConfig{
 			Seed:            *seed,
 			Workers:         *workers,
-			CacheDir:        *cacheDir,
+			Cache:           grid.NewCache(*cacheDir),
 			PrecisionRel:    *prec,
 			MaxReplications: *maxReps,
 		}

@@ -4,10 +4,11 @@
 // Rayleigh and composite Rayleigh/log-normal fading, mean-rate capacity
 // bounds for the TDMA cell, and the fixed encoder's residual error floor.
 //
-// These are the sanity anchors behind the calibration tests and the
-// EXPERIMENTS.md "why the shape holds" arguments: a simulated number that
-// drifts away from its analytic counterpart flags a regression in the
-// models rather than a protocol effect.
+// These are the sanity anchors behind the package's calibration tests
+// (TestMeanRateBoundUpperBoundsSimulation runs the simulator against the
+// capacity bound): a simulated number that drifts away from its analytic
+// counterpart flags a regression in the models rather than a protocol
+// effect.
 package analytic
 
 import (

@@ -137,7 +137,7 @@ func TestChaoticSweepByteIdentical(t *testing.T) {
 	sv.Close()
 	wg.Wait()
 
-	if sess.Quarantines() < 1 {
+	if sess.Progress().Quarantined < 1 {
 		t.Fatal("the lying worker was never quarantined")
 	}
 	got, err := sess.Results()

@@ -178,7 +178,7 @@ func BenchmarkReplicationSetup(b *testing.B) {
 // (build + protocol init + engine reset + full materialization) must not
 // allocate at all. Every malloc of a batch of 50 back-to-back setups is
 // counted, against the ~132k allocations a fresh per-replication build
-// used to cost (BENCH_6 Fig11a panel).
+// used to cost (Fig11a panel in BENCH_6.json, as of commit 7aaa6a2).
 func TestArenaSetupSteadyStateAllocs(t *testing.T) {
 	sc := DefaultScenario(ProtoCharisma)
 	sc.NumVoice, sc.NumData = 40, 10

@@ -39,11 +39,10 @@ type RunConfig struct {
 	// Protocols restricts the comparison set (default: all six).
 	Protocols []string
 
-	// CacheDir, when set, roots the on-disk content-addressed replication
-	// cache: re-running a sweep (or re-anchoring a figure) reuses every
-	// previously simulated (spec, seed) pair.
-	CacheDir string
-	// Cache overrides the per-sweep cache built from CacheDir. Set it
+	// Cache resolves replications before simulating; nil gives each sweep
+	// a fresh in-memory cache. grid.NewCache(dir) adds the on-disk
+	// content-addressed tier, so re-running a sweep (or re-anchoring a
+	// figure) reuses every previously simulated (spec, seed) pair. Set it
 	// once per process (the cmd does) so the in-memory tier spans panels:
 	// Fig. 12 and Fig. 13 sweep identical scenarios and then share every
 	// replication instead of re-simulating.

@@ -18,12 +18,8 @@ import (
 // runPoints drives prepared sweep points through the grid under this
 // config's cache/precision/worker/remote settings.
 func (rc RunConfig) runPoints(ctx context.Context, points []grid.Point) ([]mac.Result, error) {
-	cache := rc.Cache
-	if cache == nil {
-		cache = grid.NewCache(rc.CacheDir)
-	}
 	return grid.RunPoints(ctx, points, grid.DriveConfig{
-		Cache:      cache,
+		Cache:      rc.Cache,
 		Precision:  grid.Precision{TargetRel: rc.PrecisionRel, MaxReps: rc.MaxReplications},
 		Workers:    rc.Workers,
 		Server:     rc.Server,

@@ -73,7 +73,7 @@ func TestAdaptiveStopsAtPrecisionOrCap(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	n := sess.Replications(0)
+	n := sess.Progress().Points[0].Scheduled
 	if n < 2 || n > prec.MaxReps {
 		t.Fatalf("settled at %d reps, outside [2, %d]", n, prec.MaxReps)
 	}
@@ -101,7 +101,7 @@ func TestAdaptiveHitsHardCap(t *testing.T) {
 	if err := RunLocal(context.Background(), sess, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n := sess.Replications(0); n != 5 {
+	if n := sess.Progress().Points[0].Scheduled; n != 5 {
 		t.Fatalf("settled at %d reps, want the cap 5", n)
 	}
 }
@@ -124,7 +124,7 @@ func TestAdaptiveGrownSweepExtendsFixedN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := adaptive.Replications(0)
+	n := adaptive.Progress().Points[0].Scheduled
 	if n <= 2 {
 		t.Fatalf("controller did not grow (n=%d)", n)
 	}
@@ -162,7 +162,7 @@ func TestAdaptiveDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sess.Replications(0), rs
+		return sess.Progress().Points[0].Scheduled, rs
 	}
 	n1, r1 := runOnce(1)
 	n2, r2 := runOnce(4)
@@ -181,7 +181,7 @@ func TestAdaptiveDisabledKeepsFixedReps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range sweepPoints(2) {
-		if n := sess.Replications(j); n != 2 {
+		if n := sess.Progress().Points[j].Scheduled; n != 2 {
 			t.Fatalf("point %d grew to %d reps with adaptation disabled", j, n)
 		}
 	}

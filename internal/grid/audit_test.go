@@ -49,11 +49,12 @@ func TestAuditCatchesLyingWorker(t *testing.T) {
 	if err := RunLocal(ctx, sess, 2); err != nil {
 		t.Fatal(err)
 	}
-	if n := sess.Quarantines(); n != 1 {
-		t.Fatalf("quarantines = %d, want 1", n)
+	p := sess.Progress()
+	if p.Quarantined != 1 {
+		t.Fatalf("quarantines = %d, want 1", p.Quarantined)
 	}
-	if _, failed := sess.Audits(); failed != 1 {
-		t.Fatalf("failed audits = %d, want 1", failed)
+	if p.AuditsFailed != 1 {
+		t.Fatalf("failed audits = %d, want 1", p.AuditsFailed)
 	}
 	got, err := sess.Results()
 	if err != nil {
@@ -84,7 +85,7 @@ func TestQuarantinedWorkerGetsNoTasks(t *testing.T) {
 	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: tk.Rep, Lease: tk.Lease, Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, func() bool { return sess.Quarantines() == 1 })
+	waitUntil(t, 5*time.Second, func() bool { return sess.Progress().Quarantined == 1 })
 	if _, ok, _ := sess.TryClaim("liar", 0); ok {
 		t.Fatal("quarantined worker was handed a task")
 	}
@@ -157,14 +158,14 @@ func TestQuarantineUnwindsDeliveredResults(t *testing.T) {
 	if err := sess.Complete(TaskResult{Point: tkB.Point, Rep: tkB.Rep, Lease: tkB.Lease, Result: resB}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, func() bool { return sess.Quarantines() == 1 })
+	waitUntil(t, 5*time.Second, func() bool { return sess.Progress().Quarantined == 1 })
 
 	// The quarantine must have evicted the liar's first (honest but
 	// untrusted) result and re-queued its task.
 	if _, hit := cache.Get(keyA); hit {
 		t.Fatal("quarantine left the liar's unaudited result in the cache")
 	}
-	if sess.Requeues() < 1 {
+	if sess.Progress().Requeues < 1 {
 		t.Fatal("quarantine did not re-queue the liar's delivered result")
 	}
 
@@ -222,11 +223,11 @@ func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	passed, failed := sess.Audits()
-	if failed != 0 || sess.Quarantines() != 0 {
-		t.Fatalf("honest sweep: %d failed audits, %d quarantines", failed, sess.Quarantines())
+	p := sess.Progress()
+	if p.AuditsFailed != 0 || p.Quarantined != 0 {
+		t.Fatalf("honest sweep: %d failed audits, %d quarantines", p.AuditsFailed, p.Quarantined)
 	}
-	if passed == 0 {
+	if p.AuditsPassed == 0 {
 		t.Fatal("audit-frac 1 audited nothing")
 	}
 	got, err := sess.Results()

@@ -55,7 +55,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if nTasks != 1 {
 		t.Fatalf("expected exactly the claimed task to remain, have %d", nTasks)
 	}
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() == 1 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues == 1 })
 	// The re-queued task is claimable again (by another worker).
 	tk2, ok, _ := sess.TryClaim("w2", 0)
 	if !ok {
@@ -88,11 +88,11 @@ func TestHeartbeatRenewalKeepsLease(t *testing.T) {
 			t.Fatalf("renewal %d failed while lease should be live", i)
 		}
 	}
-	if n := sess.Requeues(); n != 0 {
+	if n := sess.Progress().Requeues; n != 0 {
 		t.Fatalf("heartbeated lease was re-queued %d times", n)
 	}
 	// Stop heartbeating: the lease must lapse and renewal must then fail.
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() == 1 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues == 1 })
 	if sess.Renew(tk.Lease, ttl) {
 		t.Fatal("renewal succeeded on an expired lease")
 	}
@@ -112,7 +112,7 @@ func TestStaleResultDiscarded(t *testing.T) {
 	if !ok {
 		t.Fatal("no task to claim")
 	}
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() == 1 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues == 1 })
 
 	// The dead worker's late delivery: correct payload, superseded lease.
 	res, err := tk.Spec.RunRep(tk.Rep)
@@ -122,7 +122,7 @@ func TestStaleResultDiscarded(t *testing.T) {
 	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: tk.Rep, Lease: tk.Lease, Result: res}); err != nil {
 		t.Fatalf("stale delivery should be dropped quietly, got %v", err)
 	}
-	if sess.Done() {
+	if sess.Progress().Done {
 		t.Fatal("stale delivery completed the session")
 	}
 	if n := cache.Len(); n != 0 {
@@ -137,11 +137,12 @@ func TestStaleResultDiscarded(t *testing.T) {
 	if err := sess.Complete(TaskResult{Point: tk2.Point, Rep: tk2.Rep, Lease: tk2.Lease, Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Done() {
+	p := sess.Progress()
+	if !p.Done {
 		t.Fatal("current-lease delivery did not complete the session")
 	}
-	if sess.Requeues() != 1 || sess.Executed() != 1 {
-		t.Fatalf("requeues=%d executed=%d, want 1 and 1", sess.Requeues(), sess.Executed())
+	if p.Requeues != 1 || p.Executed != 1 {
+		t.Fatalf("requeues=%d executed=%d, want 1 and 1", p.Requeues, p.Executed)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestRequeueAvoidsDeadWorker(t *testing.T) {
 	if !ok {
 		t.Fatal("w2 got no task")
 	}
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() == 2 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues == 2 })
 
 	// Regardless of re-queue order, w1 is steered to the task it did NOT
 	// time out on (w2's), even when its own sits ahead in the queue.
@@ -298,8 +299,8 @@ func TestCrashedWorkerSweepByteIdentical(t *testing.T) {
 		t.Fatal(werr)
 	}
 
-	if sess.Requeues() < 2 {
-		t.Fatalf("requeues = %d, want ≥ 2 (both abandoned tasks)", sess.Requeues())
+	if n := sess.Progress().Requeues; n < 2 {
+		t.Fatalf("requeues = %d, want ≥ 2 (both abandoned tasks)", n)
 	}
 	got, err := sess.Results()
 	if err != nil {
@@ -331,7 +332,7 @@ func TestWorkerAbandonsSupersededLease(t *testing.T) {
 		t.Fatalf("claim failed: status %d err %v", status, err)
 	}
 	// Let the lease lapse, as if the simulation were enormous.
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() == 1 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues == 1 })
 	renewed, err := postBeat(context.Background(), hs.Client(), hs.URL, wt.Session, wt.Lease)
 	if err != nil {
 		t.Fatal(err)

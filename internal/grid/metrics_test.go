@@ -187,7 +187,7 @@ func TestMetricsCrashRequeue(t *testing.T) {
 	if _, status, err := crash.fetchTask(context.Background(), hs.Client(), hs.URL); err != nil || status != 200 {
 		t.Fatalf("claim: status %d err %v", status, err)
 	}
-	waitUntil(t, 2*time.Second, func() bool { return sess.Requeues() >= 1 })
+	waitUntil(t, 2*time.Second, func() bool { return sess.Progress().Requeues >= 1 })
 
 	page, _ := fetchText(t, hs, "/metrics")
 	if v, ok := metricValue(t, page, "charisma_grid_requeues_total"); !ok || v < 1 {

@@ -201,8 +201,8 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			Done      bool
 		}{}
 		if sess != nil {
-			st.Executed, st.CacheHits, st.Requeues, st.Done =
-				sess.Executed(), sess.CacheHits(), sess.Requeues(), sess.Done()
+			p := sess.Progress()
+			st.Executed, st.CacheHits, st.Requeues, st.Done = p.Executed, p.CacheHits, p.Requeues, p.Done
 		}
 		writeJSON(w, st)
 

@@ -786,52 +786,6 @@ func (s *Session) Wait(ctx context.Context) error {
 	return nil
 }
 
-// Done reports whether every point has settled.
-func (s *Session) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Executed returns the number of simulations actually run for this
-// session (cache hits and deduplicated shares excluded).
-func (s *Session) Executed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.executed
-}
-
-// CacheHits returns the number of replication slots served by the cache.
-func (s *Session) CacheHits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
-
-// Requeues returns how many tasks were re-queued from expired leases or
-// quarantine unwinding.
-func (s *Session) Requeues() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requeues
-}
-
-// Quarantines returns how many workers the audit quarantined.
-func (s *Session) Quarantines() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantines
-}
-
-// Audits returns how many audited results were verified byte-identical
-// and how many diverged (each divergence quarantined a worker or
-// re-confirmed one already barred).
-func (s *Session) Audits() (passed, failed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.auditsPassed, s.auditsFailed
-}
-
 // Serial returns the process-wide session serial number.
 func (s *Session) Serial() int64 { return s.serial }
 
@@ -854,14 +808,6 @@ func (s *Session) CacheStats() (CacheStats, bool) {
 		return sr.Stats(), true
 	}
 	return CacheStats{}, false
-}
-
-// Replications returns how many replications point j settled on — the
-// initial count, or more when the adaptive controller grew it.
-func (s *Session) Replications(j int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.states[j].scheduled
 }
 
 // Results aggregates each point's successful replications, in rep-index
@@ -1039,10 +985,11 @@ type SweepStats struct {
 
 // Observe folds one finished session's counters into the stats.
 func (st *SweepStats) Observe(s *Session) {
-	st.Simulated += s.Executed()
-	st.CacheHits += s.CacheHits()
-	st.Requeues += s.Requeues()
-	st.Quarantined += s.Quarantines()
+	p := s.Progress()
+	st.Simulated += p.Executed
+	st.CacheHits += p.CacheHits
+	st.Requeues += p.Requeues
+	st.Quarantined += p.Quarantined
 }
 
 // String renders the counters for operator output.

@@ -118,7 +118,7 @@ func TestGridPathsByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("multi-worker grid differs from the serial reference")
 	}
-	if sess.Executed() == 0 {
+	if sess.Progress().Executed == 0 {
 		t.Fatal("remote workers executed nothing")
 	}
 
@@ -136,14 +136,15 @@ func TestGridPathsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Done() {
+	p := warm.Progress()
+	if !p.Done {
 		t.Fatal("fully cached session not immediately done")
 	}
-	if warm.Executed() != 0 {
-		t.Fatalf("warm cache ran %d simulations", warm.Executed())
+	if p.Executed != 0 {
+		t.Fatalf("warm cache ran %d simulations", p.Executed)
 	}
-	if warm.CacheHits() != reps*len(sweepScenarios()) {
-		t.Fatalf("cache hits = %d, want %d", warm.CacheHits(), reps*len(sweepScenarios()))
+	if p.CacheHits != reps*len(sweepScenarios()) {
+		t.Fatalf("cache hits = %d, want %d", p.CacheHits, reps*len(sweepScenarios()))
 	}
 	got, err = warm.Results()
 	if err != nil {
@@ -170,11 +171,12 @@ func TestGridWarmCacheZeroSims(t *testing.T) {
 		if _, err := sess.Results(); err != nil {
 			t.Fatal(err)
 		}
-		if wantExec && sess.Executed() == 0 {
+		executed := sess.Progress().Executed
+		if wantExec && executed == 0 {
 			t.Fatalf("pass %d: cold cache executed nothing", pass)
 		}
-		if !wantExec && sess.Executed() != 0 {
-			t.Fatalf("pass %d: warm cache executed %d simulations", pass, sess.Executed())
+		if !wantExec && executed != 0 {
+			t.Fatalf("pass %d: warm cache executed %d simulations", pass, executed)
 		}
 	}
 }
@@ -198,8 +200,8 @@ func TestSessionDedupsIdenticalPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Executed() != 2 {
-		t.Fatalf("executed %d simulations, want 2 (deduplicated)", sess.Executed())
+	if n := sess.Progress().Executed; n != 2 {
+		t.Fatalf("executed %d simulations, want 2 (deduplicated)", n)
 	}
 	if !reflect.DeepEqual(rs[0], rs[1]) {
 		t.Fatal("deduplicated points disagree")
@@ -404,8 +406,8 @@ func TestNewSessionPrefetchMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(queue, wantQueue) {
 			t.Fatalf("trial %d: queued %v, want %v", trial, queue, wantQueue)
 		}
-		if sess.CacheHits() != wantHits {
-			t.Fatalf("trial %d: %d hits, want %d", trial, sess.CacheHits(), wantHits)
+		if hits := sess.Progress().CacheHits; hits != wantHits {
+			t.Fatalf("trial %d: %d hits, want %d", trial, hits, wantHits)
 		}
 		if got := cache.(StatsReporter).Stats(); got != wantStats {
 			t.Fatalf("trial %d: cache stats %+v, want %+v", trial, got, wantStats)
@@ -420,7 +422,7 @@ func TestNewSessionPrefetchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sess.Done() {
+		if !sess.Progress().Done {
 			t.Fatal("fully cached session not done")
 		}
 		rs, err := sess.Results()

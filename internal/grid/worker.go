@@ -332,15 +332,11 @@ func (w Worker) execute(wt wireTask) (out wireResult) {
 		if h, err := wt.Spec.Hash(); err == nil {
 			key = RepKey(h, run.RepSeed(wt.Spec.BaseSeed(), wt.Rep))
 			if r, ok := w.Cache.Get(key); ok {
-				if w.Stats != nil {
-					w.Stats.CacheHits.Add(1)
-				}
+				w.Stats.CacheHits.Add(1)
 				out.Result = r
 				return out
 			}
-			if w.Stats != nil {
-				w.Stats.CacheMisses.Add(1)
-			}
+			w.Stats.CacheMisses.Add(1)
 		}
 	}
 	r, err := wt.Spec.RunRep(wt.Rep)

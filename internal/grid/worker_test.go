@@ -166,7 +166,8 @@ func TestExecuteAppliesCorruptResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := Worker{CorruptResult: func(_, _ int, r *mac.Result) { r.Frames++ }}
+	// Run installs Stats before any execute; so does this direct call.
+	w := Worker{Stats: new(WorkerStats), CorruptResult: func(_, _ int, r *mac.Result) { r.Frames++ }}
 	wt := wireTask{Session: "s1", Task: Task{Point: 0, Rep: 0, Spec: spec}}
 	out := w.execute(wt)
 	if out.Err != "" {
@@ -219,7 +220,7 @@ func TestWorkerLiesCaughtOverHTTP(t *testing.T) {
 		}
 		liarDone <- w.Run(context.Background())
 	}()
-	waitUntil(t, 10*time.Second, func() bool { return sess.Quarantines() == 1 })
+	waitUntil(t, 10*time.Second, func() bool { return sess.Progress().Quarantined == 1 })
 	// Honest loopback workers finish the sweep the liar is barred from.
 	if err := RunLocal(context.Background(), sess, 2); err != nil {
 		t.Fatal(err)
@@ -228,7 +229,7 @@ func TestWorkerLiesCaughtOverHTTP(t *testing.T) {
 	if err := <-liarDone; err != nil {
 		t.Fatalf("liar worker: %v", err)
 	}
-	if _, failed := sess.Audits(); failed < 1 {
+	if failed := sess.Progress().AuditsFailed; failed < 1 {
 		t.Fatalf("failed audits = %d, want >= 1", failed)
 	}
 }

@@ -1,6 +1,7 @@
 package charisma
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -10,6 +11,9 @@ import (
 // MultiCellOptions configures the §6 multi-cell/handoff extension: several
 // coordinated cells, each running the same uplink protocol, with nomadic
 // users attaching to the base station with the best long-term channel.
+// Zero selects a field's default, and a negative count, duration, speed,
+// hysteresis or shadowing width is rejected with a validation error naming
+// the field.
 type MultiCellOptions struct {
 	// Cells is the number of base stations (default 2).
 	Cells int
@@ -67,6 +71,19 @@ func RunMultiCell(o MultiCellOptions) (MultiCellResult, error) {
 // RunMultiCellContext is RunMultiCell with cancellation: a cancelled
 // context stops pending replications and returns the context's error.
 func RunMultiCellContext(ctx context.Context, o MultiCellOptions) (MultiCellResult, error) {
+	if err := cmp.Or(
+		nonNegative("Cells", o.Cells),
+		nonNegative("HandoffHysteresisDB", o.HandoffHysteresisDB),
+		nonNegative("HandoffPeriod", o.HandoffPeriod),
+		nonNegative("Workers", o.Workers),
+		nonNegative("ShadowSigmaDB", o.ShadowSigmaDB),
+		nonNegative("SpeedKmh", o.SpeedKmh),
+		nonNegative("Warmup", o.Warmup),
+		nonNegative("Duration", o.Duration),
+		nonNegative("Replications", o.Replications),
+	); err != nil {
+		return MultiCellResult{}, err
+	}
 	p := multicell.DefaultParams()
 	if o.Cells > 0 {
 		p.Cells = o.Cells

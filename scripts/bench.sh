@@ -1,55 +1,56 @@
 #!/usr/bin/env bash
-# Perf-trajectory harness: runs the substrate and figure benchmarks and
-# snapshots them into a committed BENCH_<pr>.json, so each perf PR leaves a
-# comparable data point behind (PR 4 starts the trajectory). It checks no
-# allocation budget: the Go allocation guards, run by the "Allocation
-# guards" CI step, are the only allocation gate.
+# Perf gate: runs the repository benchmark (bench/run.sh, described by
+# BENCHMARK.json) on the parent commit and on this checkout, 5 pairs per
+# workload with the side that runs first alternating, and prints one row per
+# workload and end-to-end metric: both medians, how much worse this checkout's
+# is, and the metric's bound. It exits 1 when a run is not correct or prints
+# no result, when this checkout fails a larger share of its attempted
+# operations than the parent, or when a median is worse than the parent's by
+# more than its bound. The parent is HEAD^, checked out into a git worktree,
+# so commit first. Raw runs go to .bench_build/ab/runs.jsonl. Needs bash, git
+# and jq; takes no arguments. About 15 minutes on 2 vCPUs.
 #
-# Usage:
-#   scripts/bench.sh snapshot   # full run, writes BENCH_${BENCH_PR:-7}.json
-#
-# Environment:
-#   BENCH_PR     PR number stamped into the snapshot (default 7)
-#   BENCH_COUNT  -count for the substrate benches (default 5)
-#   BENCH_OUT    output path (default BENCH_${BENCH_PR}.json)
+#   bash scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-mode=${1:-snapshot}
-pr=${BENCH_PR:-7}
-out=${BENCH_OUT:-BENCH_${pr}.json}
-
-# The grid's warm-path micro-benches (a sweep re-walked against a filled
-# cache): scenario-file load, spec hash, RepKey, disk-cache get and put.
-GRID_BENCH='^Benchmark(LoadScenarioFile|SpecHash|RepKey|DiskCacheGet|DiskCachePut)$'
-
-case "$mode" in
-  snapshot)
-    raw=$(mktemp)
-    trap 'rm -f "$raw"' EXIT
-    # Substrate microbenches: repeated samples for a stable min/median.
-    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench 'BenchmarkChannelBankFrame|BenchmarkChannelBankQuery|BenchmarkChannelReplayCatchUp|BenchmarkFadingAdvance|BenchmarkModeSelection|BenchmarkCharismaFrame|BenchmarkObsOffFrame|BenchmarkScenarioRun|BenchmarkEngineScheduleEvery|BenchmarkSimulatedSecondAllProtocols|BenchmarkIdleWakeCell' \
-      . | tee "$raw"
-    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench 'BenchmarkReplicationSetup' ./internal/core | tee -a "$raw"
-    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench 'BenchmarkStreamReseed|BenchmarkDeriveIndexed' ./internal/rng | tee -a "$raw"
-    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench "$GRID_BENCH" ./internal/grid | tee -a "$raw"
-    # Population-scaling family: B/station and ns/frame at 10⁴..10⁶.
-    go test -run '^$' -count "${BENCH_COUNT:-5}" -benchmem -timeout 60m \
-      -bench 'BenchmarkIdleCellPopulation' . | tee -a "$raw"
-    # One representative panel per figure: the end-to-end workload shape.
-    # A single iteration is already a full reduced-effort panel sweep;
-    # three repeats give the snapshot a usable min/median instead of a
-    # single noisy sample.
-    go test -run '^$' -count 3 -benchtime 1x -benchmem -timeout 60m \
-      -bench 'BenchmarkFig11a|BenchmarkFig12a|BenchmarkFig13a' . | tee -a "$raw"
-    go run ./cmd/benchsnap -pr "$pr" -in "$raw" -out "$out"
-    ;;
-  *)
-    echo "usage: scripts/bench.sh [snapshot]" >&2
-    exit 2
-    ;;
-esac
+ab=.bench_build/ab
+parent=$ab/parent runs=$ab/runs.jsonl
+rm -rf "$parent" && git worktree prune && mkdir -p "$ab" && : >"$runs"
+git worktree add -q --detach "$parent" HEAD^
+trap 'git worktree remove --force "$parent"' EXIT
+# Gate the workloads both commits list, by HEAD's metrics and bounds.
+workloads=$(jq -r --argjson p "$(git show HEAD^:BENCHMARK.json)" \
+	'.workloads[].name | select(IN($p.workloads[].name))' BENCHMARK.json)
+for w in $workloads; do
+	for pair in 1 2 3 4 5; do
+		sides="parent head"
+		((pair % 2)) || sides="head parent"
+		for side in $sides; do
+			echo "bench.sh: $w pair $pair $side" >&2
+			dir=.
+			[[ $side == head ]] || dir=$parent
+			r=$(cd "$dir" && bash bench/run.sh -workload "$w" -seed 1 | tail -n 1) || true
+			jq -nc --arg w "$w" --arg s "$side" --arg r "$r" \
+				'{workload: $w, side: $s} + (($r | fromjson?) // {correct: false})' >>"$runs"
+		done
+	done
+done
+report=$(jq -nr --argjson e2e "$(jq .end_to_end BENCHMARK.json)" '
+	def med: select(length > 0) | sort | (length / 2 | floor) as $i
+		| if length % 2 == 1 then .[$i] else (.[$i - 1] + .[$i]) / 2 end;
+	def share: (map(.failed // 0) | add) / ([(map(.attempted // 0) | add), 1] | max);
+	def r3: . * 1000 | round / 1000;
+	"verdict\tworkload\tmetric\tparent\thead\tworse\tbound",
+	([inputs] | group_by(.workload)[] | .[0].workload as $w
+	| map(select(.side == "parent")) as $p | map(select(.side == "head")) as $h
+	| (map(select(.correct != true)) | length) as $bad
+	| (if $bad > 0 then "FAIL\t\($w)\t\($bad) runs not correct or without a result" else empty end),
+	  (if ($h | share) > ($p | share) then "FAIL\t\($w)\tfailed share: parent \($p | share), head \($h | share)" else empty end),
+	  ($e2e[] | . as $m
+	  | ($p | map(.metrics[$m.name].value // empty) | med) as $a
+	  | ($h | map(.metrics[$m.name].value // empty) | med) as $b
+	  | (if $m.better == "lower" then $b / $a - 1 else 1 - $b / $a end) as $worse
+	  | [if $worse > $m.bound then "FAIL" else "ok" end, $w, $m.name, ($a | r3), ($b | r3),
+	     "\($worse * 1000 | round / 10)%", "\($m.bound * 100 | round)%"] | @tsv))' "$runs")
+printf '%s\n' "$report"
+if grep -q '^FAIL' <<<"$report"; then exit 1; fi
