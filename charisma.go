@@ -189,10 +189,11 @@ func fromInternal(r mac.Result) Result {
 }
 
 // nonNegative rejects a negative option value: zero selects the option's
-// default, and a negative value has no meaning of its own.
+// default, and a negative value has no meaning of its own. It rejects NaN
+// too, which every comparison would otherwise pass over to the default.
 func nonNegative[T int | float64 | time.Duration](field string, v T) error {
-	if v < 0 {
-		return &core.ValidationError{Field: field, Reason: fmt.Sprintf("negative value %v (0 selects the default)", v)}
+	if v < 0 || v != v {
+		return &core.ValidationError{Field: field, Reason: fmt.Sprintf("value %v is negative or not a number (0 selects the default)", v)}
 	}
 	return nil
 }

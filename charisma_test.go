@@ -3,6 +3,7 @@ package charisma
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -105,6 +106,44 @@ func TestNegativeOptionsRejected(t *testing.T) {
 			set(&o)
 			_, err := RunMultiCell(o)
 			wantField(t, err, field)
+		})
+	}
+}
+
+// TestNonFiniteOptionsRejected: a NaN option fails as a typed error instead
+// of passing every comparison and running the default, and a mean SNR
+// whose linear value is +Inf or 0 (which used to hang the PHY build) fails
+// fast, within a deadline, naming the PHY block.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	for name, tc := range map[string]struct {
+		set   func(*Options)
+		field string
+	}{
+		"SpeedKmh NaN":      {func(o *Options) { o.SpeedKmh = math.NaN() }, "SpeedKmh"},
+		"SpeedKmh +Inf":     {func(o *Options) { o.SpeedKmh = math.Inf(1) }, "Channel"},
+		"TargetPrecision":   {func(o *Options) { o.TargetPrecision = math.NaN() }, "TargetPrecision"},
+		"MeanSNRdB NaN":     {func(o *Options) { o.MeanSNRdB = math.NaN() }, "PHY"},
+		"MeanSNRdB 1e308":   {func(o *Options) { o.MeanSNRdB = 1e308 }, "PHY"},
+		"MeanSNRdB -1e308":  {func(o *Options) { o.MeanSNRdB = -1e308 }, "PHY"},
+		"MeanSNRdB +Inf dB": {func(o *Options) { o.MeanSNRdB = math.Inf(1) }, "PHY"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := quickOpts(ProtocolCHARISMA)
+			tc.set(&o)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(o)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var ve *core.ValidationError
+				if !errors.As(err, &ve) || ve.Field != tc.field {
+					t.Fatalf("err = %v, want a *core.ValidationError for %s", err, tc.field)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("Run did not return within 20 s")
+			}
 		})
 	}
 }

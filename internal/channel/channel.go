@@ -76,8 +76,18 @@ func (p Params) CoherenceTime() float64 {
 	return k / fd
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every field must be finite.
 func (p Params) Validate() error {
+	if err := mathx.CheckFinite("channel",
+		mathx.Field{Name: "SpeedKmh", Value: p.SpeedKmh},
+		mathx.Field{Name: "DopplerHz", Value: p.DopplerHz},
+		mathx.Field{Name: "CoherenceScale", Value: p.CoherenceScale},
+		mathx.Field{Name: "ShadowMeanDB", Value: p.ShadowMeanDB},
+		mathx.Field{Name: "ShadowSigmaDB", Value: p.ShadowSigmaDB},
+		mathx.Field{Name: "ShadowCoherenceSec", Value: p.ShadowCoherenceSec},
+	); err != nil {
+		return err
+	}
 	if p.SpeedKmh < 0 {
 		return fmt.Errorf("channel: negative speed %v", p.SpeedKmh)
 	}

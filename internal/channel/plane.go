@@ -184,10 +184,18 @@ func (pl *plane) advanceUser(i int, dt sim.Time) {
 	pl.stepUser(i, rhoS, innovS, rhoL, innovL, c.p.ShadowMeanDB)
 }
 
+// catchUpChunk is how many deferred steps advanceUserSteps draws per bulk
+// fill: three Gaussians a step in a 1.5 KiB stack buffer.
+const catchUpChunk = 64
+
 // advanceUserSteps replays n equal deferred steps for one user — the MAC's
-// lazy-replay catch-up, batched: coefficients are resolved once, the
-// recurrence runs in registers, and no amplitude conversion is paid for
-// the n−1 intermediate states nobody can observe.
+// lazy-replay catch-up, batched: coefficients are resolved once, each
+// chunk's innovations come from one NormFloat64s fill in the scalar draw
+// order (re, im, shadow per step), the recurrence runs in registers, and
+// no amplitude conversion is paid for the n−1 intermediate states nobody
+// can observe. The innovation expressions are the scalar path's
+// ComplexGaussian (x·ComplexScale) and Normal(0, 1) (mu + sigma·x with
+// mu 0 and sigma 1), so every state is bit-identical to n stepUser calls.
 func (pl *plane) advanceUserSteps(i int, dt sim.Time, n int) {
 	if n <= 0 {
 		return
@@ -207,13 +215,20 @@ func (pl *plane) advanceUserSteps(i int, dt sim.Time, n int) {
 	s := pl.streams[i]
 	re, im, sh := pl.gRe[i], pl.gIm[i], pl.shadowDB[i]
 	var pre, pim, psh float64
-	for k := 0; k < n; k++ {
-		pre, pim, psh = re, im, sh
-		wRe, wIm := s.ComplexGaussian()
-		re = rhoS*re + innovS*wRe
-		im = rhoS*im + innovS*wIm
-		w := s.Normal(0, 1)
-		sh = mean + rhoL*(sh-mean) + innovL*w
+	var buf [3 * catchUpChunk]float64
+	for left := n; left > 0; {
+		m := min(left, catchUpChunk)
+		w := buf[:3*m]
+		s.NormFloat64s(w)
+		for k := 0; k < len(w); k += 3 {
+			pre, pim, psh = re, im, sh
+			wRe, wIm := w[k]*rng.ComplexScale, w[k+1]*rng.ComplexScale
+			re = rhoS*re + innovS*wRe
+			im = rhoS*im + innovS*wIm
+			ws := 0 + 1*w[k+2]
+			sh = mean + rhoL*(sh-mean) + innovL*ws
+		}
+		left -= m
 	}
 	pl.gRe[i], pl.gIm[i], pl.shadowDB[i] = re, im, sh
 	pl.prevGRe[i], pl.prevGIm[i], pl.prevShadowDB[i] = pre, pim, psh

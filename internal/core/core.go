@@ -24,6 +24,7 @@ import (
 	"charisma/internal/mac/dtdma"
 	"charisma/internal/mac/rama"
 	"charisma/internal/mac/rmav"
+	"charisma/internal/mathx"
 	"charisma/internal/obs"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
@@ -188,6 +189,12 @@ func (sc Scenario) Validate() error {
 	}
 	if !KnownProtocol(sc.Protocol) {
 		return &ValidationError{Field: "Protocol", Reason: fmt.Sprintf("unknown protocol %q", sc.Protocol)}
+	}
+	if f, bad := mathx.FirstNonFinite(
+		mathx.Field{Name: "WarmupSec", Value: sc.WarmupSec},
+		mathx.Field{Name: "DurationSec", Value: sc.DurationSec},
+	); bad {
+		return &ValidationError{Field: f.Name, Reason: fmt.Sprintf("%v, want a finite value", f.Value)}
 	}
 	if err := sc.Channel.Validate(); err != nil {
 		return &ValidationError{Field: "Channel", Reason: err.Error()}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,6 +122,61 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 		sparse := Scenario{Protocol: p, NumVoice: 10}
 		if err := sparse.WithDefaults().Validate(); err != nil {
 			t.Errorf("sparse %s scenario after WithDefaults: %v", p, err)
+		}
+	}
+}
+
+// floatPaths calls fn with the path and value of every float64 reachable
+// from v: struct fields, recursively, and slice elements.
+func floatPaths(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		fn(path, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			floatPaths(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			floatPaths(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float field of a valid scenario
+// — the channel, PHY and MAC blocks (CHARISMA weights included), the
+// windows and the per-station speeds, found by reflection so a new field
+// is covered too — to NaN, +Inf and -Inf in turn, and expects a typed
+// rejection each time. Every `< 0` check passes NaN, so without the
+// finiteness checks NaN ran and +Inf could hang a run.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	base := func() Scenario {
+		sc := DefaultScenario(ProtoCharisma).WithDefaults()
+		sc.NumVoice, sc.NumData = 2, 1
+		sc.SpeedsKmh = []float64{10, 50, 90}
+		return sc
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
+	}
+	var paths []string
+	floatPaths(reflect.ValueOf(base()), "Scenario", func(path string, _ reflect.Value) { paths = append(paths, path) })
+	if len(paths) < 25 {
+		t.Fatalf("found only %d float fields: %v", len(paths), paths)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, want := range paths {
+			sc := base()
+			floatPaths(reflect.ValueOf(&sc).Elem(), "Scenario", func(path string, f reflect.Value) {
+				if path == want {
+					f.SetFloat(bad)
+				}
+			})
+			err := sc.Validate()
+			var verr *ValidationError
+			if !errors.As(err, &verr) {
+				t.Errorf("%s = %v: err %v, want a *ValidationError", want, bad, err)
+			}
 		}
 	}
 }

@@ -50,25 +50,24 @@ type Protocol struct {
 	// avgEta tracks each station's EWMA realized throughput for the
 	// fairness extension (§6 / [22]); indexed by station ID.
 	avgEta []float64
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
-	// pool and stale are the per-frame candidate scratch, reused across
-	// frames so the gather/allocate cycle stops allocating once they
-	// reach their high-water marks.
-	pool  []candidate
-	stale []*candidate
-	// powV and powD memoize the eq. (2) urgency/patience powers λ^x. The
-	// exponents are frame-quantized deadline and waiting distances, so a
-	// few dozen distinct values dominate a run; the panel profiles show
-	// math.Pow as one of the largest leaf costs without the cache.
-	powV powCache
-	powD powCache
+	// pool and keys are the per-frame candidate and rank-key scratch,
+	// reused across frames and replications so the gather/allocate cycle
+	// stops allocating once they reach their high-water marks.
+	pool []candidate
+	keys []rankKey
+	// urgency and powD memoize the eq. (2) voice-urgency and data-patience
+	// powers λ^x; the panel profiles show math.Pow as one of the largest
+	// leaf costs without them.
+	urgency urgencyMemo
+	powD    powCache
 }
 
 // powCache memoizes math.Pow(lambda, x) keyed by the exact bits of x.
 // Pow is a pure function, so replaying a cached result is bit-identical
 // to recomputing it — safe under the golden byte-identity contract. The
 // table is direct-mapped: a collision just recomputes and overwrites.
+// Data waits are whole frames (requests are born at frame starts), so a
+// few dozen distinct exponents dominate a run and the table hits.
 type powCache struct {
 	lambda float64
 	keys   [256]uint64 // math.Float64bits(x)+1; 0 marks an empty line
@@ -93,6 +92,54 @@ func (c *powCache) pow(x float64) float64 {
 	v := math.Pow(c.lambda, x)
 	c.keys[h] = k
 	c.vals[h] = v
+	return v
+}
+
+// urgencyMemoMax bounds the urgency table: deadline distances from it on
+// (a voice lifetime above 0.2 s) are computed on every use, not stored.
+const urgencyMemoMax = 1 << 16
+
+// urgencyMemo memoizes the voice urgency λv^framesLeft by the integer
+// tick distance d to the oldest packet's deadline, clamped at 0.
+// framesLeft is float64(d)/fd and fd is fixed per run, so each distance
+// has one value, and math.Pow is pure, so a replayed entry is
+// bit-identical to recomputing it. Deadlines fall at arbitrary ticks, so
+// a float-keyed table misses at tick resolution; indexed by d, the table
+// spans the voice lifetime (6,400 ticks at the defaults) and hits once
+// each distance has been seen.
+type urgencyMemo struct {
+	lambda, fd float64
+	vals       []float64 // vals[d]; NaN until computed
+}
+
+// reset points the memo at a base and frame duration. Entries survive
+// when both are unchanged (replication reuse keeps the table warm).
+func (m *urgencyMemo) reset(lambda, fd float64) {
+	if m.lambda != lambda || m.fd != fd {
+		m.lambda, m.fd = lambda, fd
+		m.vals = m.vals[:0]
+	}
+}
+
+// at returns λv^(d/fd) for d clamped at 0.
+func (m *urgencyMemo) at(d sim.Time) float64 {
+	if d < 0 {
+		d = 0
+	}
+	if d >= urgencyMemoMax {
+		return math.Pow(m.lambda, float64(d)/m.fd)
+	}
+	if old, n := len(m.vals), int(d)+1; n > old {
+		m.vals = slices.Grow(m.vals, n-old)[:n]
+		for i := old; i < n; i++ {
+			m.vals[i] = math.NaN()
+		}
+	}
+	v := m.vals[d]
+	if v != v {
+		v = math.Pow(m.lambda, float64(d)/m.fd)
+		m.vals[d] = v
+	}
 	return v
 }
 
@@ -131,7 +178,7 @@ func (p *Protocol) Init(s *mac.System) {
 	for i := range p.avgEta {
 		p.avgEta[i] = 1 // neutral prior: the fixed-rate baseline
 	}
-	p.powV.reset(s.Cfg.Charisma.LambdaV)
+	p.urgency.reset(s.Cfg.Charisma.LambdaV, float64(s.FrameDuration()))
 	p.powD.reset(s.Cfg.Charisma.LambdaD)
 }
 
@@ -166,14 +213,41 @@ func (p *Protocol) observeEta(s *mac.System, id int, eta float64) {
 type candidate struct {
 	r        *mac.Request
 	reserved bool // BS-generated reservation request (not queueable)
+	ranked   bool // prio, mode and outage are current for r.Est
 	prio     float64
 	mode     phy.Mode
 	outage   bool
 }
 
+// rankKey is a candidate's sort key: its priority, the station ID that
+// breaks ties, and its index in the pool. Sorting the 16-byte keys moves
+// a fraction of the bytes sorting the candidates themselves would.
+type rankKey struct {
+	prio float64
+	id   int32
+	idx  int32
+}
+
+// keyOf builds pool[i]'s rank key.
+func keyOf(pool []candidate, i int) rankKey {
+	return rankKey{prio: pool[i].prio, id: int32(pool[i].r.St.ID), idx: int32(i)}
+}
+
+// byRank orders keys by priority descending, then station ID ascending.
+// Both sorts use it through slices.SortStableFunc: the same comparator
+// and the same stable algorithm over the same key sequence give the same
+// permutation, even where a NaN priority makes two keys compare equal.
+func byRank(a, b rankKey) int {
+	if a.prio != b.prio {
+		return cmp.Compare(b.prio, a.prio)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // priority computes eq. (2) for a request given the effective (staleness-
-// discounted) CSI amplitude.
+// discounted) CSI amplitude, and marks the candidate ranked.
 func (p *Protocol) priority(s *mac.System, c *candidate) {
+	c.ranked = true
 	cp := s.Cfg.Charisma
 	amp := s.EffectiveAmp(c.r.Est)
 	c.mode = s.PHY.ModeForAmplitude(amp)
@@ -187,14 +261,13 @@ func (p *Protocol) priority(s *mac.System, c *candidate) {
 	f /= p.fairnessWeight(s, c.r.St.ID)
 	fd := float64(s.FrameDuration())
 	if c.r.Kind == mac.KindVoice {
-		framesLeft := 0.0
+		// λv^framesLeft, framesLeft = max(0, deadline−now)/fd (0 with no
+		// packet buffered).
+		var left sim.Time
 		if pkt, ok := c.r.St.Voice().Oldest(); ok {
-			framesLeft = float64(pkt.Deadline-s.Now()) / fd
-			if framesLeft < 0 {
-				framesLeft = 0
-			}
+			left = pkt.Deadline - s.Now()
 		}
-		urgency := p.powV.pow(framesLeft)
+		urgency := p.urgency.at(left)
 		c.prio = cp.Alpha*f + cp.BetaV*urgency + cp.VoiceOffset
 		return
 	}
@@ -257,7 +330,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	// Request phase: Nr contention minislots gather new requests —
 	// without announcing any allocation yet.
 	for ms := 0; ms < g.CharismaRequestSlots; ms++ {
-		w := s.Contend(p.contenders(s, frame))
+		w := s.ContendStamped(p.ackedAt, frame)
 		if w == nil {
 			continue
 		}
@@ -267,22 +340,24 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// --- Allocation phase ---
 
+	// Rank each candidate once: the stale ones pollCSI ranked and did not
+	// refresh keep their priority, since nothing they depend on (their
+	// estimate, buffer, average throughput, the clock) has changed —
+	// contention only measures new winners, and the ackedAt stamps keep
+	// those out of the gathered pool.
+	keys := p.keys[:0]
 	for i := range pool {
-		p.priority(s, &pool[i])
-	}
-	// (prio desc, ID asc) is a strict total order over distinct stations,
-	// so the stable sort's result is unique — identical to the
-	// sort.SliceStable it replaces, minus its reflection allocations.
-	slices.SortStableFunc(pool, func(a, b candidate) int {
-		if a.prio != b.prio {
-			return cmp.Compare(b.prio, a.prio)
+		if !pool[i].ranked {
+			p.priority(s, &pool[i])
 		}
-		return cmp.Compare(a.r.St.ID, b.r.St.ID)
-	})
+		keys = append(keys, keyOf(pool, i))
+	}
+	slices.SortStableFunc(keys, byRank)
+	p.keys = keys
 
 	overhead := g.CharismaGrantOverheadSymbols
-	for i := range pool {
-		c := &pool[i]
+	for _, k := range keys {
+		c := &pool[k.idx]
 		st := c.r.St
 		var want int
 		if c.r.Kind == mac.KindVoice {
@@ -340,8 +415,8 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	// Unserved contention-borne requests survive in the BS queue when it
 	// is enabled; without the queue they are lost and the stations must
 	// contend again. Reservation requests regenerate from BS state.
-	for i := range pool {
-		c := &pool[i]
+	for _, k := range keys {
+		c := &pool[k.idx]
 		if c.r == nil {
 			continue
 		}
@@ -355,41 +430,32 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 }
 
 // pollCSI spends the Nb pilot slots refreshing the highest-priority stale
-// estimates among the backlog candidates. The stale scratch holds
-// pointers into pool's backing array; they are only live within this
-// call, before any append or sort moves the candidates.
+// estimates among the backlog candidates. Each stale candidate is ranked
+// here once; a refreshed one is marked for re-ranking on its fresh
+// estimate, and the rest keep their rank for the allocation phase.
 func (p *Protocol) pollCSI(s *mac.System, pool []candidate) {
-	stale := p.stale[:0]
+	keys := p.keys[:0]
 	for i := range pool {
 		if s.EstimateStale(pool[i].r.Est) {
 			p.priority(s, &pool[i])
-			stale = append(stale, &pool[i])
+			keys = append(keys, keyOf(pool, i))
 		}
 	}
-	p.stale = stale
-	if len(stale) == 0 {
+	p.keys = keys
+	if len(keys) == 0 {
 		return
 	}
-	slices.SortStableFunc(stale, func(a, b *candidate) int {
-		if a.prio != b.prio {
-			return cmp.Compare(b.prio, a.prio)
-		}
-		return cmp.Compare(a.r.St.ID, b.r.St.ID)
-	})
+	slices.SortStableFunc(keys, byRank)
 	n := s.Cfg.Geometry.CharismaPilotSlots
-	if n > len(stale) {
-		n = len(stale)
+	if n > len(keys) {
+		n = len(keys)
 	}
 	for i := 0; i < n; i++ {
-		c := stale[i]
+		c := &pool[keys[i].idx]
 		c.r.Est = s.RefreshEstimate(c.r.St)
+		c.ranked = false
 		if c.r.Kind == mac.KindVoice && c.r.St.Reserved() {
 			p.resEst[c.r.St.ID] = c.r.Est
 		}
 	}
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.ackedAt, frame)
-	return p.cands
 }

@@ -31,8 +31,6 @@ type Protocol struct {
 	// also why an additional explicit request queue barely helps DRMA
 	// (§5.1: the protocol has an inherent queueing property).
 	pending []*mac.Request
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
 }
 
 // New returns a DRMA instance.
@@ -115,8 +113,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		// slot itself is consumed by the contention process; winners
 		// are granted *later* slots of this frame (or queued).
 		for x := 0; x < g.DRMAMinislotsPerSlot; x++ {
-			cands := p.contenders(s, frame)
-			w := s.Contend(cands)
+			w := s.ContendStamped(p.servedAt, frame)
 			if w == nil {
 				continue
 			}
@@ -133,9 +130,4 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	}
 	p.pending = grants[:copy(grants, grants[gi:])]
 	return g.Duration()
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.servedAt, frame)
-	return p.cands
 }

@@ -33,8 +33,6 @@ type Protocol struct {
 	// servedAt stamps, per station ID, the frame in which the station was
 	// acknowledged (frame-stamped so no per-frame clearing pass is needed).
 	servedAt []int64
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
 }
 
 // New returns the fixed-rate variant (D-TDMA/FR).
@@ -149,8 +147,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// Phase 3: request contention with immediate FCFS assignment.
 	for ms := 0; ms < g.DTDMARequestSlots; ms++ {
-		cands := p.contenders(s, frame)
-		w := s.Contend(cands)
+		w := s.ContendStamped(p.servedAt, frame)
 		if w == nil {
 			continue
 		}
@@ -176,9 +173,4 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		}
 	}
 	return g.Duration()
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.servedAt, frame)
-	return p.cands
 }

@@ -7,6 +7,7 @@ import (
 
 	"charisma/internal/channel"
 	"charisma/internal/frame"
+	"charisma/internal/mathx"
 	"charisma/internal/obs"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
@@ -221,9 +222,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field, the CHARISMA
+// block's included, must be finite.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
+		return err
+	}
+	cp := c.Charisma
+	if err := mathx.CheckFinite("mac",
+		mathx.Field{Name: "PermVoice", Value: c.PermVoice},
+		mathx.Field{Name: "PermData", Value: c.PermData},
+		mathx.Field{Name: "CSIEstNoiseStd", Value: c.CSIEstNoiseStd},
+		mathx.Field{Name: "StaleDecayPerFrame", Value: c.StaleDecayPerFrame},
+		mathx.Field{Name: "Charisma.Alpha", Value: cp.Alpha},
+		mathx.Field{Name: "Charisma.BetaV", Value: cp.BetaV},
+		mathx.Field{Name: "Charisma.BetaD", Value: cp.BetaD},
+		mathx.Field{Name: "Charisma.VoiceOffset", Value: cp.VoiceOffset},
+		mathx.Field{Name: "Charisma.LambdaV", Value: cp.LambdaV},
+		mathx.Field{Name: "Charisma.LambdaD", Value: cp.LambdaD},
+		mathx.Field{Name: "Charisma.FairnessExponent", Value: cp.FairnessExponent},
+		mathx.Field{Name: "Charisma.FairnessMemory", Value: cp.FairnessMemory},
+	); err != nil {
 		return err
 	}
 	if c.PermVoice <= 0 || c.PermVoice > 1 {
@@ -681,6 +700,35 @@ func (s *System) Contend(cands []*Station) *Station {
 			winner = st
 		}
 	}
+	return s.settleMinislot(winner, transmitted)
+}
+
+// ContendStamped is Contend over the current contention candidates
+// (ForEachCandidate's list, refreshed and counted the same way) minus
+// every station whose stampedAt[ID] equals frame — the per-minislot shape
+// of the request-slot loops, where a protocol stamps a station's ID with
+// the frame once its request is acknowledged. It walks the epoch-cached
+// list in place, so a minislot copies no per-slot list; the draws, their
+// order and the outcome equal Contend over the filtered copy, because
+// nothing in the walk changes a stamp or a candidacy.
+func (s *System) ContendStamped(stampedAt []int64, frame int64) *Station {
+	var winner *Station
+	transmitted := 0
+	for _, st := range s.candidates() {
+		if stampedAt[st.ID] == frame {
+			continue
+		}
+		if s.Rand.Bernoulli(s.PermissionProb(st)) {
+			transmitted++
+			winner = st
+		}
+	}
+	return s.settleMinislot(winner, transmitted)
+}
+
+// settleMinislot records a minislot's request attempts and its collision
+// or success, and returns the winner of a single-transmission slot.
+func (s *System) settleMinislot(winner *Station, transmitted int) *Station {
 	if transmitted == 0 {
 		return nil
 	}

@@ -390,6 +390,16 @@ func (s *System) appendIn(dst []*Station, mask bucketMask) []*Station {
 // station flows through Reindex, which bumps the epoch exactly when a
 // membership flip outdates the cache.
 func (s *System) ForEachCandidate(fn func(*Station)) {
+	for _, st := range s.candidates() {
+		fn(st)
+	}
+}
+
+// candidates returns the epoch-cached contention-candidate list in
+// station-ID order, rebuilding it when a candidacy flip has outdated it
+// (a CandMisses count) and replaying it otherwise (a CandHits count). The
+// slice is the registry's scratch: valid until the next state change.
+func (s *System) candidates() []*Station {
 	r := &s.reg
 	if r.candEpoch != r.epoch {
 		s.ctr.CandMisses++
@@ -406,23 +416,7 @@ func (s *System) ForEachCandidate(fn func(*Station)) {
 	} else {
 		s.ctr.CandHits++
 	}
-	for _, st := range r.candScratch {
-		fn(st)
-	}
-}
-
-// AppendContenders appends to dst, in station-ID order, every contention
-// candidate whose stampedAt entry differs from frame — the shared shape of
-// the per-minislot scans: protocols stamp a station's ID with the current
-// frame when its request is acknowledged, and pass a reusable scratch as
-// dst so steady-state frames do not allocate.
-func (s *System) AppendContenders(dst []*Station, stampedAt []int64, frame int64) []*Station {
-	s.ForEachCandidate(func(st *Station) {
-		if stampedAt[st.ID] != frame {
-			dst = append(dst, st)
-		}
-	})
-	return dst
+	return r.candScratch
 }
 
 // ForEachReserved visits, in station-ID order, every station holding an

@@ -25,6 +25,7 @@ import (
 	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/mac"
+	"charisma/internal/mathx"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
 	"charisma/internal/run"
@@ -114,34 +115,47 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every rejection is a
+// *core.ValidationError naming the offending field; substrate rejections
+// (Channel/PHY/MAC) are wrapped with the owning field name, as in
+// core.Scenario.Validate.
 func (p Params) Validate() error {
+	invalid := func(field, reason string, args ...any) error {
+		return &core.ValidationError{Field: field, Reason: fmt.Sprintf(reason, args...)}
+	}
 	if p.Cells < 2 {
-		return fmt.Errorf("multicell: need at least 2 cells, got %d", p.Cells)
+		return invalid("Cells", "need at least 2 cells, got %d", p.Cells)
 	}
 	if p.Protocol == core.ProtoRMAV {
-		return fmt.Errorf("multicell: RMAV's variable frames cannot be cell-synchronized")
+		return invalid("Protocol", "RMAV's variable frames cannot be cell-synchronized")
 	}
 	if _, err := core.NewProtocol(p.Protocol); err != nil {
-		return err
+		return invalid("Protocol", "%v", err)
 	}
 	if p.NumVoice+p.NumData == 0 {
-		return fmt.Errorf("multicell: no users")
+		return invalid("NumVoice+NumData", "no users")
 	}
 	if p.DecisionPeriodFrames < 1 {
-		return fmt.Errorf("multicell: decision period %d frames", p.DecisionPeriodFrames)
+		return invalid("DecisionPeriodFrames", "decision period %d frames", p.DecisionPeriodFrames)
+	}
+	if f, bad := mathx.FirstNonFinite(
+		mathx.Field{Name: "HysteresisDB", Value: p.HysteresisDB},
+		mathx.Field{Name: "WarmupSec", Value: p.WarmupSec},
+		mathx.Field{Name: "DurationSec", Value: p.DurationSec},
+	); bad {
+		return invalid(f.Name, "%v, want a finite value", f.Value)
 	}
 	if p.HysteresisDB < 0 {
-		return fmt.Errorf("multicell: negative hysteresis")
+		return invalid("HysteresisDB", "negative hysteresis %v", p.HysteresisDB)
 	}
 	if err := p.Channel.Validate(); err != nil {
-		return err
+		return invalid("Channel", "%v", err)
 	}
 	if err := p.PHY.Validate(); err != nil {
-		return err
+		return invalid("PHY", "%v", err)
 	}
 	if err := p.MAC.Validate(); err != nil {
-		return err
+		return invalid("MAC", "%v", err)
 	}
 	return nil
 }

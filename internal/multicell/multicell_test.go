@@ -2,7 +2,10 @@ package multicell
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -24,26 +27,71 @@ func TestDefaultParamsValid(t *testing.T) {
 	}
 }
 
+// TestValidation: every rejection is a *core.ValidationError naming the
+// offending field, substrate blocks included, and a NaN or ±Inf in any
+// float field (found by reflection, so new fields are covered) is
+// rejected rather than run.
 func TestValidation(t *testing.T) {
+	for field, mutate := range map[string]func(*Params){
+		"Cells":                func(p *Params) { p.Cells = 1 },
+		"Protocol":             func(p *Params) { p.Protocol = core.ProtoRMAV },
+		"NumVoice+NumData":     func(p *Params) { p.NumVoice, p.NumData = 0, 0 },
+		"DecisionPeriodFrames": func(p *Params) { p.DecisionPeriodFrames = 0 },
+		"HysteresisDB":         func(p *Params) { p.HysteresisDB = -1 },
+		"Channel":              func(p *Params) { p.Channel.ShadowCoherenceSec = 0 },
+		"PHY":                  func(p *Params) { p.PHY.CSIMargin = 2 },
+		"MAC":                  func(p *Params) { p.MAC.PermVoice = 0 },
+	} {
+		p := DefaultParams()
+		mutate(&p)
+		var ve *core.ValidationError
+		if err := p.Validate(); !errors.As(err, &ve) || ve.Field != field {
+			t.Errorf("%s: err %v, want a *core.ValidationError for the field", field, err)
+		}
+	}
 	p := DefaultParams()
-	p.Cells = 1
-	if p.Validate() == nil {
-		t.Fatal("single cell accepted")
+	p.Protocol = "aloha"
+	var ve *core.ValidationError
+	if err := p.Validate(); !errors.As(err, &ve) || ve.Field != "Protocol" {
+		t.Errorf("unknown protocol: err %v, want a *core.ValidationError for Protocol", err)
 	}
-	p = DefaultParams()
-	p.Protocol = core.ProtoRMAV
-	if p.Validate() == nil {
-		t.Fatal("variable-frame protocol accepted")
+
+	n := 0
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var paths []string
+		collectFloats(reflect.ValueOf(DefaultParams()), "", func(path string, _ reflect.Value) { paths = append(paths, path) })
+		for _, want := range paths {
+			p := DefaultParams()
+			collectFloats(reflect.ValueOf(&p).Elem(), "", func(path string, f reflect.Value) {
+				if path == want {
+					f.SetFloat(bad)
+				}
+			})
+			if err := p.Validate(); !errors.As(err, &ve) {
+				t.Errorf("%s = %v: err %v, want a *core.ValidationError", want, bad, err)
+			}
+			n++
+		}
 	}
-	p = DefaultParams()
-	p.NumVoice, p.NumData = 0, 0
-	if p.Validate() == nil {
-		t.Fatal("empty deployment accepted")
+	if n < 3*25 {
+		t.Fatalf("checked only %d non-finite cases", n)
 	}
-	p = DefaultParams()
-	p.DecisionPeriodFrames = 0
-	if p.Validate() == nil {
-		t.Fatal("zero decision period accepted")
+}
+
+// collectFloats calls fn with the path and value of every float64
+// reachable from v: struct fields, recursively, and slice elements.
+func collectFloats(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		fn(path, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			collectFloats(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			collectFloats(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
+		}
 	}
 }
 

@@ -111,8 +111,32 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every field must be finite, and
+// the mean SNR must have a positive, finite linear value: DBToLinear
+// returns +Inf above about 3,083 dB and 0 below about −3,236 dB, where no
+// mode threshold has a meaningful amplitude cutoff.
 func (p Params) Validate() error {
+	if err := mathx.CheckFinite("phy",
+		mathx.Field{Name: "MeanSNRdB", Value: p.MeanSNRdB},
+		mathx.Field{Name: "TargetBER", Value: p.TargetBER},
+		mathx.Field{Name: "FixedThresholdDB", Value: p.FixedThresholdDB},
+		mathx.Field{Name: "CSIMargin", Value: p.CSIMargin},
+	); err != nil {
+		return err
+	}
+	for i := range p.Etas {
+		if math.IsNaN(p.Etas[i]) || math.IsInf(p.Etas[i], 0) {
+			return fmt.Errorf("phy: Etas[%d] is %v, want a finite value", i, p.Etas[i])
+		}
+	}
+	for i := range p.ThresholdsDB {
+		if math.IsNaN(p.ThresholdsDB[i]) || math.IsInf(p.ThresholdsDB[i], 0) {
+			return fmt.Errorf("phy: ThresholdsDB[%d] is %v, want a finite value", i, p.ThresholdsDB[i])
+		}
+	}
+	if lin := mathx.DBToLinear(p.MeanSNRdB); lin == 0 || math.IsInf(lin, 1) {
+		return fmt.Errorf("phy: mean SNR %v dB is %v in linear scale, want a positive finite ratio", p.MeanSNRdB, lin)
+	}
 	if len(p.Etas) == 0 {
 		return fmt.Errorf("phy: no modes configured")
 	}
@@ -194,27 +218,41 @@ func packetErrorProb(m Mode, actualAmp, meanSNR float64) float64 {
 }
 
 // ampCutoff returns the smallest float64 amplitude at which pred holds,
-// given that pred is monotone non-decreasing in the amplitude. It seeds the
-// search with the algebraic solution and then walks ulp-by-ulp to the exact
-// boundary, so a lookup against the returned cutoff reproduces the original
-// compare-in-SNR-space predicate for every representable amplitude — the
-// property that keeps the precomputed-threshold mode lookup byte-identical
-// to the scan it replaces.
+// given that pred is monotone non-decreasing in the amplitude, so a lookup
+// against the returned cutoff reproduces the original compare-in-SNR-space
+// predicate for every representable amplitude — the property that keeps
+// the precomputed-threshold mode lookup byte-identical to the scan it
+// replaces. Non-negative float64 values order like their bit patterns, so
+// it bisects over the patterns: the algebraic solution seed brackets the
+// boundary from one side, 0 or +Inf from the other, and at most 63
+// bisection probes (66 in all) find the exact cutoff whatever the
+// parameters. It returns 0 when pred(0) holds and +Inf when pred holds
+// nowhere.
 func ampCutoff(seed float64, pred func(amp float64) bool) float64 {
-	a := seed
-	if pred(a) {
-		for {
-			b := math.Nextafter(a, 0)
-			if !pred(b) {
-				return a
-			}
-			a = b
+	if pred(0) {
+		return 0
+	}
+	inf := math.Inf(1)
+	if !pred(inf) {
+		return inf
+	}
+	lo, hi := uint64(0), math.Float64bits(inf) // !pred(lo), pred(hi)
+	if seed > 0 && seed < inf {
+		if pred(seed) {
+			hi = math.Float64bits(seed)
+		} else {
+			lo = math.Float64bits(seed)
 		}
 	}
-	for !pred(a) {
-		a = math.Nextafter(a, math.Inf(1))
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if pred(math.Float64frombits(mid)) {
+			hi = mid
+		} else {
+			lo = mid
+		}
 	}
-	return a
+	return math.Float64frombits(hi)
 }
 
 // Adaptive is the variable-throughput channel-adaptive ABICM modem.

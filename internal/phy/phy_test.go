@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,3 +306,112 @@ func TestNewAdaptivePanicsOnInvalid(t *testing.T) {
 }
 
 var _ = []PHY{(*Adaptive)(nil), (*Fixed)(nil)} // interface conformance
+
+// walkCutoff is the ulp-by-ulp search ampCutoff replaced, kept as its
+// reference: from the seed it steps down while pred still holds, or up
+// until it first holds. It never ends when pred(0) holds or pred holds
+// nowhere, so the cases below stay away from both.
+func walkCutoff(seed float64, pred func(amp float64) bool) float64 {
+	a := seed
+	if pred(a) {
+		for {
+			b := math.Nextafter(a, 0)
+			if !pred(b) {
+				return a
+			}
+			a = b
+		}
+	}
+	for !pred(a) {
+		a = math.Nextafter(a, math.Inf(1))
+	}
+	return a
+}
+
+// TestAmpCutoffMatchesWalk: the bisection finds exactly the cutoff the
+// ulp walk found, for the default adaptive and fixed mode tables over a
+// grid of finite mean SNRs and CSI margins, seeded with the algebraic
+// solution (what the modems pass) and with seeds a few ulps off either
+// side of it.
+func TestAmpCutoffMatchesWalk(t *testing.T) {
+	p := DefaultParams()
+	thresholds := append(append([]float64(nil), p.ThresholdsDB...), p.FixedThresholdDB)
+	for _, snrDB := range []float64{-60, -25, -12, -3, 0, 4.5, 12, 19, 33, 60, 150, 300} {
+		mean := mathx.DBToLinear(snrDB)
+		for _, margin := range []float64{0.25, 0.5, 0.8, 0.9, 0.97, 1} {
+			for _, thDB := range thresholds {
+				th := mathx.DBToLinear(thDB)
+				pred := func(amp float64) bool {
+					eff := amp * margin
+					return eff*eff*mean >= th
+				}
+				seed := math.Sqrt(th/mean) / margin
+				for _, s := range []float64{seed, math.Nextafter(seed, 0), math.Nextafter(math.Nextafter(seed, 2*seed), 2*seed), seed * (1 + 1e-12), seed * (1 - 1e-12)} {
+					if got, want := ampCutoff(s, pred), walkCutoff(s, pred); got != want {
+						t.Fatalf("SNR %v dB, margin %v, threshold %v dB, seed %v: bisection %v, walk %v", snrDB, margin, thDB, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAmpCutoffEdges: the cases the walk could not finish end at once.
+// A +Inf mean SNR (what 1e308 dB converts to) still has an exact cutoff,
+// the first amplitude whose squared margin product does not underflow to
+// 0; a predicate holding at 0 gives 0, and one holding nowhere gives +Inf.
+func TestAmpCutoffEdges(t *testing.T) {
+	inf := math.Inf(1)
+	pred := func(amp float64) bool {
+		eff := amp * 0.9
+		return eff*eff*inf >= 1
+	}
+	c := ampCutoff(0, pred)
+	if !pred(c) || pred(math.Nextafter(c, 0)) || c == 0 || c == inf {
+		t.Fatalf("cutoff %v under a +Inf mean SNR is not the boundary", c)
+	}
+	if got := ampCutoff(1, func(float64) bool { return true }); got != 0 {
+		t.Fatalf("always-true predicate: cutoff %v, want 0", got)
+	}
+	if got := ampCutoff(1, func(float64) bool { return false }); got != inf {
+		t.Fatalf("never-true predicate: cutoff %v, want +Inf", got)
+	}
+}
+
+// TestParamsRejectNonFinite: every float field rejects NaN and ±Inf, and
+// a finite mean SNR whose linear ratio overflows to +Inf or underflows to
+// 0 is rejected too, before any modem tries to place its cutoffs.
+func TestParamsRejectNonFinite(t *testing.T) {
+	fields := map[string]func(*Params, float64){
+		"MeanSNRdB":        func(p *Params, v float64) { p.MeanSNRdB = v },
+		"TargetBER":        func(p *Params, v float64) { p.TargetBER = v },
+		"FixedThresholdDB": func(p *Params, v float64) { p.FixedThresholdDB = v },
+		"CSIMargin":        func(p *Params, v float64) { p.CSIMargin = v },
+		"Etas[5]":          func(p *Params, v float64) { p.Etas[5] = v },
+		"ThresholdsDB[0]":  func(p *Params, v float64) { p.ThresholdsDB[0] = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			set(&p, v)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: err %v, want a rejection naming the field", name, v, err)
+			}
+		}
+	}
+	for _, db := range []float64{1e308, 3100, -3300, -1e308} {
+		p := DefaultParams()
+		p.MeanSNRdB = db
+		if err := p.Validate(); err == nil {
+			t.Errorf("MeanSNRdB %v (linear %v) accepted", db, mathx.DBToLinear(db))
+		}
+	}
+	for _, db := range []float64{-300, -40, 0, 12, 300, 3000} {
+		p := DefaultParams()
+		p.MeanSNRdB = db
+		if err := p.Validate(); err != nil {
+			t.Errorf("finite MeanSNRdB %v rejected: %v", db, err)
+		}
+	}
+}

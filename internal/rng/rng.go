@@ -11,14 +11,22 @@
 //     in the figures come from protocol behaviour, not sampling noise —
 //     mirroring the paper's "common simulation platform".
 //
-// A Stream is a math/rand Rand over the package's own source (source.go):
-// math/rand's additive lagged-Fibonacci generator, emitting exactly the
-// draws rand.NewSource would for the same seed, but seeded by jump-ahead
-// instead of a serial chain. Seeding is a large per-station setup cost of
-// a short replication (a birth probe, a fading view and a traffic source
-// per station; see DESIGN.md "Seeding cost"). The distribution code —
-// ziggurat NormFloat64/ExpFloat64, Intn, Perm — stays math/rand's own, so
-// only the seeding arithmetic is owned here.
+// A Stream draws from the package's own source (source.go): math/rand's
+// additive lagged-Fibonacci generator, emitting exactly the words
+// rand.NewSource would for the same seed, but seeded by jump-ahead instead
+// of a serial chain. Seeding is a large per-station setup cost of a short
+// replication (a birth probe, a fading view and a traffic source per
+// station; see DESIGN.md "Seeding cost").
+//
+// The per-frame draws — Float64, Bernoulli, Normal, ComplexGaussian and the
+// bulk NormFloat64s the fading catch-up uses — run math/rand's own
+// arithmetic (the Float64 division and resample, the 128-strip ziggurat and
+// its tables, normal.go) directly on that concrete source, so they skip the
+// rand.Source interface call per word. Exp, IntN and Perm stay on an
+// embedded rand.Rand over the same source; it holds no draw state of its
+// own, so both paths consume one sequence, and every value equals what
+// rand.New(rand.NewSource(seed)) returns for the same calls (pinned by
+// FuzzStreamMatchesMathRand and TestStreamMatchesMathRand).
 package rng
 
 import (
@@ -31,6 +39,8 @@ import (
 // models need. The Rand and its source's 607-word register live inline, so
 // a stream is one allocation. Use it by pointer: the Rand points at the
 // register, so a copied Stream would still draw from the original's.
+// Every method draws what the same call on rand.New(rand.NewSource(seed))
+// would, whichever of the two paths (concrete source or Rand) serves it.
 type Stream struct {
 	r   rand.Rand
 	src source
@@ -110,7 +120,8 @@ func SeedForIndexed(base int64, label string, idx ...int) int64 {
 // station of a 10⁶-user cell, the per-station streams of a warm
 // replication arena) use it instead of a fresh stream;
 // Reseed(s) followed by any draw sequence matches New(s) exactly (pinned
-// by TestReseedMatchesNew).
+// by TestReseedMatchesNew). It runs math/rand's Rand.Seed, which also
+// clears the Rand's Read position (no method here uses it).
 func (s *Stream) Reseed(seed int64) { s.r.Seed(seed) }
 
 // Derive returns a new stream seeded from this stream's identity plus the
@@ -125,17 +136,26 @@ func DeriveIndexed(base int64, label string, idx ...int) *Stream {
 	return New(SeedForIndexed(base, label, idx...))
 }
 
-// Float64 returns a uniform sample in [0,1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+// Float64 returns a uniform sample in [0,1): math/rand's
+// float64(Int63())/(1<<63), drawn again in the 2⁻⁵³ case that rounds to 1.
+func (s *Stream) Float64() float64 {
+	for {
+		if f := float64(s.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Int63 returns a uniform sample in [0, 1<<63). Scenario generation uses
 // it to draw child scenario seeds.
-func (s *Stream) Int63() int64 { return s.r.Int63() }
+func (s *Stream) Int63() int64 { return s.src.Int63() }
 
-// IntN returns a uniform sample in [0,n). n must be positive.
+// IntN returns a uniform sample in [0,n). n must be positive. It runs on
+// the embedded rand.Rand (math/rand's Intn).
 func (s *Stream) IntN(n int) int { return s.r.Intn(n) }
 
-// Bernoulli returns true with probability p.
+// Bernoulli returns true with probability p: Float64() < p. A p ≤ 0 or
+// p ≥ 1 decides without consuming a draw.
 func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
@@ -143,10 +163,11 @@ func (s *Stream) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.r.Float64() < p
+	return s.Float64() < p
 }
 
-// Exp returns an exponentially distributed sample with the given mean.
+// Exp returns an exponentially distributed sample with the given mean. It
+// runs on the embedded rand.Rand (math/rand's ExpFloat64).
 func (s *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -154,18 +175,24 @@ func (s *Stream) Exp(mean float64) float64 {
 	return s.r.ExpFloat64() * mean
 }
 
-// Normal returns a Gaussian sample with mean mu and standard deviation sigma.
+// Normal returns a Gaussian sample with mean mu and standard deviation
+// sigma: mu + sigma·x for one standard Gaussian draw x.
 func (s *Stream) Normal(mu, sigma float64) float64 {
-	return mu + sigma*s.r.NormFloat64()
+	return mu + sigma*s.normFloat64()
 }
 
+// ComplexScale is 1/√2, the factor that gives each ComplexGaussian
+// component variance 1/2; callers building complex samples from a
+// NormFloat64s fill multiply by it.
+const ComplexScale = 1 / math.Sqrt2
+
 // ComplexGaussian returns a circularly symmetric complex Gaussian sample
-// with E[|g|^2] = 1 (each component has variance 1/2). The magnitude of the
-// sample is Rayleigh distributed with E[c^2] = 1, matching the paper's
-// normalization of the short-term fading component.
+// with E[|g|^2] = 1 (each component has variance 1/2): two consecutive
+// standard Gaussian draws, re before im, each times ComplexScale. The
+// magnitude of the sample is Rayleigh distributed with E[c^2] = 1,
+// matching the paper's normalization of the short-term fading component.
 func (s *Stream) ComplexGaussian() (re, im float64) {
-	const invSqrt2 = 1 / math.Sqrt2
-	return s.r.NormFloat64() * invSqrt2, s.r.NormFloat64() * invSqrt2
+	return s.normFloat64() * ComplexScale, s.normFloat64() * ComplexScale
 }
 
 // Rayleigh returns a Rayleigh-distributed amplitude with E[c^2] = 1.
@@ -186,5 +213,6 @@ func (s *Stream) ExpPositiveInt(mean float64) int {
 	return v
 }
 
-// Perm returns a random permutation of [0,n).
+// Perm returns a random permutation of [0,n). It runs on the embedded
+// rand.Rand (math/rand's Perm).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
