@@ -415,30 +415,22 @@ func BenchmarkFadingAdvance(b *testing.B) {
 	benchSinkF = f.Amplitude()
 }
 
-func BenchmarkChannelBankFrame(b *testing.B) {
-	bank := channel.NewBank(100, channel.DefaultParams(), 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.Advance(800)
-	}
-	for u := 0; u < bank.Size(); u++ {
-		benchSinkF += bank.User(u).Amplitude()
-	}
-}
-
-// BenchmarkChannelBankQuery measures the per-query amplitude cost the MAC
+// BenchmarkChannelSlabQuery measures the per-query amplitude cost the MAC
 // schedulers pay between advances — memoized per step on the plane, where
 // the scalar implementation re-paid a dB→linear exp plus a Hypot per call.
-func BenchmarkChannelBankQuery(b *testing.B) {
-	bank := channel.NewBank(100, channel.DefaultParams(), 1)
-	bank.Advance(800)
+func BenchmarkChannelSlabQuery(b *testing.B) {
+	slab := channel.NewSlab()
+	users := make([]*channel.Fading, 100)
+	for u := range users {
+		users[u] = slab.New(channel.DefaultParams(), rng.DeriveIndexed(1, "chan", u))
+		users[u].Advance(800)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := 0.0
-		for u := 0; u < 100; u++ {
-			s += bank.User(u).Amplitude()
+		for _, f := range users {
+			s += f.Amplitude()
 		}
 		benchSinkF = s
 	}

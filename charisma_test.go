@@ -100,6 +100,7 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		"Warmup":              func(o *MultiCellOptions) { o.Warmup = -time.Second },
 		"Duration":            func(o *MultiCellOptions) { o.Duration = -time.Second },
 		"Replications":        func(o *MultiCellOptions) { o.Replications = -1 },
+		"NumVoice":            func(o *MultiCellOptions) { o.VoiceUsers = -5 },
 	} {
 		t.Run("MultiCellOptions."+field, func(t *testing.T) {
 			o := MultiCellOptions{VoiceUsers: 10, Duration: time.Second}
@@ -312,9 +313,12 @@ func TestRunMultiCellPublicAPI(t *testing.T) {
 }
 
 func TestRunMultiCellRejectsRMAV(t *testing.T) {
-	_, err := RunMultiCell(MultiCellOptions{Protocol: ProtocolRMAV, VoiceUsers: 5})
-	if err == nil {
-		t.Fatal("RMAV multicell accepted")
+	for _, proto := range []Protocol{ProtocolRMAV, "RMAV"} {
+		_, err := RunMultiCell(MultiCellOptions{Protocol: proto, VoiceUsers: 5})
+		var ve *core.ValidationError
+		if !errors.As(err, &ve) || ve.Field != "Protocol" {
+			t.Errorf("%q: err %v, want a *core.ValidationError for Protocol", proto, err)
+		}
 	}
 }
 

@@ -63,45 +63,66 @@ func goldenLines(t testing.TB) []string {
 	emitF("fading/gain", f.Gain())
 	emitF("fading/prevAmp", f.MeasureEstimateDelayed(0, rng.Derive(2, "obs"), 0).Amp)
 
+	// slabUsers puts one user per speed on one slab, user u on the stream
+	// (seed, "chan", u); a speed of 0 keeps the default parameters.
+	// advanceAll steps every user in user order.
+	slabUsers := func(seed int64, speeds []float64) []*channel.Fading {
+		slab := channel.NewSlab()
+		users := make([]*channel.Fading, len(speeds))
+		for u, v := range speeds {
+			p := channel.DefaultParams()
+			if v > 0 {
+				p.SpeedKmh, p.DopplerHz = v, 0
+			}
+			users[u] = slab.New(p, rng.DeriveIndexed(seed, "chan", u))
+		}
+		return users
+	}
+	advanceAll := func(users []*channel.Fading) {
+		for _, f := range users {
+			f.Advance(frameDur)
+		}
+	}
+
 	// --- bank: interleaved full advances and per-user queries -------------
-	bank := channel.NewBank(16, channel.DefaultParams(), 42)
+	bank := slabUsers(42, make([]float64, 16))
 	for i := 0; i < 50; i++ {
-		bank.Advance(frameDur)
+		advanceAll(bank)
 		if i == 24 {
-			for u := 0; u < bank.Size(); u += 5 {
-				emitF(fmt.Sprintf("bank/mid/u%d", u), bank.User(u).Amplitude())
+			for u := 0; u < len(bank); u += 5 {
+				emitF(fmt.Sprintf("bank/mid/u%d", u), bank[u].Amplitude())
 			}
 		}
 	}
-	for u := 0; u < bank.Size(); u++ {
-		emitF(fmt.Sprintf("bank/end/u%d", u), bank.User(u).Amplitude())
+	for u, f := range bank {
+		emitF(fmt.Sprintf("bank/end/u%d", u), f.Amplitude())
 	}
 
-	// --- mixed-speed bank: several coefficient classes --------------------
-	speeds := []float64{10, 30, 50, 80, 120, 50, 10, 80}
-	sb := channel.NewBankWithSpeeds(speeds, channel.DefaultParams(), 7)
+	// --- mixed-speed users: several coefficient classes -------------------
+	sb := slabUsers(7, []float64{10, 30, 50, 80, 120, 50, 10, 80})
 	for i := 0; i < 40; i++ {
-		sb.Advance(frameDur)
+		advanceAll(sb)
 	}
-	for u := 0; u < sb.Size(); u++ {
-		emitF(fmt.Sprintf("speeds/u%d", u), sb.User(u).Amplitude())
+	for u, f := range sb {
+		emitF(fmt.Sprintf("speeds/u%d", u), f.Amplitude())
 	}
 
 	// --- per-user catch-up paths mirror the mac lazy replay ---------------
-	// The same user of two same-seed banks, one advanced step-by-step and
-	// one in a single deferred batch: both orders must land on the bits the
-	// pre-refactor stepwise schedule recorded (the lazy-replay contract).
-	// The golden entry for replay/batched was recorded stepwise — the only
-	// advancement the scalar reference had — so it directly pins the
-	// batched AdvanceSteps path against the pre-refactor sample path.
-	lazyA := channel.NewBank(2, channel.DefaultParams(), 9)
+	// The same user of two same-seed populations, one advanced step by
+	// step and one in a single deferred batch: both orders must land on
+	// the bits the pre-refactor stepwise schedule recorded (the lazy-replay
+	// contract). The golden entry for replay/batched was recorded stepwise
+	// — the only advancement the scalar reference had — so it directly
+	// pins the batched AdvanceSteps path against the pre-refactor sample
+	// path.
+	lazyA := slabUsers(9, make([]float64, 2))
 	for i := 0; i < 33; i++ {
-		lazyA.User(0).Advance(frameDur)
+		lazyA[0].Advance(frameDur)
 	}
-	emitF("replay/stepwise", lazyA.User(0).Amplitude())
-	lazyB := channel.NewBank(2, channel.DefaultParams(), 9)
-	lazyB.User(0).AdvanceSteps(frameDur, 33)
-	emitF("replay/batched", lazyB.User(0).Amplitude())
+	emitF("replay/stepwise", lazyA[0].Amplitude())
+	lazyB := slabUsers(9, make([]float64, 2))
+	lazyB[0].AdvanceSteps(frameDur, 33)
+	emitF("replay/batched", lazyB[0].Amplitude())
 
 	// --- all six protocols, common seed -----------------------------------
 	emitResult := func(prefix string, r mac.Result) {

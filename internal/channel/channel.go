@@ -211,8 +211,11 @@ const slabChunk = 64
 // survive a Reset deliberately — they are keyed by Params equality and
 // their memoized step coefficients are pure functions of (Params, dt).
 //
-// Slab planes are never bank-advanced; each view advances individually
-// (the MAC's lazy per-station replay), exactly like a NewFading process.
+// Each row advances individually (the MAC's lazy per-station replay),
+// exactly like a NewFading process, and draws only from its own stream,
+// so a row's sample path does not depend on its neighbours, the chunk it
+// landed in or the order rows were handed out. A single-cell replication
+// and every cell of a multicell deployment hold their links on a slab.
 type Slab struct {
 	planes []*plane
 	cur    int // chunk currently being filled
@@ -254,69 +257,6 @@ func (s *Slab) Obs() obs.SimCounters {
 	}
 	return sum
 }
-
-// Bank is the collection of independent per-user fading processes for a
-// cell, backed by one shared fading plane.
-type Bank struct {
-	pl *plane
-}
-
-// NewBank creates n independent fading processes. Each user's stream is
-// derived from (seed, "chan", id), so user k's channel realization does not
-// depend on how many other users exist or which protocol runs — the exact
-// common-platform property the paper's comparison relies on.
-func NewBank(n int, p Params, seed int64) *Bank {
-	return NewBankFunc(n, func(i int) (Params, *rng.Stream) {
-		return p, rng.DeriveIndexed(seed, "chan", i)
-	})
-}
-
-// NewBankWithSpeeds creates a bank whose users have individual speeds (used
-// by the §5.3.3 mobility-sensitivity experiment). Users sharing a speed
-// share one coefficient class on the plane.
-func NewBankWithSpeeds(speedsKmh []float64, base Params, seed int64) *Bank {
-	return NewBankFunc(len(speedsKmh), func(i int) (Params, *rng.Stream) {
-		p := base
-		p.SpeedKmh = speedsKmh[i]
-		p.DopplerHz = 0
-		return p, rng.DeriveIndexed(seed, "chan", i)
-	})
-}
-
-// NewBankFunc creates a bank whose user i takes its parameters and private
-// stream from fn — the generic constructor behind NewBank and the
-// multicell per-cell clone banks, which need per-(cell,user) stream
-// derivations while still sharing one backing plane per cell.
-func NewBankFunc(n int, fn func(i int) (Params, *rng.Stream)) *Bank {
-	pl := newPlane(n)
-	for i := 0; i < n; i++ {
-		p, stream := fn(i)
-		pl.initUser(i, p, stream)
-	}
-	return &Bank{pl: pl}
-}
-
-// Size returns the number of users.
-func (b *Bank) Size() int { return len(b.pl.views) }
-
-// Classes returns the number of distinct coefficient classes the bank's
-// users fall into (1 unless per-user parameters differ).
-func (b *Bank) Classes() int { return len(b.pl.classes) }
-
-// User returns user i's fading process view. The returned pointer is
-// stable for the life of the bank.
-func (b *Bank) User(i int) *Fading { return &b.pl.views[i] }
-
-// Advance steps every user's channel by dt, in user order.
-func (b *Bank) Advance(dt sim.Time) {
-	for i := range b.pl.views {
-		b.pl.advanceUser(i, dt)
-	}
-}
-
-// Obs returns the bank's plane-level lazy-replay counters. Read only
-// from the goroutine driving the bank's cell, or after it has quiesced.
-func (b *Bank) Obs() *obs.SimCounters { return &b.pl.ctr }
 
 // TracePoint is one sample of a recorded fading trace (Fig. 5 style).
 type TracePoint struct {

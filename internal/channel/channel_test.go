@@ -228,13 +228,35 @@ func TestEstimateAge(t *testing.T) {
 	}
 }
 
+// slabUsers hands out one slab row per speed, user u on the stream
+// (seed, "chan", u) — the per-user derivation a cell's population uses.
+// A speed of 0 keeps the default parameters.
+func slabUsers(seed int64, speeds ...float64) []*Fading {
+	s := NewSlab()
+	users := make([]*Fading, len(speeds))
+	for u, v := range speeds {
+		p := DefaultParams()
+		if v > 0 {
+			p.SpeedKmh, p.DopplerHz = v, 0
+		}
+		users[u] = s.New(p, rng.DeriveIndexed(seed, "chan", u))
+	}
+	return users
+}
+
+func advanceAll(users []*Fading, dt sim.Time) {
+	for _, f := range users {
+		f.Advance(dt)
+	}
+}
+
 func TestBankIndependence(t *testing.T) {
-	b := NewBank(2, DefaultParams(), 1)
+	users := slabUsers(1, 0, 0)
 	const n = 20000
 	sumXY, sumX, sumY, sumX2, sumY2 := 0.0, 0.0, 0.0, 0.0, 0.0
 	for i := 0; i < n; i++ {
-		b.Advance(frameDur)
-		x, y := b.User(0).Amplitude(), b.User(1).Amplitude()
+		advanceAll(users, frameDur)
+		x, y := users[0].Amplitude(), users[1].Amplitude()
 		sumXY += x * y
 		sumX += x
 		sumY += y
@@ -253,27 +275,21 @@ func TestBankIndependence(t *testing.T) {
 }
 
 func TestBankUserCountAndSeeding(t *testing.T) {
-	b1 := NewBank(3, DefaultParams(), 42)
-	b2 := NewBank(5, DefaultParams(), 42)
-	if b1.Size() != 3 || b2.Size() != 5 {
-		t.Fatal("bank sizes wrong")
-	}
-	// User k's path must not depend on the bank size (CRN property).
-	b1.Advance(frameDur)
-	b2.Advance(frameDur)
-	for i := 0; i < 3; i++ {
-		if b1.User(i).Amplitude() != b2.User(i).Amplitude() {
+	small := slabUsers(42, 0, 0, 0)
+	large := slabUsers(42, 0, 0, 0, 0, 0)
+	// User k's path must not depend on the population size (CRN property).
+	advanceAll(small, frameDur)
+	advanceAll(large, frameDur)
+	for i := range small {
+		if small[i].Amplitude() != large[i].Amplitude() {
 			t.Fatalf("user %d path depends on population size", i)
 		}
 	}
 }
 
 func TestBankWithSpeeds(t *testing.T) {
-	b := NewBankWithSpeeds([]float64{10, 80}, DefaultParams(), 7)
-	if b.Size() != 2 {
-		t.Fatal("size")
-	}
-	if b.User(0).Params().SpeedKmh != 10 || b.User(1).Params().SpeedKmh != 80 {
+	users := slabUsers(7, 10, 80)
+	if users[0].Params().SpeedKmh != 10 || users[1].Params().SpeedKmh != 80 {
 		t.Fatal("per-user speeds not applied")
 	}
 }

@@ -3,7 +3,7 @@ package channel
 // This file implements the structure-of-arrays fading plane: the backing
 // store every Fading value is a view into. The per-user state of the §4.2
 // two-component model lives in parallel slices and advances one user at a
-// time (stepUser; Bank.Advance loops over the users), with
+// time (stepUser), with
 //
 //   - AR(1) step coefficients computed once per (dt, parameter class) for
 //     the whole plane instead of being re-derived (and their √(1−ρ²)
@@ -73,7 +73,7 @@ func (c *coeffClass) coeffs(dt sim.Time) (rhoS, innovS, rhoL, innovL float64) {
 	return m.rhoS, m.innovS, m.rhoL, m.innovL
 }
 
-// plane is the structure-of-arrays state for a bank of independent fading
+// plane is the structure-of-arrays state for a set of independent fading
 // processes. Users advance independently (the mac layer replays lazily), so
 // every per-step memo is stamped with the user's own step counter rather
 // than a plane-global epoch.
@@ -127,7 +127,7 @@ func newPlane(n int) *plane {
 	return pl
 }
 
-// classIndex interns a parameter set. Banks are almost always one class;
+// classIndex interns a parameter set. A plane is almost always one class;
 // the mixed-speed experiment yields one class per distinct speed.
 func (pl *plane) classIndex(p Params) int32 {
 	for i := range pl.classes {
@@ -173,8 +173,7 @@ func (pl *plane) stepUser(i int, rhoS, innovS, rhoL, innovL, mean float64) {
 	pl.step[i]++
 }
 
-// advanceUser steps a single user by dt (the per-view Advance, and
-// Bank.Advance once per user).
+// advanceUser steps a single user by dt (the per-view Advance).
 func (pl *plane) advanceUser(i int, dt sim.Time) {
 	if dt < 0 {
 		panic("channel: negative time step")

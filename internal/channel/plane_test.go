@@ -132,14 +132,14 @@ func TestAdvanceStepsZeroAndNegative(t *testing.T) {
 	f.AdvanceSteps(-1, 2)
 }
 
-// TestBankWithSpeedsDeterminismAndClasses covers the mixed-speed plane:
-// construction is deterministic, users sharing a speed share a coefficient
-// class, and every user's path matches its scalar reference.
+// TestBankWithSpeedsDeterminism covers a mixed-speed slab: construction
+// is deterministic, users sharing a speed share a coefficient class on
+// the plane, and every user's path matches its scalar reference.
 func TestBankWithSpeedsDeterminism(t *testing.T) {
 	speeds := []float64{10, 80, 50, 80, 10, 120, 50}
-	b1 := NewBankWithSpeeds(speeds, DefaultParams(), 3)
-	b2 := NewBankWithSpeeds(speeds, DefaultParams(), 3)
-	if got, want := b1.Classes(), 4; got != want {
+	a := slabUsers(3, speeds...)
+	b := slabUsers(3, speeds...)
+	if got, want := len(a[0].plane.classes), 4; got != want {
 		t.Fatalf("coefficient classes = %d, want %d (distinct speeds)", got, want)
 	}
 	refs := make([]*scalarRef, len(speeds))
@@ -149,69 +149,80 @@ func TestBankWithSpeedsDeterminism(t *testing.T) {
 		refs[u] = newScalarRef(p, rng.DeriveIndexed(3, "chan", u))
 	}
 	for i := 0; i < 100; i++ {
-		b1.Advance(frameDur)
-		b2.Advance(frameDur)
+		advanceAll(a, frameDur)
+		advanceAll(b, frameDur)
 		for u := range speeds {
 			refs[u].advance(frameDur)
 		}
 	}
 	for u := range speeds {
-		if b1.User(u).Amplitude() != b2.User(u).Amplitude() {
-			t.Fatalf("user %d: same-seed banks diverged", u)
+		if a[u].Amplitude() != b[u].Amplitude() {
+			t.Fatalf("user %d: same-seed slabs diverged", u)
 		}
-		if b1.User(u).Amplitude() != refs[u].amplitude() {
+		if a[u].Amplitude() != refs[u].amplitude() {
 			t.Fatalf("user %d: mixed-speed plane diverged from scalar reference", u)
 		}
-		if b1.User(u).Params().SpeedKmh != speeds[u] {
+		if a[u].Params().SpeedKmh != speeds[u] {
 			t.Fatalf("user %d: per-user speed not applied", u)
 		}
 	}
 }
 
-// TestBankFuncPerUserParams covers the generic constructor multicell uses.
-func TestBankFuncPerUserParams(t *testing.T) {
-	b := NewBankFunc(3, func(i int) (Params, *rng.Stream) {
+// TestSlabPerUserParams pins what a multicell deployment's cells rely
+// on: a slab row with its own parameters and stream is indistinguishable
+// from a standalone process on the same stream — both when first handed
+// out and when re-issued after a Reset — and rows with distinct
+// parameters intern distinct coefficient classes.
+func TestSlabPerUserParams(t *testing.T) {
+	params := func(i int) Params {
 		p := DefaultParams()
 		p.ShadowSigmaDB = float64(2 + i)
-		return p, rng.DeriveIndexed(99, "mc-chan", 1, i)
-	})
-	if b.Size() != 3 || b.Classes() != 3 {
-		t.Fatalf("size=%d classes=%d", b.Size(), b.Classes())
+		return p
 	}
-	// User i must match a standalone process on the identical stream.
-	for i := 0; i < 3; i++ {
-		p := DefaultParams()
-		p.ShadowSigmaDB = float64(2 + i)
-		ref := NewFading(p, rng.DeriveIndexed(99, "mc-chan", 1, i))
-		b.User(i).Advance(frameDur)
-		ref.Advance(frameDur)
-		if b.User(i).Amplitude() != ref.Amplitude() {
-			t.Fatalf("user %d diverged from standalone process", i)
+	s := NewSlab()
+	for round := 0; round < 2; round++ {
+		s.Reset()
+		rows := make([]*Fading, 3)
+		for i := range rows {
+			rows[i] = s.New(params(i), rng.DeriveIndexed(99, "mc-chan", 1, i))
+		}
+		if got := len(rows[0].plane.classes); got != 3 {
+			t.Fatalf("round %d: %d coefficient classes, want 3", round, got)
+		}
+		for i, f := range rows {
+			ref := NewFading(params(i), rng.DeriveIndexed(99, "mc-chan", 1, i))
+			for k := 0; k < 5; k++ {
+				f.Advance(frameDur)
+				ref.Advance(frameDur)
+				if f.Amplitude() != ref.Amplitude() {
+					t.Fatalf("round %d: row %d diverged from standalone process at step %d", round, i, k)
+				}
+			}
 		}
 	}
 }
 
-// TestBankFrameHotPathAllocs is the channel-plane analogue of the mac
-// registry's frame-allocs guard: advancing a bank or one station,
-// querying amplitudes, replaying deferred steps and measuring estimates
-// must all be allocation-free. Each operation is counted exactly over a
-// batch of 1,000 calls, so even one malloc in the batch fails. The guard
-// takes the fewest of three batches: runtime-internal mallocs (a new
-// thread, timer-heap growth) land in the process-wide count at random,
-// while one on the measured path recurs in every batch.
-func TestBankFrameHotPathAllocs(t *testing.T) {
-	bank := NewBank(256, DefaultParams(), 1)
-	f := bank.User(0)
+// TestSlabFrameHotPathAllocs is the channel-plane analogue of the mac
+// registry's frame-allocs guard: advancing every user of a slab or one
+// user, querying amplitudes, replaying deferred steps and measuring
+// estimates must all be allocation-free. Each operation is counted
+// exactly over a batch of 1,000 calls, so even one malloc in the batch
+// fails. The guard takes the fewest of three batches: runtime-internal
+// mallocs (a new thread, timer-heap growth) land in the process-wide
+// count at random, while one on the measured path recurs in every batch.
+func TestSlabFrameHotPathAllocs(t *testing.T) {
+	users := slabUsers(1, make([]float64, 256)...)
+	f := users[0]
 	obs := rng.New(7)
 	for _, c := range []struct {
 		name string
 		op   func()
 	}{
-		{"Bank.Advance", func() { bank.Advance(frameDur) }},
+		{"advance every user", func() { advanceAll(users, frameDur) }},
 		{"Fading.Advance", func() { f.Advance(frameDur) }},
 		{"amplitude sweep", func() {
-			for u := 0; u < bank.Size(); u++ {
-				benchSink += bank.User(u).Amplitude()
+			for _, u := range users {
+				benchSink += u.Amplitude()
 			}
 		}},
 		{"AdvanceSteps", func() { f.AdvanceSteps(frameDur, 16) }},

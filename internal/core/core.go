@@ -1,5 +1,5 @@
 // Package core is the paper's "common simulation platform" (§5): it
-// assembles a cell — channel bank, physical layer, traffic sources, one of
+// assembles a cell — fading links, physical layer, traffic sources, one of
 // the six access control protocols — from a declarative Scenario, drives
 // the TDMA frame cadence on the sim frame clock, and harvests the
 // paper's metrics after a warm-up transient.
@@ -109,8 +109,8 @@ type Scenario struct {
 	WarmupSec   float64
 	DurationSec float64
 
-	// Channel, PHY and MAC carry the substrate parameters; zero values
-	// are replaced by the calibrated defaults.
+	// Channel, PHY and MAC carry the substrate parameters; a block left
+	// entirely zero is replaced by its calibrated defaults (WithDefaults).
 	Channel channel.Params
 	PHY     phy.Params
 	MAC     mac.Config
@@ -137,18 +137,21 @@ func DefaultScenario(protocol string) Scenario {
 	}
 }
 
-// WithDefaults returns the scenario with every zero-valued knob replaced
-// by its calibrated default — exactly the normalization Build and Run
-// apply before validating. External loaders (the grid's scenario files)
-// use it to validate a scenario as it will actually run.
+// WithDefaults returns the scenario with every all-zero substrate block
+// and every unset window replaced by its calibrated default — exactly the
+// normalization Build and Run apply before validating. A block is
+// replaced whole or not at all: a partly set one is kept as given, so
+// Validate rejects it instead of a run silently ignoring its knobs.
+// External loaders (the grid's scenario files) use it to validate a
+// scenario as it will actually run.
 func (sc Scenario) WithDefaults() Scenario {
 	if sc.Channel == (channel.Params{}) {
 		sc.Channel = channel.DefaultParams()
 	}
-	if len(sc.PHY.Etas) == 0 {
+	if phyUnset(sc.PHY) {
 		sc.PHY = phy.DefaultParams()
 	}
-	if sc.MAC.Geometry.FrameSymbols == 0 {
+	if sc.MAC == (mac.Config{}) {
 		sc.MAC = mac.DefaultConfig()
 	}
 	sc.MAC.UseQueue = sc.UseQueue
@@ -200,10 +203,10 @@ func (sc Scenario) Validate() error {
 		return &ValidationError{Field: "Channel", Reason: err.Error()}
 	}
 	if err := sc.PHY.Validate(); err != nil {
-		return &ValidationError{Field: "PHY", Reason: err.Error()}
+		return blockError("PHY", len(sc.PHY.Etas) == 0 && !phyUnset(sc.PHY), err)
 	}
 	if err := sc.MAC.Validate(); err != nil {
-		return &ValidationError{Field: "MAC", Reason: err.Error()}
+		return blockError("MAC", sc.MAC.Geometry.FrameSymbols == 0 && sc.MAC != (mac.Config{}), err)
 	}
 	if n := sc.NumVoice + sc.NumData; len(sc.SpeedsKmh) > 0 && len(sc.SpeedsKmh) != n {
 		return &ValidationError{Field: "SpeedsKmh", Reason: fmt.Sprintf("%d speeds for %d stations", len(sc.SpeedsKmh), n)}
@@ -214,6 +217,33 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// phyUnset reports an all-zero PHY block, the one WithDefaults fills.
+func phyUnset(p phy.Params) bool {
+	return p.MeanSNRdB == 0 && p.TargetBER == 0 && p.FixedThresholdDB == 0 &&
+		p.CSIMargin == 0 && len(p.Etas) == 0 && len(p.ThresholdsDB) == 0
+}
+
+// blockError wraps a substrate block's rejection with the block's field
+// name. partial marks a set block that lacks its modes (PHY) or frame
+// geometry (MAC), almost always one meant to tweak the defaults.
+func blockError(field string, partial bool, err error) error {
+	reason := err.Error()
+	if partial {
+		reason = "block only partly set (give every field, or omit the block for the calibrated defaults): " + reason
+	}
+	return &ValidationError{Field: field, Reason: reason}
+}
+
+// NewModem builds the physical layer a protocol runs on: the
+// channel-adaptive modem for CHARISMA and D-TDMA/VR, the fixed-rate
+// encoder for the rest (see AdaptivePHYFor).
+func NewModem(protocol string, p phy.Params) phy.PHY {
+	if AdaptivePHYFor(protocol) {
+		return phy.NewAdaptive(p)
+	}
+	return phy.NewFixed(p)
 }
 
 // runArena owns every allocation a scenario run can recycle across
@@ -249,9 +279,8 @@ type runArena struct {
 	// Cached modem plus the inputs it was built from. modemParams holds
 	// defensive clones of the slice fields so a caller mutating its own
 	// phy.Params in place between runs is detected as a change.
-	modem         phy.PHY
-	modemAdaptive bool
-	modemParams   phy.Params
+	modem       phy.PHY
+	modemParams phy.Params
 
 	// Materialization inputs, rebound by buildIn for each replication.
 	seed     int64
@@ -313,7 +342,7 @@ func (a *runArena) stream(pool []*rng.Stream, label string, i int) *rng.Stream {
 func (a *runArena) materialize(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
 	p := a.chp
 	if len(a.speeds) > 0 {
-		// Mirror channel.NewBankWithSpeeds: per-station speed, Doppler
+		// Per-station speed (the §5.3.3 mobility experiment), Doppler
 		// re-derived from it.
 		p.SpeedKmh = a.speeds[i]
 		p.DopplerHz = 0
@@ -357,14 +386,8 @@ func phyParamsEqual(a, b phy.Params) bool {
 // modemFor returns the cached modem when the adaptivity class and PHY
 // parameters are unchanged, else builds (and caches) a fresh one.
 func (a *runArena) modemFor(sc Scenario) phy.PHY {
-	adaptive := AdaptivePHYFor(sc.Protocol)
-	if a.modem == nil || adaptive != a.modemAdaptive || !phyParamsEqual(sc.PHY, a.modemParams) {
-		if adaptive {
-			a.modem = phy.NewAdaptive(sc.PHY)
-		} else {
-			a.modem = phy.NewFixed(sc.PHY)
-		}
-		a.modemAdaptive = adaptive
+	if a.modem == nil || a.modem.Adaptive() != AdaptivePHYFor(sc.Protocol) || !phyParamsEqual(sc.PHY, a.modemParams) {
+		a.modem = NewModem(sc.Protocol, sc.PHY)
 		a.modemParams = sc.PHY
 		a.modemParams.Etas = slices.Clone(sc.PHY.Etas)
 		a.modemParams.ThresholdsDB = slices.Clone(sc.PHY.ThresholdsDB)
@@ -406,9 +429,9 @@ func (sc Scenario) buildIn(a *runArena) (*mac.System, mac.Protocol, error) {
 	// throwaway stream reseeded per station; materialization later draws
 	// from a fresh-seeded stream with the same derived seed, so the
 	// sources (and every downstream draw) are byte-identical to an eager
-	// build. The per-station fading processes are slab rows seeded exactly
-	// like the shared bank's views ("chan"/i), and the frame loop only
-	// ever advances fading per view, so the sample paths match too.
+	// build. The per-station fading processes are slab rows, each on its
+	// own stream ("chan"/i) and advanced per row, so the sample paths
+	// match an eager build too.
 	n := sc.NumVoice + sc.NumData
 	a.seed, a.numVoice = sc.Seed, sc.NumVoice
 	a.chp, a.speeds = sc.Channel, sc.SpeedsKmh

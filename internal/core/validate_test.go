@@ -126,6 +126,31 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
+// TestPartialBlocksRejected: WithDefaults fills a substrate block only
+// when the block is entirely zero. A block that sets some of its knobs is
+// kept as given and rejected by name, through Validate and through Run,
+// so no run silently swaps it for the defaults.
+func TestPartialBlocksRejected(t *testing.T) {
+	for name, c := range map[string]struct {
+		set   func(*Scenario)
+		field string
+	}{
+		"PHY mean SNR only":      {func(sc *Scenario) { sc.PHY.MeanSNRdB = -20 }, "PHY"},
+		"MAC voice permission":   {func(sc *Scenario) { sc.MAC.PermVoice = 0.9 }, "MAC"},
+		"MAC one geometry field": {func(sc *Scenario) { sc.MAC.Geometry.CharismaPilotSlots = 3 }, "MAC"},
+	} {
+		sc := Scenario{Protocol: ProtoCharisma, NumVoice: 5, DurationSec: 0.1}
+		c.set(&sc)
+		_, runErr := sc.Run()
+		for _, err := range []error{sc.WithDefaults().Validate(), runErr} {
+			var ve *ValidationError
+			if !errors.As(err, &ve) || ve.Field != c.field || !strings.Contains(ve.Reason, "partly set") {
+				t.Errorf("%s: err %v, want a *ValidationError naming %s as partly set", name, err, c.field)
+			}
+		}
+	}
+}
+
 // floatPaths calls fn with the path and value of every float64 reachable
 // from v: struct fields, recursively, and slice elements.
 func floatPaths(v reflect.Value, path string, fn func(path string, f reflect.Value)) {

@@ -3,19 +3,22 @@
 //
 // The 320 kHz system carries 800 symbols per 2.5 ms frame. One information
 // slot is 160 symbols — exactly one 160-bit packet at the baseline η = 1
-// mode — and one request/pilot minislot is 20 symbols. Each protocol
-// partitions the same 800-symbol budget differently:
+// mode — and one request/pilot minislot is 16 symbols. Each protocol
+// partitions the same 800-symbol budget differently (Default):
 //
-//	CHARISMA : 6 request minislots + 640-symbol info subframe + 2 pilot slots
-//	D-TDMA   : 8 request minislots + 4 information slots
+//	CHARISMA : 5 request minislots + 640-symbol info subframe + 5 pilot slots
+//	D-TDMA   : 10 request minislots + 4 information slots
 //	RAMA     : 4 auction slots (40 symbols each) + 4 information slots
-//	DRMA     : 5 information slots (an idle slot converts to 8 minislots)
+//	DRMA     : 5 information slots (an idle slot converts to 10 minislots)
 //	RMAV     : variable: one 160-symbol slot per assigned grant + 1
-//	           competitive minislot
+//	           full-size competitive slot
 //
 // The paper's Table 1 is partially unreadable in the source scan; this
 // reconstruction is derived from the readable constants (320 kHz, 2.5 ms
-// frames, 8 kbps speech, 20 ms voice period) and documented in DESIGN.md §3.
+// frames, 8 kbps speech, 20 ms voice period). Another set fills the frame
+// as exactly (20-symbol minislots; CHARISMA Nr 6 and Nb 2; D-TDMA Nr 8;
+// DRMA Nx 8). Every recorded result uses Default's set; choosing between
+// the two is left to the reconstruction write-up (DESIGN.md §3, unwritten).
 package frame
 
 import (
@@ -28,21 +31,21 @@ import (
 type Geometry struct {
 	// FrameSymbols is the frame length in symbols (800 = 2.5 ms).
 	FrameSymbols int
-	// MinislotSymbols is the request/pilot minislot length (20).
+	// MinislotSymbols is the request/pilot minislot length (16).
 	MinislotSymbols int
 	// InfoSlotSymbols is the information slot length (160).
 	InfoSlotSymbols int
 
-	// CharismaRequestSlots is Nr for CHARISMA (6, "slightly larger than
+	// CharismaRequestSlots is Nr for CHARISMA (5, "slightly larger than
 	// the number of information slots", §4.3).
 	CharismaRequestSlots int
-	// CharismaPilotSlots is Nb, the CSI-polling pilot subframe (2).
+	// CharismaPilotSlots is Nb, the CSI-polling pilot subframe (5).
 	CharismaPilotSlots int
 	// CharismaGrantOverheadSymbols is the per-grant announcement/guard
 	// cost of CHARISMA's symbol-granular packing.
 	CharismaGrantOverheadSymbols int
 
-	// DTDMARequestSlots is Nr for D-TDMA/FR and /VR (8).
+	// DTDMARequestSlots is Nr for D-TDMA/FR and /VR (10).
 	DTDMARequestSlots int
 	// DTDMAInfoSlots is Ni for D-TDMA/FR and /VR (4).
 	DTDMAInfoSlots int
@@ -55,7 +58,7 @@ type Geometry struct {
 	// RAMAInfoSlots is Ni for RAMA (4).
 	RAMAInfoSlots int
 
-	// DRMAInfoSlots is Nk (5); DRMAMinislotsPerSlot is Nx (8), the number
+	// DRMAInfoSlots is Nk (5); DRMAMinislotsPerSlot is Nx (10), the number
 	// of request minislots an idle information slot converts into.
 	DRMAInfoSlots        int
 	DRMAMinislotsPerSlot int
@@ -107,8 +110,26 @@ func (g Geometry) RMAVFrameDuration(assignedSlots int) sim.Time {
 
 // Validate checks that every protocol's layout fits the frame budget.
 func (g Geometry) Validate() error {
-	if g.FrameSymbols <= 0 || g.MinislotSymbols <= 0 || g.InfoSlotSymbols <= 0 {
+	if g.FrameSymbols <= 0 || g.MinislotSymbols <= 0 || g.InfoSlotSymbols <= 0 || g.RAMAAuctionSymbols <= 0 {
 		return fmt.Errorf("frame: non-positive symbol sizes")
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"CharismaRequestSlots", g.CharismaRequestSlots},
+		{"CharismaPilotSlots", g.CharismaPilotSlots},
+		{"CharismaGrantOverheadSymbols", g.CharismaGrantOverheadSymbols},
+		{"DTDMARequestSlots", g.DTDMARequestSlots},
+		{"DTDMAInfoSlots", g.DTDMAInfoSlots},
+		{"RAMAAuctionSlots", g.RAMAAuctionSlots},
+		{"RAMAInfoSlots", g.RAMAInfoSlots},
+		{"DRMAInfoSlots", g.DRMAInfoSlots},
+		{"DRMAMinislotsPerSlot", g.DRMAMinislotsPerSlot},
+	} {
+		if c.n < 0 {
+			return fmt.Errorf("frame: negative %s %d", c.name, c.n)
+		}
 	}
 	if got := g.CharismaInfoSymbols(); got < g.InfoSlotSymbols {
 		return fmt.Errorf("frame: CHARISMA info subframe too small (%d symbols)", got)
@@ -122,6 +143,9 @@ func (g Geometry) Validate() error {
 	if used := g.DRMAInfoSlots * g.InfoSlotSymbols; used > g.FrameSymbols {
 		return fmt.Errorf("frame: DRMA layout uses %d of %d symbols", used, g.FrameSymbols)
 	}
+	if used := g.DRMAMinislotsPerSlot * g.MinislotSymbols; used > g.InfoSlotSymbols {
+		return fmt.Errorf("frame: DRMA converts a %d-symbol slot into %d symbols of minislots", g.InfoSlotSymbols, used)
+	}
 	if g.RMAVMaxGrantSlots < 1 {
 		return fmt.Errorf("frame: RMAV Pmax must be at least 1")
 	}
@@ -132,9 +156,4 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("frame: voice period %v not a whole number of frames", g.VoicePeriod)
 	}
 	return nil
-}
-
-// VoicePeriodFrames returns the voice packet interval in whole frames (8).
-func (g Geometry) VoicePeriodFrames() int {
-	return int(g.VoicePeriod / g.Duration())
 }

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"strings"
 	"testing"
 
 	"charisma/internal/sim"
@@ -88,8 +89,8 @@ func TestRMAVFrameDuration(t *testing.T) {
 
 func TestVoicePeriodIsEightFrames(t *testing.T) {
 	g := Default()
-	if g.VoicePeriodFrames() != 8 {
-		t.Fatalf("voice period = %d frames, want 8 (20 ms / 2.5 ms)", g.VoicePeriodFrames())
+	if g.VoicePeriod != 8*g.Duration() {
+		t.Fatalf("voice period = %v, want 8 frames (20 ms / 2.5 ms)", g.VoicePeriod)
 	}
 }
 
@@ -110,6 +111,44 @@ func TestValidateRejectsBadLayouts(t *testing.T) {
 		mutate(&g)
 		if g.Validate() == nil {
 			t.Errorf("case %d: invalid geometry accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsImpossibleLayouts: a negative slot count or overhead,
+// a non-positive auction slot and more DRMA minislots than a slot holds
+// describe layouts no frame can carry, and each is rejected by name.
+func TestValidateRejectsImpossibleLayouts(t *testing.T) {
+	for name, c := range map[string]struct {
+		mutate func(*Geometry)
+		want   string
+	}{
+		"negative CHARISMA pilots":   {func(g *Geometry) { g.CharismaPilotSlots = -5 }, "CharismaPilotSlots"},
+		"negative CHARISMA requests": {func(g *Geometry) { g.CharismaRequestSlots = -5 }, "CharismaRequestSlots"},
+		"negative grant overhead":    {func(g *Geometry) { g.CharismaGrantOverheadSymbols = -50 }, "CharismaGrantOverheadSymbols"},
+		"negative D-TDMA requests":   {func(g *Geometry) { g.DTDMARequestSlots = -1 }, "DTDMARequestSlots"},
+		"negative D-TDMA info slots": {func(g *Geometry) { g.DTDMAInfoSlots = -4 }, "DTDMAInfoSlots"},
+		"negative RAMA auctions":     {func(g *Geometry) { g.RAMAAuctionSlots = -1 }, "RAMAAuctionSlots"},
+		"negative RAMA info slots":   {func(g *Geometry) { g.RAMAInfoSlots = -1 }, "RAMAInfoSlots"},
+		"negative DRMA info slots":   {func(g *Geometry) { g.DRMAInfoSlots = -1 }, "DRMAInfoSlots"},
+		"negative DRMA minislots":    {func(g *Geometry) { g.DRMAMinislotsPerSlot = -1 }, "DRMAMinislotsPerSlot"},
+		"negative auction symbols":   {func(g *Geometry) { g.RAMAAuctionSymbols = -40 }, "symbol sizes"},
+		"zero auction symbols":       {func(g *Geometry) { g.RAMAAuctionSymbols = 0 }, "symbol sizes"},
+		"DRMA minislots overflow":    {func(g *Geometry) { g.DRMAMinislotsPerSlot = 20 }, "minislots"},
+	} {
+		g := Default()
+		c.mutate(&g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want a rejection naming %q", name, err, c.want)
+		}
+	}
+	// The request-slot ablation's layouts stay valid: Nr request and
+	// 10 − Nr pilot minislots.
+	for _, nr := range []int{2, 5, 8} {
+		g := Default()
+		g.CharismaRequestSlots, g.CharismaPilotSlots = nr, 10-nr
+		if err := g.Validate(); err != nil {
+			t.Errorf("Nr=%d: %v", nr, err)
 		}
 	}
 }

@@ -59,7 +59,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset rewinds the schedule after a success, so the next failure starts
 // from Base again.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

@@ -21,8 +21,8 @@ func TestBackoffScheduleBounds(t *testing.T) {
 			t.Fatalf("attempt %d waited %v, want [%v, %v)", k, d, full/2, full)
 		}
 	}
-	if b.Attempt() != 12 {
-		t.Fatalf("attempt counter = %d, want 12", b.Attempt())
+	if b.attempt != 12 {
+		t.Fatalf("attempt counter = %d, want 12", b.attempt)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestBackoffReset(t *testing.T) {
 		b.Next()
 	}
 	b.Reset()
-	if b.Attempt() != 0 {
-		t.Fatalf("attempt counter = %d after reset", b.Attempt())
+	if b.attempt != 0 {
+		t.Fatalf("attempt counter = %d after reset", b.attempt)
 	}
 	if d := b.Next(); d < base/2 || d >= base {
 		t.Fatalf("post-reset wait %v outside first window [%v, %v)", d, base/2, base)

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -133,6 +134,40 @@ func TestLoadScenarioFileLongLineNumbered(t *testing.T) {
 	_, err = LoadScenarioFile(strings.NewReader("{}\n" + file))
 	if err == nil || !strings.Contains(err.Error(), "line 1:") {
 		t.Fatalf("err = %v, want a line 1 error", err)
+	}
+}
+
+// TestLoadScenarioFileTypedRejections: both spec kinds share the cell
+// rules — whole-or-nothing substrate blocks, non-negative populations, a
+// frame layout the frame can hold — and a deployment refuses RMAV in any
+// spelling. Each failing line surfaces as a *core.ValidationError naming
+// the field, with its line number.
+func TestLoadScenarioFileTypedRejections(t *testing.T) {
+	badGeometry := core.DefaultScenario(core.ProtoCharisma)
+	badGeometry.NumVoice = 5
+	badGeometry.MAC.Geometry.CharismaPilotSlots = -5
+	geometryLine, err := json.Marshal(map[string]any{"scenario": badGeometry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := `{"scenario": {"protocol": "charisma", "numVoice": 5, %s}}`
+	deployment := `{"multicell": {"cells": 2, "protocol": "charisma", "decisionPeriodFrames": 1, %s}}`
+	for name, c := range map[string]struct{ line, field string }{
+		"scenario partial PHY":         {fmt.Sprintf(cell, `"phy": {"meanSNRdB": -20}`), "PHY"},
+		"scenario partial MAC":         {fmt.Sprintf(cell, `"mac": {"permVoice": 0.9}`), "MAC"},
+		"scenario impossible geometry": {string(geometryLine), "MAC"},
+		"multicell partial PHY":        {fmt.Sprintf(deployment, `"numVoice": 5, "phy": {"meanSNRdB": -20}`), "PHY"},
+		"multicell partial MAC":        {fmt.Sprintf(deployment, `"numVoice": 5, "mac": {"permVoice": 0.9}`), "MAC"},
+		"multicell negative voice":     {fmt.Sprintf(deployment, `"numVoice": -5, "numData": 10`), "NumVoice"},
+		"multicell negative data":      {fmt.Sprintf(deployment, `"numVoice": 5, "numData": -1`), "NumData"},
+		"multicell RMAV":               {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", "RMAV", 1), "Protocol"},
+		"multicell padded rmav":        {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", " rmav ", 1), "Protocol"},
+	} {
+		_, err := LoadScenarioFile(strings.NewReader(validLine(5) + "\n" + c.line + "\n"))
+		var ve *core.ValidationError
+		if !errors.As(err, &ve) || ve.Field != c.field || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%s: err %v, want a line 2 *core.ValidationError for %s", name, err, c.field)
+		}
 	}
 }
 

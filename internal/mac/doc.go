@@ -10,7 +10,7 @@
 // A System is one cell's simulation state; a Protocol (charisma, drma,
 // dtdma, rama, rmav — each its own subpackage) drives it one frame at a
 // time through BeginFrame → RunFrame → EndFrame. Protocols observe and
-// mutate stations only through the System's helpers (Contend,
+// mutate stations only through the System's helpers (ContendStamped,
 // NewRequest, TransmitVoice/TransmitData, the queue operations), which
 // keeps the metric accounting and the randomness discipline in one
 // place: MAC-side draws (contention coins, packet errors, CSI noise)

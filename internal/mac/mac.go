@@ -687,30 +687,15 @@ func (s *System) PermissionProb(st *Station) float64 {
 	return s.Cfg.PermData
 }
 
-// Contend runs one contention minislot over the candidate set: every
-// candidate transmits its request with its permission probability; the
-// minislot succeeds only if exactly one transmits (no capture effect, §2).
-// It returns the winner or nil.
-func (s *System) Contend(cands []*Station) *Station {
-	var winner *Station
-	transmitted := 0
-	for _, st := range cands {
-		if s.Rand.Bernoulli(s.PermissionProb(st)) {
-			transmitted++
-			winner = st
-		}
-	}
-	return s.settleMinislot(winner, transmitted)
-}
-
-// ContendStamped is Contend over the current contention candidates
-// (ForEachCandidate's list, refreshed and counted the same way) minus
-// every station whose stampedAt[ID] equals frame — the per-minislot shape
-// of the request-slot loops, where a protocol stamps a station's ID with
-// the frame once its request is acknowledged. It walks the epoch-cached
-// list in place, so a minislot copies no per-slot list; the draws, their
-// order and the outcome equal Contend over the filtered copy, because
-// nothing in the walk changes a stamp or a candidacy.
+// ContendStamped runs one contention minislot over the current contention
+// candidates (ForEachCandidate's list, refreshed and counted the same way)
+// minus every station whose stampedAt[ID] equals frame — a protocol stamps
+// a station's ID with the frame once its request is acknowledged, or once
+// it holds a slot that keeps it out of contention. Every candidate left
+// transmits its request with its permission probability, in station-ID
+// order; the minislot succeeds only if exactly one transmits (no capture
+// effect, §2). It returns the winner or nil. It walks the epoch-cached
+// list in place, so a minislot copies no per-slot list.
 func (s *System) ContendStamped(stampedAt []int64, frame int64) *Station {
 	var winner *Station
 	transmitted := 0

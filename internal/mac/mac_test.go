@@ -19,7 +19,7 @@ func makeSystem(t *testing.T, nv, nd int, mutate func(*Config)) *System {
 		mutate(&cfg)
 	}
 	n := nv + nd
-	bank := channel.NewBank(n, channel.DefaultParams(), 1)
+	slab := channel.NewSlab()
 	stations := make([]*Station, n)
 	for i := 0; i < n; i++ {
 		var v *traffic.VoiceSource
@@ -29,7 +29,7 @@ func makeSystem(t *testing.T, nv, nd int, mutate func(*Config)) *System {
 		} else {
 			d = traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "d", string(rune('a'+i))), 0)
 		}
-		stations[i] = NewStation(i, v, d, bank.User(i))
+		stations[i] = NewStation(i, v, d, slab.New(channel.DefaultParams(), rng.DeriveIndexed(1, "chan", i)))
 	}
 	sys, err := NewSystem(cfg, phy.NewAdaptive(phy.DefaultParams()), stations, rng.Derive(1, "mac"))
 	if err != nil {
@@ -181,23 +181,41 @@ func TestNeedsRequestPredicates(t *testing.T) {
 	}
 }
 
+// unstamped returns a ContendStamped stamp slice that excludes nobody.
+func unstamped(s *System) []int64 {
+	stamps := make([]int64, len(s.Stations))
+	for i := range stamps {
+		stamps[i] = -1
+	}
+	return stamps
+}
+
+// waitForVoice runs frames until st has a speech packet buffered.
+func waitForVoice(s *System, st *Station) {
+	for f := 0; st.Voice().Buffered() == 0 && f < 1000000; f++ {
+		s.BeginFrame()
+		s.EndFrame(s.FrameDuration())
+	}
+}
+
 func TestContendEmpty(t *testing.T) {
 	s := makeSystem(t, 1, 0, nil)
-	if s.Contend(nil) != nil {
+	if s.ContendStamped(unstamped(s), s.FrameIndex()) != nil {
 		t.Fatal("empty contention produced a winner")
+	}
+	if s.M.ReqAttempts.Total() != 0 {
+		t.Fatal("empty contention counted an attempt")
 	}
 }
 
 func TestContendSingleEventuallyWins(t *testing.T) {
 	s := makeSystem(t, 1, 0, nil)
 	st := s.Stations[0]
-	for f := 0; st.Voice().Buffered() == 0 && f < 1000000; f++ {
-		s.BeginFrame()
-		s.EndFrame(s.FrameDuration())
-	}
+	waitForVoice(s, st)
+	stamps := unstamped(s)
 	won := false
 	for i := 0; i < 1000; i++ {
-		if s.Contend([]*Station{st}) == st {
+		if s.ContendStamped(stamps, s.FrameIndex()) == st {
 			won = true
 			break
 		}
@@ -208,29 +226,34 @@ func TestContendSingleEventuallyWins(t *testing.T) {
 	if s.M.ReqSuccesses.Total() == 0 {
 		t.Fatal("success not counted")
 	}
+	// A station stamped with the current frame sits the minislot out.
+	stamps[st.ID] = s.FrameIndex()
+	for i := 0; i < 100; i++ {
+		if s.ContendStamped(stamps, s.FrameIndex()) != nil {
+			t.Fatal("a station stamped this frame contended")
+		}
+	}
 }
 
 func TestContendCollisionsCounted(t *testing.T) {
 	s := makeSystem(t, 40, 0, func(c *Config) { c.PermVoice = 1.0 })
-	var cands []*Station
 	for _, st := range s.Stations {
 		// Force every station to want a voice grant.
-		for f := 0; st.Voice().Buffered() == 0 && f < 1000000; f++ {
-			s.BeginFrame()
-			s.EndFrame(s.FrameDuration())
-		}
-		if st.Voice().Buffered() > 0 {
-			cands = append(cands, st)
-		}
+		waitForVoice(s, st)
 	}
-	if len(cands) < 2 {
+	n := 0
+	s.ForEachCandidate(func(*Station) { n++ })
+	if n < 2 {
 		t.Skip("not enough simultaneous talkers")
 	}
-	if w := s.Contend(cands); w != nil {
+	if w := s.ContendStamped(unstamped(s), s.FrameIndex()); w != nil {
 		t.Fatal("p=1 with >=2 contenders must collide")
 	}
 	if s.M.ReqCollisions.Total() == 0 {
 		t.Fatal("collision not counted")
+	}
+	if got := s.M.ReqAttempts.Total(); got != uint64(n) {
+		t.Fatalf("%d attempts counted, want one per contender (%d)", got, n)
 	}
 }
 

@@ -24,6 +24,8 @@
 package rmav
 
 import (
+	"slices"
+
 	"charisma/internal/mac"
 	"charisma/internal/phy"
 	"charisma/internal/sim"
@@ -41,8 +43,9 @@ type Protocol struct {
 	// information slots ... in the next frame", §3.2) and must contend
 	// again afterwards.
 	dataGrant *mac.Station
-	// cands is the competitive-slot candidate scratch.
-	cands []*mac.Station
+	// heldAt stamps, per station ID, the frame in which the station was
+	// seen holding a live voice slot: ContendStamped skips it.
+	heldAt []int64
 }
 
 // New returns an RMAV instance.
@@ -53,11 +56,12 @@ func (p *Protocol) Name() string { return "rmav" }
 
 // Init implements mac.Protocol.
 func (p *Protocol) Init(s *mac.System) {
-	if n := len(s.Stations); cap(p.voiceSlot) >= n {
-		p.voiceSlot = p.voiceSlot[:n]
-		clear(p.voiceSlot)
-	} else {
-		p.voiceSlot = make([]bool, n)
+	n := len(s.Stations)
+	p.voiceSlot = slices.Grow(p.voiceSlot[:0], n)[:n]
+	p.heldAt = slices.Grow(p.heldAt[:0], n)[:n]
+	clear(p.voiceSlot)
+	for i := range p.heldAt {
+		p.heldAt[i] = -1
 	}
 	p.dataGrant = nil
 }
@@ -106,20 +110,18 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		}
 	}
 
-	// The single competitive slot at the end of the frame.
-	p.cands = p.cands[:0]
+	// The single competitive slot at the end of the frame. A live slot
+	// holder sits it out; a stale slot (talkspurt ended earlier) is
+	// released so its station contends again.
+	frame := s.FrameIndex()
 	s.ForEachCandidate(func(st *mac.Station) {
-		if p.voiceSlot[st.ID] {
-			if st.Reserved() {
-				return
-			}
-			// Talkspurt ended earlier: release the stale slot and let
-			// the station contend again.
+		if p.voiceSlot[st.ID] && st.Reserved() {
+			p.heldAt[st.ID] = frame
+		} else {
 			p.voiceSlot[st.ID] = false
 		}
-		p.cands = append(p.cands, st)
 	})
-	if w := s.Contend(p.cands); w != nil {
+	if w := s.ContendStamped(p.heldAt, frame); w != nil {
 		if s.RequestKind(w) == mac.KindVoice {
 			p.voiceSlot[w.ID] = true
 			// Mark the MAC-level reservation so talkspurt-end release

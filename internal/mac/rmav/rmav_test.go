@@ -3,10 +3,14 @@ package rmav_test
 import (
 	"testing"
 
+	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/mac"
 	"charisma/internal/mac/rmav"
+	"charisma/internal/phy"
+	"charisma/internal/rng"
 	"charisma/internal/sim"
+	"charisma/internal/traffic"
 )
 
 func build(t *testing.T, nv, nd int) (*mac.System, mac.Protocol) {
@@ -113,6 +117,40 @@ func TestVoiceSlotPersistsAcrossFrames(t *testing.T) {
 	}
 	if reservedFrames > 0 && multiSlot == 0 {
 		t.Fatal("reserved stations never enlarged the frame")
+	}
+}
+
+// A station holding a live voice slot sits the competitive slot out, even
+// with data queued: only a station carrying both services can hit this
+// rule, so the cell is built by hand.
+func TestSlotHolderSitsOutCompetitiveSlot(t *testing.T) {
+	cfg := mac.DefaultConfig()
+	cfg.PermVoice, cfg.PermData = 1, 1
+	st := mac.NewStation(0,
+		traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(1, "voice"), 0),
+		traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "data"), 0),
+		channel.NewFading(channel.DefaultParams(), rng.Derive(1, "chan")))
+	sys, err := mac.NewSystem(cfg, phy.NewFixed(phy.DefaultParams()), []*mac.Station{st}, rng.Derive(1, "mac"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rmav.New()
+	p.Init(sys)
+	held := 0
+	for i := 0; i < 20000; i++ {
+		sys.BeginFrame()
+		reserved := st.Reserved()
+		if reserved && st.Data().Backlog() > 0 && !st.PendingAtBS() {
+			held++
+		}
+		dur := p.RunFrame(sys)
+		if reserved && st.PendingAtBS() {
+			t.Fatalf("frame %d: a voice-slot holder won the competitive slot for data", i)
+		}
+		sys.EndFrame(dur)
+	}
+	if held == 0 {
+		t.Fatal("the station never held a voice slot with data queued")
 	}
 }
 

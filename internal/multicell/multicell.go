@@ -21,11 +21,11 @@ package multicell
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/mac"
-	"charisma/internal/mathx"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
 	"charisma/internal/run"
@@ -66,7 +66,7 @@ type Params struct {
 	WarmupSec   float64
 	DurationSec float64
 
-	// Channel, PHY and MAC default like core.Scenario.
+	// Channel, PHY and MAC default and validate like core.Scenario's.
 	Channel channel.Params
 	PHY     phy.Params
 	MAC     mac.Config
@@ -90,35 +90,35 @@ func DefaultParams() Params {
 	}
 }
 
-// WithDefaults returns the params with zero-valued substrate knobs
-// replaced by the calibrated defaults, mirroring core.Scenario: it is the
-// normalization New applies before validating, exposed so external
-// loaders (the grid's scenario files) can validate a deployment as it
-// will actually run.
+// cell is the single-cell view of the deployment: the fields
+// core.Scenario owns, so one normalizer and one validator serve both
+// spec kinds.
+func (p Params) cell() core.Scenario {
+	return core.Scenario{
+		Protocol: p.Protocol, NumVoice: p.NumVoice, NumData: p.NumData, UseQueue: p.UseQueue,
+		Seed: p.Seed, WarmupSec: p.WarmupSec, DurationSec: p.DurationSec,
+		Channel: p.Channel, PHY: p.PHY, MAC: p.MAC,
+	}
+}
+
+// WithDefaults returns the params as New runs them: a 20 s measurement
+// window when none is set, then core.Scenario's defaults for the warm-up
+// and the substrate blocks (an all-zero block is replaced whole, a partly
+// set one is kept for Validate to reject). External loaders (the grid's
+// scenario files) use it to validate a deployment as it will actually
+// run.
 func (p Params) WithDefaults() Params {
-	if p.Channel == (channel.Params{}) {
-		p.Channel = channel.DefaultParams()
-	}
-	if len(p.PHY.Etas) == 0 {
-		p.PHY = phy.DefaultParams()
-	}
-	if p.MAC.Geometry.FrameSymbols == 0 {
-		p.MAC = mac.DefaultConfig()
-	}
-	p.MAC.UseQueue = p.UseQueue
-	if p.WarmupSec <= 0 {
-		p.WarmupSec = 2
-	}
 	if p.DurationSec <= 0 {
 		p.DurationSec = 20
 	}
+	c := p.cell().WithDefaults()
+	p.Channel, p.PHY, p.MAC, p.WarmupSec = c.Channel, c.PHY, c.MAC, c.WarmupSec
 	return p
 }
 
-// Validate reports configuration errors. Every rejection is a
-// *core.ValidationError naming the offending field; substrate rejections
-// (Channel/PHY/MAC) are wrapped with the owning field name, as in
-// core.Scenario.Validate.
+// Validate reports configuration errors, each a *core.ValidationError
+// naming the offending field: the deployment's own knobs first, then
+// every cell rule of core.Scenario.Validate, then the fixed-frame rule.
 func (p Params) Validate() error {
 	invalid := func(field, reason string, args ...any) error {
 		return &core.ValidationError{Field: field, Reason: fmt.Sprintf(reason, args...)}
@@ -126,36 +126,17 @@ func (p Params) Validate() error {
 	if p.Cells < 2 {
 		return invalid("Cells", "need at least 2 cells, got %d", p.Cells)
 	}
-	if p.Protocol == core.ProtoRMAV {
-		return invalid("Protocol", "RMAV's variable frames cannot be cell-synchronized")
-	}
-	if _, err := core.NewProtocol(p.Protocol); err != nil {
-		return invalid("Protocol", "%v", err)
-	}
-	if p.NumVoice+p.NumData == 0 {
-		return invalid("NumVoice+NumData", "no users")
-	}
 	if p.DecisionPeriodFrames < 1 {
 		return invalid("DecisionPeriodFrames", "decision period %d frames", p.DecisionPeriodFrames)
 	}
-	if f, bad := mathx.FirstNonFinite(
-		mathx.Field{Name: "HysteresisDB", Value: p.HysteresisDB},
-		mathx.Field{Name: "WarmupSec", Value: p.WarmupSec},
-		mathx.Field{Name: "DurationSec", Value: p.DurationSec},
-	); bad {
-		return invalid(f.Name, "%v, want a finite value", f.Value)
+	if h := p.HysteresisDB; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+		return invalid("HysteresisDB", "%v, want a finite value ≥ 0", h)
 	}
-	if p.HysteresisDB < 0 {
-		return invalid("HysteresisDB", "negative hysteresis %v", p.HysteresisDB)
+	if err := p.cell().Validate(); err != nil {
+		return err
 	}
-	if err := p.Channel.Validate(); err != nil {
-		return invalid("Channel", "%v", err)
-	}
-	if err := p.PHY.Validate(); err != nil {
-		return invalid("PHY", "%v", err)
-	}
-	if err := p.MAC.Validate(); err != nil {
-		return invalid("MAC", "%v", err)
+	if proto, _ := core.NewProtocol(p.Protocol); proto.Name() == core.ProtoRMAV {
+		return invalid("Protocol", "RMAV's variable frames cannot be cell-synchronized")
 	}
 	return nil
 }
@@ -191,17 +172,12 @@ func New(p Params) (*Deployment, error) {
 	d := &Deployment{p: p}
 
 	n := p.NumVoice + p.NumData
-	// One shared fading plane per cell: clone k of cell c is view k of
-	// cell c's bank. Each (cell, user) link keeps its own private stream
-	// derived from (seed, "mc-chan", c, k), so the per-link sample paths
-	// are byte-identical to the former one-object-per-clone layout while
-	// the per-cell frame loop advances one contiguous plane.
-	banks := make([]*channel.Bank, p.Cells)
-	for c := 0; c < p.Cells; c++ {
-		c := c
-		banks[c] = channel.NewBankFunc(n, func(k int) (channel.Params, *rng.Stream) {
-			return p.Channel, rng.DeriveIndexed(p.Seed, "mc-chan", c, k)
-		})
+	// Each cell keeps its links on one slab: clone k of cell c is a slab
+	// row on its own stream, derived from (seed, "mc-chan", c, k), so a
+	// link's sample path does not depend on the order the rows are built.
+	slabs := make([]*channel.Slab, p.Cells)
+	for c := range slabs {
+		slabs[c] = channel.NewSlab()
 	}
 	// Build clones: cell-local station lists with dense local IDs.
 	cellStations := make([][]*mac.Station, p.Cells)
@@ -216,7 +192,7 @@ func New(p Params) (*Deployment, error) {
 		}
 		bestCell, bestDB := 0, -1e18
 		for c := 0; c < p.Cells; c++ {
-			fad := banks[c].User(k)
+			fad := slabs[c].New(p.Channel, rng.DeriveIndexed(p.Seed, "mc-chan", c, k))
 			st := mac.NewStation(k, nil, nil, fad)
 			u.clones[c] = st
 			cellStations[c] = append(cellStations[c], st)
@@ -230,13 +206,7 @@ func New(p Params) (*Deployment, error) {
 	}
 
 	for c := 0; c < p.Cells; c++ {
-		var modem phy.PHY
-		if core.AdaptivePHYFor(p.Protocol) {
-			modem = phy.NewAdaptive(p.PHY)
-		} else {
-			modem = phy.NewFixed(p.PHY)
-		}
-		sys, err := mac.NewSystem(p.MAC, modem, cellStations[c],
+		sys, err := mac.NewSystem(p.MAC, core.NewModem(p.Protocol, p.PHY), cellStations[c],
 			rng.Derive(p.Seed, "mc-mac", fmt.Sprint(c), p.Protocol))
 		if err != nil {
 			return nil, err

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"charisma/internal/core"
+	"charisma/internal/mac"
+	"charisma/internal/phy"
 	"charisma/internal/run"
 )
 
@@ -54,6 +56,29 @@ func TestValidation(t *testing.T) {
 	var ve *core.ValidationError
 	if err := p.Validate(); !errors.As(err, &ve) || ve.Field != "Protocol" {
 		t.Errorf("unknown protocol: err %v, want a *core.ValidationError for Protocol", err)
+	}
+	// A deployment's cells follow every single-cell rule: populations are
+	// non-negative, RMAV is refused in any spelling, and a partly set
+	// substrate block survives WithDefaults to be rejected by name.
+	for name, c := range map[string]struct {
+		mutate func(*Params)
+		field  string
+	}{
+		"negative NumVoice": {func(p *Params) { p.NumVoice, p.NumData = -5, 10 }, "NumVoice"},
+		"negative NumData":  {func(p *Params) { p.NumData = -1 }, "NumData"},
+		"RMAV":              {func(p *Params) { p.Protocol = "RMAV" }, "Protocol"},
+		"padded rmav":       {func(p *Params) { p.Protocol = " rmav " }, "Protocol"},
+		"partial PHY":       {func(p *Params) { p.PHY = phy.Params{MeanSNRdB: -20} }, "PHY"},
+		"partial MAC":       {func(p *Params) { p.MAC = mac.Config{PermVoice: 0.9} }, "MAC"},
+	} {
+		p := quickParams()
+		c.mutate(&p)
+		_, runErr := Run(p)
+		for _, err := range []error{p.WithDefaults().Validate(), runErr} {
+			if !errors.As(err, &ve) || ve.Field != c.field {
+				t.Errorf("%s: err %v, want a *core.ValidationError for %s", name, err, c.field)
+			}
+		}
 	}
 
 	n := 0

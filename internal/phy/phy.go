@@ -57,14 +57,6 @@ type Mode struct {
 // mode (0 for the half-rate mode).
 func (m Mode) PacketsPerSlot() int { return m.HalfPacketsPerSlot / 2 }
 
-// SlotsPerPacket returns how many slots one packet needs in this mode.
-func (m Mode) SlotsPerPacket() int {
-	if m.HalfPacketsPerSlot >= 2 {
-		return 1
-	}
-	return 2
-}
-
 // String renders a short mode descriptor.
 func (m Mode) String() string {
 	return fmt.Sprintf("mode%d(η=%.1f,θ=%.1fdB)", m.Index, m.Eta, mathx.LinearToDB(m.SNRThreshold))
@@ -350,16 +342,6 @@ func (a *Adaptive) PacketErrorProb(m Mode, actualAmp float64) float64 {
 
 // BER implements PHY.
 func (a *Adaptive) BER(m Mode, snr float64) float64 { return berOf(m, snr) }
-
-// ThroughputForAmplitude returns the normalized throughput η the modem
-// would realize at a given amplitude — the Fig. 7b staircase.
-func (a *Adaptive) ThroughputForAmplitude(amp float64) float64 {
-	m, outage := a.ModeForSNR(amp * amp * a.meanSNR)
-	if outage {
-		return 0
-	}
-	return m.Eta
-}
 
 // MeanThroughputRayleigh returns E[η] under unit-mean Rayleigh fading at
 // mean SNR Γ̄ — the calibration quantity behind the "twice the average

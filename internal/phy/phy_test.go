@@ -74,12 +74,14 @@ func TestHalfPacketsPerSlot(t *testing.T) {
 
 func TestSlotsPerPacketAndPacketsPerSlot(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
+	// The half-rate mode carries half a packet per slot, so a packet
+	// takes two slots; mode 3 carries three whole packets in one slot.
 	m0 := a.Modes()[0]
-	if m0.SlotsPerPacket() != 2 || m0.PacketsPerSlot() != 0 {
+	if m0.HalfPacketsPerSlot != 1 || m0.PacketsPerSlot() != 0 {
 		t.Fatal("half-rate mode slot accounting wrong")
 	}
 	m3 := a.Modes()[3]
-	if m3.SlotsPerPacket() != 1 || m3.PacketsPerSlot() != 3 {
+	if m3.HalfPacketsPerSlot != 6 || m3.PacketsPerSlot() != 3 {
 		t.Fatal("mode 3 slot accounting wrong")
 	}
 }
@@ -199,18 +201,27 @@ func TestPacketErrorAtThresholdIsSmall(t *testing.T) {
 	}
 }
 
+// TestThroughputStaircase: the η the adaptive modem realizes rises
+// monotonically with SNR, from 0 in outage to the top mode — Fig. 7b.
 func TestThroughputStaircase(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
-	if got := a.ThroughputForAmplitude(0.001); got != 0 {
+	eta := func(amp float64) float64 {
+		m, outage := a.ModeForSNR(amp * amp * a.meanSNR)
+		if outage {
+			return 0
+		}
+		return m.Eta
+	}
+	if got := eta(0.001); got != 0 {
 		t.Fatalf("outage throughput = %v, want 0", got)
 	}
 	prev := -1.0
 	for amp := 0.01; amp < 10; amp *= 1.1 {
-		eta := a.ThroughputForAmplitude(amp)
-		if eta < prev {
+		e := eta(amp)
+		if e < prev {
 			t.Fatal("throughput staircase not monotone (Fig. 7b)")
 		}
-		prev = eta
+		prev = e
 	}
 	if prev != 5 {
 		t.Fatalf("max throughput = %v, want 5", prev)

@@ -22,7 +22,7 @@
 // bulk NormFloat64s the fading catch-up uses — run math/rand's own
 // arithmetic (the Float64 division and resample, the 128-strip ziggurat and
 // its tables, normal.go) directly on that concrete source, so they skip the
-// rand.Source interface call per word. Exp, IntN and Perm stay on an
+// rand.Source interface call per word. Exp and IntN stay on an
 // embedded rand.Rand over the same source; it holds no draw state of its
 // own, so both paths consume one sequence, and every value equals what
 // rand.New(rand.NewSource(seed)) returns for the same calls (pinned by
@@ -195,12 +195,6 @@ func (s *Stream) ComplexGaussian() (re, im float64) {
 	return s.normFloat64() * ComplexScale, s.normFloat64() * ComplexScale
 }
 
-// Rayleigh returns a Rayleigh-distributed amplitude with E[c^2] = 1.
-func (s *Stream) Rayleigh() float64 {
-	re, im := s.ComplexGaussian()
-	return math.Hypot(re, im)
-}
-
 // ExpPositiveInt returns a positive integer whose mean is approximately
 // `mean`, drawn by rounding an exponential sample up to at least 1. Used
 // for the data burst length (exponential, mean 100 packets, and a burst is
@@ -212,7 +206,3 @@ func (s *Stream) ExpPositiveInt(mean float64) int {
 	}
 	return v
 }
-
-// Perm returns a random permutation of [0,n). It runs on the embedded
-// rand.Rand (math/rand's Perm).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }

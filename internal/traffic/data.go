@@ -104,14 +104,6 @@ func (d *DataSource) NextArrivalAt() sim.Time { return d.nextArrival }
 // previous transmission attempts failed).
 func (d *DataSource) Backlog() int { return d.backlog }
 
-// OldestBorn returns the arrival time of the head-of-line packet.
-func (d *DataSource) OldestBorn() (sim.Time, bool) {
-	if d.backlog == 0 {
-		return 0, false
-	}
-	return d.bursts[d.head].born, true
-}
-
 // Generated returns the lifetime count of arrived packets.
 func (d *DataSource) Generated() uint64 { return d.generated }
 

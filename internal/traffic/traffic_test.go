@@ -231,7 +231,7 @@ func TestDataTransmitDelaysMeasuredFromBirth(t *testing.T) {
 		now = sim.Time(f) * frameDur
 		d.Advance(now)
 	}
-	born, _ := d.OldestBorn()
+	born := d.bursts[d.head].born
 	txAt := now + 10*frameDur
 	var got []sim.Time
 	d.TransmitAttempts(1, txAt, func() bool { return true }, func(delay sim.Time) {
@@ -326,10 +326,12 @@ func TestDataConservationProperty(t *testing.T) {
 	}
 }
 
+// TestDataOldestBornEmpty: a source before its first arrival holds no
+// burst, so there is no head-of-line birth time.
 func TestDataOldestBornEmpty(t *testing.T) {
 	d := newData(6)
-	if _, ok := d.OldestBorn(); ok {
-		t.Fatal("OldestBorn on empty queue returned a value")
+	if d.Backlog() != 0 || d.head != len(d.bursts) {
+		t.Fatalf("fresh source holds %d packets in %d bursts", d.Backlog(), len(d.bursts)-d.head)
 	}
 }
 
