@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -16,8 +18,10 @@ import (
 
 // Cache stores one mac.Result per replication under its RepKey. A cache
 // only ever serves results it was handed for exactly that key, so a hit is
-// always byte-identical to re-running the simulation (mac.Result is plain
-// data and Go's JSON float formatting round-trips exactly).
+// always byte-identical to re-running the simulation. The disk tier keeps
+// that promise by serving only a body in json.Marshal's own layout of
+// mac.Result, read back with strconv's exact float parse; a body in any
+// other shape is quarantined.
 type Cache interface {
 	// Get returns the cached result for key, if present. Get must be safe
 	// for concurrent use: a session resolves its initial replications with
@@ -55,8 +59,10 @@ type CacheStats struct {
 	MemMisses  uint64 // mem-tier misses (may still hit disk below)
 	DiskHits   uint64
 	DiskMisses uint64
-	// DiskCorrupt counts entries that failed their integrity check and
-	// were quarantined (renamed <key>.corrupt) instead of being served.
+	// DiskCorrupt counts entries that failed their integrity check or
+	// were not in the put layout, and were quarantined (renamed
+	// <key>.corrupt) instead of being served. An entry whose rename
+	// fails is not counted; it stays a miss.
 	DiskCorrupt uint64
 	// DiskPutErrors counts failed disk writes; enough consecutive
 	// failures disable the disk tier's writes (reads keep working).
@@ -124,13 +130,16 @@ func (c *MemCache) Len() int {
 //
 //	{"sum":"<8 lowercase hex digits>","result":<body>}
 //
-// where body is the result's canonical JSON and the digits are CRC-32C
+// where body is json.Marshal of the mac.Result and the digits are CRC-32C
 // (Castagnoli) over body. The checksum turns silent disk corruption — a
 // flipped bit inside a float's digits still parses as valid JSON — into a
 // detected, quarantined entry instead of a wrong result served as a hit.
-// The layout itself is the format: Get checks it byte for byte, so a v1
-// entry (bare mac.Result JSON), a hand-reformatted entry or a truncated
-// one is quarantined too. That costs a re-simulation, never a wrong hit.
+// The layout itself is the format, body included: Get checks the envelope
+// byte for byte and reads the body with decodeCanonical, so a v1 entry
+// (bare mac.Result JSON), a hand-reformatted, truncated or re-indented
+// entry, and a body with a missing, unknown or reordered field (what an
+// older binary wrote before a field existed) are quarantined too. That
+// costs a re-simulation, never a wrong hit.
 const (
 	entryHead   = `{"sum":"`
 	entryMid    = `","result":`
@@ -194,9 +203,10 @@ const diskDisableAfter = 3
 // two hex digits of the key so directories stay small on wide sweeps.
 // Writes are atomic (temp file + rename), so a killed sweep never leaves a
 // truncated entry behind. Every entry carries a CRC-32C; an entry that
-// fails its integrity check is quarantined — renamed to <key>.corrupt for
-// post-mortem and counted in CacheStats — instead of being re-read (and
-// re-missed, or worse, silently served wrong) on every future run.
+// fails its integrity check or is not in the put layout is quarantined —
+// renamed to <key>.corrupt for post-mortem and counted in CacheStats —
+// instead of being re-read (and re-missed, or worse, silently served
+// wrong) on every future run.
 //
 // When constructed via NewDiskCache, the cache degrades gracefully if its
 // directory stops accepting writes (volume remounted read-only, quota
@@ -229,7 +239,10 @@ func (c DiskCache) path(key string) (string, bool) {
 	return filepath.Join(c.Dir, key[:2], key+".json"), true
 }
 
-// Get implements Cache.
+// Get implements Cache. It serves an entry only when the envelope has the
+// exact put layout with a matching CRC and the body decodes in
+// json.Marshal's own layout of mac.Result (decodeCanonical); anything else
+// is quarantined and read as a miss.
 func (c DiskCache) Get(key string) (mac.Result, bool) {
 	p, ok := c.path(key)
 	if !ok {
@@ -239,13 +252,8 @@ func (c DiskCache) Get(key string) (mac.Result, bool) {
 	if err != nil {
 		return mac.Result{}, false
 	}
-	body, ok := entryResult(b)
-	if !ok {
-		c.quarantine(p, key)
-		return mac.Result{}, false
-	}
 	var r mac.Result
-	if err := json.Unmarshal(body, &r); err != nil {
+	if body, ok := entryResult(b); !ok || !decodeCanonical(body, &r) {
 		c.quarantine(p, key)
 		return mac.Result{}, false
 	}
@@ -254,17 +262,24 @@ func (c DiskCache) Get(key string) (mac.Result, bool) {
 
 // quarantine moves a corrupt entry aside as <key>.corrupt — it stops
 // being re-read as a miss on every run, stays available for post-mortem,
-// and a fresh Put of the key lands in a clean file.
+// and a fresh Put of the key lands in a clean file. Only a completed move
+// counts in CacheStats.DiskCorrupt: an entry that cannot be moved stays
+// where it is and is reported, and missed, again on every read. An entry
+// already gone was moved by a concurrent reader, which counted it.
 func (c DiskCache) quarantine(p, key string) {
-	if err := os.Rename(p, filepath.Join(filepath.Dir(p), key+".corrupt")); err != nil {
-		// Can't rename (read-only dir): best effort, the entry stays a miss.
-		_ = err
+	err := os.Rename(p, filepath.Join(filepath.Dir(p), key+".corrupt"))
+	if c.s == nil || errors.Is(err, fs.ErrNotExist) {
+		return
 	}
-	if c.s != nil {
-		c.s.corrupt.Add(1)
+	if err != nil {
 		if c.s.log != nil {
-			c.s.log.Warn("corrupt cache entry quarantined", "key", key, "path", p+" -> "+key+".corrupt")
+			c.s.log.Warn("corrupt cache entry left in place, quarantine failed", "key", key, "path", p, "err", err)
 		}
+		return
+	}
+	c.s.corrupt.Add(1)
+	if c.s.log != nil {
+		c.s.log.Warn("corrupt cache entry quarantined", "key", key, "path", p+" -> "+key+".corrupt")
 	}
 }
 
@@ -310,20 +325,17 @@ func (c DiskCache) put(key string, r mac.Result) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Delete implements Cache.

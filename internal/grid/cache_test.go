@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,6 +57,10 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt entry served as hit")
 	}
+	// A literal DiskCache has no counters to report.
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Fatalf("literal DiskCache reports %+v", st)
+	}
 }
 
 func TestDiskCacheRejectsUnsafeKeys(t *testing.T) {
@@ -99,7 +104,8 @@ func TestNewCacheSelectsStack(t *testing.T) {
 // in a clean file.
 func TestDiskCacheQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
-	c := NewDiskCache(dir, nil)
+	var log strings.Builder
+	c := NewDiskCache(dir, slog.New(slog.NewTextHandler(&log, nil)))
 	key := RepKey("deadbeef", 1)
 	c.Put(key, realResult(t))
 	p, _ := c.EntryPath(key)
@@ -130,6 +136,9 @@ func TestDiskCacheQuarantinesCorruptEntry(t *testing.T) {
 	}
 	if n := c.Stats().DiskCorrupt; n != 1 {
 		t.Fatalf("DiskCorrupt re-counted: %d", n)
+	}
+	if n := strings.Count(log.String(), "corrupt cache entry quarantined"); n != 1 {
+		t.Fatalf("quarantine logged %d times, want once\n%s", n, log.String())
 	}
 	// The key is writable again.
 	want := realResult(t)
@@ -188,12 +197,18 @@ type legacyEntry struct {
 	Result json.RawMessage `json:"result"`
 }
 
-func legacyMarshal(t testing.TB, r mac.Result) []byte {
+func legacyBody(t testing.TB, r mac.Result) []byte {
 	t.Helper()
 	body, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return body
+}
+
+func legacyMarshal(t testing.TB, r mac.Result) []byte {
+	t.Helper()
+	body := legacyBody(t, r)
 	b, err := json.Marshal(legacyEntry{Sum: fmt.Sprintf("%08x", crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))), Result: body})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +296,158 @@ func TestDiskCacheReformattedEntryQuarantined(t *testing.T) {
 	}
 }
 
+// TestDiskCacheBodyLayoutQuarantined: the body must be mac.Result's own
+// layout, as Put writes it. A body with the right CRC but a missing field
+// (what a binary from before the field existed wrote), an unknown field,
+// reordered fields or inner whitespace is valid JSON that json.Unmarshal
+// accepts, yet serving it would break the promise that a hit equals a
+// re-run: it is quarantined like a bad checksum.
+func TestDiskCacheBodyLayoutQuarantined(t *testing.T) {
+	body, err := json.Marshal(mac.Result{Protocol: "charisma", Frames: 400, VoiceGenerated: 343, Reps: mac.RepStats{Replications: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"missing field":    []byte(`{"Protocol":"charisma","Frames":400,"VoiceGenerated":343}`),
+		"unknown field":    append(bytes.TrimSuffix(bytes.Clone(body), []byte("}")), `,"Bogus":1}`...),
+		"reordered fields": bytes.Replace(body, []byte(`"Protocol":"charisma","Frames":400`), []byte(`"Frames":400,"Protocol":"charisma"`), 1),
+		"inner whitespace": bytes.Replace(body, []byte(`"Frames":400`), []byte(`"Frames": 400`), 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if bytes.Equal(b, body) {
+				t.Fatal("edit left the body unchanged")
+			}
+			var loose mac.Result
+			if err := json.Unmarshal(b, &loose); err != nil {
+				t.Fatalf("body is not even loose JSON: %v", err)
+			}
+			c := NewDiskCache(t.TempDir(), nil)
+			key := RepKey("b0d1e5", 1)
+			p, _ := c.EntryPath(key)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, encodeEntry(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, ok := c.Get(key); ok {
+				t.Fatalf("body %s served as a hit: %+v", b, r)
+			}
+			if n := c.Stats().DiskCorrupt; n != 1 {
+				t.Fatalf("DiskCorrupt = %d, want 1", n)
+			}
+			if _, err := os.Stat(filepath.Join(filepath.Dir(p), key+".corrupt")); err != nil {
+				t.Fatalf("entry not quarantined: %v", err)
+			}
+		})
+	}
+}
+
+// TestDiskCachePutFailures: each way a write can fail is counted as a put
+// error and leaves no entry, and no temp file, behind. The failures come
+// from the file tree, since permission bits do not stop root.
+func TestDiskCachePutFailures(t *testing.T) {
+	key := RepKey("f00d", 1)
+	for _, c := range []struct {
+		name  string
+		key   string
+		block func(t *testing.T, shard, entry string)
+	}{
+		{"shard directory is a file", key, func(t *testing.T, shard, _ string) {
+			if err := os.WriteFile(shard, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"key too long for a file name", strings.Repeat(key, 5), nil},
+		{"entry path is a non-empty directory", key, func(t *testing.T, _, entry string) {
+			if err := os.MkdirAll(filepath.Join(entry, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dc := NewDiskCache(t.TempDir(), nil)
+			entry, _ := dc.EntryPath(c.key)
+			shard := filepath.Dir(entry)
+			if c.block != nil {
+				c.block(t, shard, entry)
+			}
+			dc.Put(c.key, mac.Result{Protocol: "x"})
+			if n := dc.Stats().DiskPutErrors; n != 1 {
+				t.Fatalf("DiskPutErrors = %d, want 1", n)
+			}
+			if _, ok := dc.Get(c.key); ok {
+				t.Fatal("hit after a failed put")
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(shard, ".*")); len(tmps) > 0 {
+				t.Fatalf("failed put left temp files: %v", tmps)
+			}
+		})
+	}
+	// A result json.Marshal cannot encode is not stored, and that is no
+	// disk failure.
+	dc := NewDiskCache(t.TempDir(), nil)
+	dc.Put(key, mac.Result{Frames: math.NaN()})
+	if n := dc.Stats().DiskPutErrors; n != 0 {
+		t.Fatalf("unencodable result counted as %d put errors", n)
+	}
+	if p, _ := dc.EntryPath(key); fileExists(p) {
+		t.Fatal("unencodable result written")
+	}
+}
+
+func fileExists(p string) bool {
+	_, err := os.Stat(p)
+	return err == nil
+}
+
+// TestDiskCacheQuarantineRenameFails: when the corrupt entry cannot be
+// moved aside (here a non-empty directory holds <key>.corrupt), it stays
+// in place and every read misses; DiskCorrupt counts quarantined entries
+// only, so it stays 0, and each read logs the failure.
+func TestDiskCacheQuarantineRenameFails(t *testing.T) {
+	var buf strings.Builder
+	c := NewDiskCache(t.TempDir(), slog.New(slog.NewTextHandler(&buf, nil)))
+	key := RepKey("0bad", 5)
+	c.Put(key, mac.Result{Protocol: "x"})
+	p, _ := c.EntryPath(key)
+	if err := os.WriteFile(p, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(filepath.Dir(p), key+".corrupt", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := c.Get(key); ok {
+			t.Fatal("corrupt entry served as hit")
+		}
+	}
+	if !fileExists(p) {
+		t.Fatal("entry moved despite the failed rename")
+	}
+	if n := c.Stats().DiskCorrupt; n != 0 {
+		t.Fatalf("DiskCorrupt = %d for an entry that was not quarantined", n)
+	}
+	if n := strings.Count(buf.String(), "quarantine failed"); n != 2 {
+		t.Fatalf("failed quarantine logged %d times, want 2\n%s", n, buf.String())
+	}
+	// Two readers of one corrupt entry race to move it: the loser finds
+	// it gone, and neither counts nor logs a second time.
+	buf.Reset()
+	c.quarantine(p+".gone", key)
+	if n := c.Stats().DiskCorrupt; n != 0 || buf.Len() > 0 {
+		t.Fatalf("quarantine of a vanished entry: DiskCorrupt %d, log %q", n, buf.String())
+	}
+}
+
 // FuzzDiskEntry: arbitrary bytes at an entry's path never panic Get, and a
-// hit implies the exact layout Put writes, with a matching CRC-32C.
+// hit implies the exact layout Put writes, with a matching CRC-32C, over a
+// body the strict decode accepts as the hit's value.
 func FuzzDiskEntry(f *testing.F) {
 	f.Add(legacyMarshal(f, mac.Result{Protocol: "charisma", Frames: 12.5}))
 	f.Add(legacyMarshal(f, mac.Result{}))
+	f.Add(encodeEntry([]byte(`{"Protocol":"charisma","Frames":400,"VoiceGenerated":343}`)))
+	f.Add(encodeEntry(append(bytes.TrimSuffix(legacyBody(f, mac.Result{}), []byte("}")), `,"Bogus":1}`...)))
 	f.Add([]byte(`{"sum":"00000000","result":{}}`))
 	f.Add([]byte(`{"result":{},"sum":"00000000"}`))
 	f.Add([]byte(`{"Protocol":"v1"}`))
@@ -316,8 +478,8 @@ func FuzzDiskEntry(f *testing.F) {
 			t.Fatalf("hit with checksum %s over a body summing to %s", data[len(head):len(head)+8], sum)
 		}
 		var want mac.Result
-		if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(r, want) {
-			t.Fatalf("hit %+v does not decode from the body (%v)", r, err)
+		if err := strictDecode(body, &want); err != nil || !reflect.DeepEqual(r, want) {
+			t.Fatalf("hit %+v does not strict-decode from the body (%v)", r, err)
 		}
 	})
 }

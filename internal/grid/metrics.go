@@ -76,7 +76,7 @@ func (sv *Server) serveMetrics(w http.ResponseWriter) {
 			counter("charisma_grid_cache_disk_misses_total",
 				"Result-cache misses falling through the on-disk tier.", cs.DiskMisses)
 			counter("charisma_grid_cache_disk_corrupt_total",
-				"Corrupt on-disk cache entries detected and quarantined.", cs.DiskCorrupt)
+				"On-disk cache entries that failed their checksum or layout check and were quarantined.", cs.DiskCorrupt)
 			counter("charisma_grid_cache_disk_put_errors_total",
 				"Failed on-disk cache writes (disk tier degrades after repeats).", cs.DiskPutErrors)
 		}

@@ -19,7 +19,11 @@ package grid
 // content-addressed cache and the distributed grid unchanged.
 //
 // A line without axes is decoded in one pass, straight into the schema.
-// That is sound because no payload type has a map or interface field, or
+// A line in json.Marshal's own layout of the schema — every line
+// WriteScenarioFile and charisma-scen gen write — is read by
+// decodeCanonical, which answers only where the strict decode would give
+// the same document; any other line is strict-decoded by encoding/json.
+// Both are sound because no payload type has a map or interface field, or
 // a field whose name folds to "sweep" or "range": a line carrying an axis
 // can never strict-decode, so only lines that fail the one-pass decode
 // take the generic path (parse to a tree, collect axes, substitute,
@@ -40,8 +44,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,22 +187,25 @@ func expandLines(pts []Point, buf []byte, lines []lineSpan) ([]Point, error) {
 
 // ExpandScenarioLine expands one scenario document into the cross product
 // of its axes. A document without axes yields exactly one point, decoded
-// in one pass; any line that does not strict-decode as it stands takes
-// the generic path.
+// in one pass (canonically, or else strictly); any line that does not
+// strict-decode as it stands takes the generic path.
 func ExpandScenarioLine(line []byte) ([]Point, error) {
-	// A top-level null strict-decodes as an empty document; leave it to
-	// the generic path, which rejects every non-object.
-	if doc := bytes.TrimLeft(line, " \t\r\n"); len(doc) > 0 && doc[0] == '{' {
-		var d scenarioDoc
-		if strictDecode(line, &d) == nil {
-			pt, err := d.point()
-			if err != nil {
-				return nil, err
-			}
-			return []Point{pt}, nil
-		}
+	var d scenarioDoc
+	ok := decodeCanonical(line, &d)
+	if !ok {
+		// A top-level null strict-decodes as an empty document; leave it
+		// to the generic path, which rejects every non-object.
+		doc := bytes.TrimLeft(line, " \t\r\n")
+		ok = len(doc) > 0 && doc[0] == '{' && strictDecode(line, &d) == nil
 	}
-	return expandGeneric(line)
+	if !ok {
+		return expandGeneric(line)
+	}
+	pt, err := d.point()
+	if err != nil {
+		return nil, err
+	}
+	return []Point{pt}, nil
 }
 
 // expandGeneric is the axis-aware path: parse to a tree, collect the
@@ -278,8 +287,9 @@ type axis struct {
 	set    func(v any)
 }
 
-// collectAxes walks the document and returns its axes sorted by path, so
-// expansion order is independent of map iteration order.
+// collectAxes walks the document, object keys in sorted order, and
+// returns its axes sorted by path, so expansion order and the error
+// reported for a bad axis are independent of map iteration order.
 func collectAxes(root map[string]any) ([]axis, error) {
 	var axes []axis
 	var walk func(path string, node any, set func(any)) error
@@ -297,13 +307,12 @@ func collectAxes(root map[string]any) ([]axis, error) {
 				axes = append(axes, axis{path: path, values: vals, set: set})
 				return nil
 			}
-			for k, v := range n {
-				k := k
+			for _, k := range slices.Sorted(maps.Keys(n)) {
 				sub := k
 				if path != "" {
 					sub = path + "." + k
 				}
-				if err := walk(sub, v, func(x any) { n[k] = x }); err != nil {
+				if err := walk(sub, n[k], func(x any) { n[k] = x }); err != nil {
 					return err
 				}
 			}
@@ -360,12 +369,13 @@ func axisValues(path string, m map[string]any) ([]any, bool, error) {
 }
 
 // rangeValues expands {"from": a, "to": b, "step": s} into the inclusive
-// progression a, a+s, ..., ≤ b.
+// progression a, a+s, ..., ≤ b. Field names fold case, so two keys
+// folding to the same field are rejected.
 func rangeValues(spec map[string]any) ([]any, error) {
-	var from, to, step float64
-	var haveFrom, haveTo, haveStep bool
-	for k, v := range spec {
-		num, ok := v.(json.Number)
+	var xs [3]float64  // from, to, step
+	var keys [3]string // the key that set each
+	for _, k := range slices.Sorted(maps.Keys(spec)) {
+		num, ok := spec[k].(json.Number)
 		if !ok {
 			return nil, fmt.Errorf("range field %s: want a number", k)
 		}
@@ -373,20 +383,19 @@ func rangeValues(spec map[string]any) ([]any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("range field %s: %w", k, err)
 		}
-		switch strings.ToLower(k) {
-		case "from":
-			from, haveFrom = x, true
-		case "to":
-			to, haveTo = x, true
-		case "step":
-			step, haveStep = x, true
-		default:
+		i := slices.Index([]string{"from", "to", "step"}, strings.ToLower(k))
+		if i < 0 {
 			return nil, fmt.Errorf("unknown range field %q", k)
 		}
+		if keys[i] != "" {
+			return nil, fmt.Errorf("range fields %q and %q fold to the same name", keys[i], k)
+		}
+		xs[i], keys[i] = x, k
 	}
-	if !haveFrom || !haveTo || !haveStep {
+	if keys[0] == "" || keys[1] == "" || keys[2] == "" {
 		return nil, errors.New("range wants from, to and step")
 	}
+	from, to, step := xs[0], xs[1], xs[2]
 	if step <= 0 || math.IsNaN(step) || math.IsInf(step, 0) ||
 		math.IsNaN(from) || math.IsInf(from, 0) || math.IsNaN(to) || math.IsInf(to, 0) {
 		return nil, fmt.Errorf("bad range [%v, %v] step %v", from, to, step)

@@ -274,6 +274,27 @@ func TestScenarioRepeatedKeys(t *testing.T) {
 	}
 }
 
+// TestGenericPathDeterministic: the generic path walks object keys in
+// sorted order and refuses a range whose keys fold to the same field, so
+// a line has one outcome. Both lines once varied with map iteration order:
+// the range took "from" or "From" (6 or 10 points), and the walk named
+// whichever bad axis it met first.
+func TestGenericPathDeterministic(t *testing.T) {
+	for _, c := range []struct{ line, want string }{
+		{`{"scenario": {"protocol": "charisma", "numVoice": {"range": {"from": 1, "From": 5, "to": 10, "step": 1}}}}`,
+			`axis scenario.numVoice: range fields "From" and "from" fold to the same name`},
+		{`{"scenario": {"protocol": "charisma", "numVoice": {"sweep": []}, "numData": {"range": {"from": 5, "to": 1, "step": 1}}}}`,
+			`axis scenario.numData: empty range [5, 1]`},
+	} {
+		for i := 0; i < 100; i++ {
+			pts, err := ExpandScenarioLine([]byte(c.line))
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("call %d on %s: %d points, error %v; want error %q", i, c.line, len(pts), err, c.want)
+			}
+		}
+	}
+}
+
 // TestScenarioSchemaHasNoAxisShapes guards the one-pass decode: a line
 // carrying an axis must never strict-decode, which holds while no type in
 // the schema has a map or interface field, a custom JSON decoder, or a
@@ -428,8 +449,11 @@ func repeatedKeys(b []byte) (repeated bool) {
 // loader: arbitrary bytes must never panic, and every successfully loaded
 // file must round-trip each expanded spec through the canonical codec to
 // the same content hash. Every line without repeated keys must also give
-// the same points (and spec hashes), or the same error, from the one-pass
-// path as from the generic path, which stays the reference.
+// the same points (and spec hashes), or the same error text, from the
+// one-pass path as from the generic path, which stays the reference; the
+// generic path must give the same error text on a repeated call; and
+// where the canonical decode answers, it must give the same document,
+// points and hashes as the strict decode.
 func FuzzScenarioFile(f *testing.F) {
 	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": 30, "numData": 5}}`))
 	f.Add([]byte(`{"scenario": {"protocol": {"sweep": ["charisma", "rama"]}, "numVoice": {"range": {"from": 20, "to": 60, "step": 20}}}, "replications": 2}`))
@@ -440,6 +464,15 @@ func FuzzScenarioFile(f *testing.F) {
 	f.Add([]byte(`{"Scenario": {"Protocol": "rama", "NumData": 2, "Channel": {"SpeedKmh": 1e400}}}`))
 	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": 4, "numVoice": 6}}`))
 	f.Add([]byte(` null `))
+	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": {"range": {"from": 1, "From": 5, "to": 10, "step": 1}}}}`))
+	f.Add([]byte(`{"scenario": {"protocol": "charisma", "numVoice": {"sweep": []}, "numData": {"range": {"from": 5, "to": 1, "step": 1}}}}`))
+	var written bytes.Buffer
+	sc := tinyScenario(core.ProtoRAMA, 3, 2)
+	sc.SpeedsKmh = []float64{10, 20, 30, 40, 50}
+	if err := WriteScenarioFile(&written, []Point{{Spec: ScenarioSpec(sc), Replications: 2}, {Spec: MulticellSpec(tinyMulticell())}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			line = bytes.TrimSpace(line)
@@ -449,14 +482,14 @@ func FuzzScenarioFile(f *testing.F) {
 			if repeatedKeys(line) {
 				continue
 			}
+			checkCanonicalLine(t, line)
 			got, gerr := ExpandScenarioLine(line)
 			want, werr := expandGeneric(line)
-			// Where the one-pass decode answers, the error text must match
-			// too; otherwise both ran the generic path, whose axis errors
-			// may name whichever bad axis its map walk met first.
-			onePass := strictDecode(line, &scenarioDoc{}) == nil
-			if (gerr == nil) != (werr == nil) || onePass && gerr != nil && gerr.Error() != werr.Error() {
+			if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 				t.Fatalf("line %q: one-pass error %v, generic error %v", line, gerr, werr)
+			}
+			if _, again := expandGeneric(line); (again == nil) != (werr == nil) || werr != nil && again.Error() != werr.Error() {
+				t.Fatalf("line %q: generic error %v, then %v", line, werr, again)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("line %q: one-pass points differ from the generic path's", line)
@@ -502,4 +535,31 @@ func FuzzScenarioFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCanonicalLine: where decodeCanonical answers for a scenario line,
+// the strict decode gives the same document, and so the same points (or
+// error) and spec hashes.
+func checkCanonicalLine(t *testing.T, line []byte) {
+	t.Helper()
+	if !checkCanonical[scenarioDoc](t, line) {
+		return
+	}
+	var cd, sd scenarioDoc
+	decodeCanonical(line, &cd)
+	if err := strictDecode(line, &sd); err != nil {
+		t.Fatal(err)
+	}
+	cp, cerr := cd.point()
+	sp, serr := sd.point()
+	if (cerr == nil) != (serr == nil) || cerr != nil && cerr.Error() != serr.Error() || !reflect.DeepEqual(cp, sp) {
+		t.Fatalf("line %q: canonical point %+v (%v), strict %+v (%v)", line, cp, cerr, sp, serr)
+	}
+	if cerr == nil {
+		hc, _ := cp.Spec.Hash()
+		hs, _ := sp.Spec.Hash()
+		if hc != hs {
+			t.Fatalf("line %q: canonical hash %s, strict %s", line, hc, hs)
+		}
+	}
 }
