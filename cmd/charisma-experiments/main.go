@@ -58,6 +58,7 @@ import (
 
 	"charisma/internal/experiments"
 	"charisma/internal/grid"
+	"charisma/internal/mathx"
 	"charisma/internal/prof"
 	"charisma/internal/trace"
 )
@@ -85,6 +86,18 @@ func main() {
 		flightPath = flag.String("flight-path", "charisma-flight.jsonl", "flight-recorder dump file (JSONL, appended)")
 	)
 	flag.Parse()
+	if err := experiments.CheckFlags(
+		mathx.Field{Name: "-reps", Value: float64(*reps)},
+		mathx.Field{Name: "-duration", Value: *duration},
+		mathx.Field{Name: "-workers", Value: float64(*workers)},
+		mathx.Field{Name: "-precision", Value: *precision},
+		mathx.Field{Name: "-max-reps", Value: float64(*maxReps)},
+		mathx.Field{Name: "-lease-ttl", Value: leaseTTL.Seconds()},
+		mathx.Field{Name: "-audit-frac", Value: *auditFrac},
+	); err != nil {
+		fmt.Fprintln(os.Stderr, "charisma-experiments:", err)
+		os.Exit(1)
+	}
 
 	if *flightN > 0 {
 		trace.ArmFlight(*flightN, *flightPath)

@@ -23,9 +23,9 @@ import (
 	"time"
 
 	"charisma"
-	"charisma/internal/core"
 	"charisma/internal/experiments"
 	"charisma/internal/grid"
+	"charisma/internal/mathx"
 	"charisma/internal/prof"
 	"charisma/internal/trace"
 )
@@ -88,7 +88,12 @@ func main() {
 		if *all || *cells >= 2 {
 			fatal("charisma-sim: -scenario carries its own protocols and cell counts; drop -all/-cells")
 		}
-		if err := checkScenarioFlags(*reps, *workers, *prec, *maxReps); err != nil {
+		if err := experiments.CheckFlags(
+			mathx.Field{Name: "-reps", Value: float64(*reps)},
+			mathx.Field{Name: "-workers", Value: float64(*workers)},
+			mathx.Field{Name: "-precision", Value: *prec},
+			mathx.Field{Name: "-max-reps", Value: float64(*maxReps)},
+		); err != nil {
 			fatal("charisma-sim:", err)
 		}
 		rc := experiments.RunConfig{
@@ -174,27 +179,6 @@ func main() {
 				float64(r.MeanDataDelayCI95)/float64(time.Millisecond))
 		}
 	}
-}
-
-// checkScenarioFlags rejects the negative (or NaN) numeric flags the
-// -scenario path would otherwise hand to experiments.RunConfig unchecked,
-// with the *core.ValidationError the cell path returns. 0 keeps meaning
-// "the default" (for -reps, "the file's counts").
-func checkScenarioFlags(reps, workers int, precision float64, maxReps int) error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"-reps", float64(reps)},
-		{"-workers", float64(workers)},
-		{"-precision", precision},
-		{"-max-reps", float64(maxReps)},
-	} {
-		if f.v < 0 || f.v != f.v {
-			return &core.ValidationError{Field: f.name, Reason: fmt.Sprintf("value %v is negative or not a number (0 selects the default)", f.v)}
-		}
-	}
-	return nil
 }
 
 func runMultiCell(ctx context.Context, cells, workers int, protocol string, voice, data int, queue bool, seed int64, reps int, duration, warmup, speed, snr float64) {

@@ -49,9 +49,12 @@ func goldenLines(t testing.TB) []string {
 
 	const frameDur = 800 * sim.Time(1)
 
-	// --- single fading process: amplitudes, components, delayed estimate ---
+	// --- single fading process: amplitudes, components, the amplitude one
+	// step back (fading/prevAmp, taken before the 200th Advance) ----------
 	f := channel.NewFading(channel.DefaultParams(), rng.Derive(1, "golden"))
+	var prevAmp float64
 	for i := 1; i <= 200; i++ {
+		prevAmp = f.Amplitude()
 		f.Advance(frameDur)
 		if i%20 == 0 {
 			emitF(fmt.Sprintf("fading/amp@%d", i), f.Amplitude())
@@ -61,7 +64,7 @@ func goldenLines(t testing.TB) []string {
 	emitF("fading/longTerm", f.LongTerm())
 	emitF("fading/longTermDB", f.LongTermDB())
 	emitF("fading/gain", f.Gain())
-	emitF("fading/prevAmp", f.MeasureEstimateDelayed(0, rng.Derive(2, "obs"), 0).Amp)
+	emitF("fading/prevAmp", prevAmp)
 
 	// slabUsers puts one user per speed on one slab, user u on the stream
 	// (seed, "chan", u); a speed of 0 keeps the default parameters.

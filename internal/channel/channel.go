@@ -110,13 +110,9 @@ type Fading struct {
 	idx   int32
 }
 
-// NewFading creates a standalone fading process (a single-user plane)
-// initialized at its stationary distribution.
-func NewFading(p Params, stream *rng.Stream) *Fading {
-	pl := newPlane(1)
-	pl.initUser(0, p, stream)
-	return &pl.views[0]
-}
+// NewFading creates a standalone fading process initialized at its
+// stationary distribution: the first row of a fresh Slab.
+func NewFading(p Params, stream *rng.Stream) *Fading { return NewSlab().New(p, stream) }
 
 // Params returns the configured statistics.
 func (f *Fading) Params() Params { return f.plane.classes[f.plane.classOf[f.idx]].p }
@@ -139,7 +135,7 @@ func (f *Fading) ShortTerm() float64 {
 }
 
 // LongTerm returns the instantaneous log-normal local mean amplitude c_l.
-func (f *Fading) LongTerm() float64 { return f.plane.longTermAt(f.idx) }
+func (f *Fading) LongTerm() float64 { return mathx.AmpDBToLinear(f.plane.shadowDB[f.idx]) }
 
 // LongTermDB returns the local mean in amplitude dB.
 func (f *Fading) LongTermDB() float64 { return f.plane.shadowDB[f.idx] }
@@ -172,20 +168,7 @@ func (e Estimate) Age(now sim.Time) sim.Time { return now - e.At }
 // the fading process itself, so taking extra measurements cannot perturb
 // the channel sample path.
 func (f *Fading) MeasureEstimate(noiseStd float64, observer *rng.Stream, now sim.Time) Estimate {
-	return noisy(f.Amplitude(), noiseStd, observer, now)
-}
-
-// MeasureEstimateDelayed is MeasureEstimate for closed-loop (feedback)
-// adaptation: the transmitter only knows the channel as it was one frame
-// ago, when the receiver's estimate travelled back over the low-capacity
-// feedback channel (paper Fig. 6). Base-station-side pilot measurements
-// (CHARISMA's request and polling pilots) do not pay this lag — the core of
-// the MAC/PHY synergy the paper argues for.
-func (f *Fading) MeasureEstimateDelayed(noiseStd float64, observer *rng.Stream, now sim.Time) Estimate {
-	return noisy(f.plane.prevAmplitudeAt(f.idx), noiseStd, observer, now)
-}
-
-func noisy(amp, noiseStd float64, observer *rng.Stream, now sim.Time) Estimate {
+	amp := f.Amplitude()
 	if noiseStd > 0 {
 		amp *= 1 + observer.Normal(0, noiseStd)
 		if amp < 0 {
@@ -195,27 +178,22 @@ func noisy(amp, noiseStd float64, observer *rng.Stream, now sim.Time) Estimate {
 	return Estimate{Amp: amp, At: now}
 }
 
-// slabChunk is the per-plane capacity of a Slab: big enough that a
-// typical cell fits in one or two chunks, small enough that a mostly-idle
-// slab wastes little.
-const slabChunk = 64
-
-// Slab hands out standalone per-user fading processes backed by chunked
-// shared planes, so materializing a station costs one initUser over
-// pre-allocated slab rows instead of the ~18 slice allocations of a
-// private single-user plane. Reset rewinds the slab for the next
-// replication: every chunk's rows are handed out again from the start,
-// re-seeded by New with that user's own stream (initUser overwrites all
-// live state and invalidates every per-step memo), so a reused row is
-// indistinguishable from a fresh one. Interned coefficient classes
-// survive a Reset deliberately — they are keyed by Params equality and
-// their memoized step coefficients are pure functions of (Params, dt).
+// Slab hands out fading processes as rows of fixed 64-row chunk planes,
+// each chunk one allocation; it is the one way to get a fading process
+// (NewFading is a row of a fresh slab). Reset rewinds the slab for the
+// next replication: every chunk's rows are handed out again from the
+// start, re-seeded by New with that user's own stream (initUser
+// overwrites all live state and invalidates the amplitude memo), so a
+// reused row is indistinguishable from a fresh one. Interned coefficient
+// classes survive a Reset deliberately — they are keyed by Params
+// equality and their memoized step coefficients are pure functions of
+// (Params, dt).
 //
-// Each row advances individually (the MAC's lazy per-station replay),
-// exactly like a NewFading process, and draws only from its own stream,
-// so a row's sample path does not depend on its neighbours, the chunk it
-// landed in or the order rows were handed out. A single-cell replication
-// and every cell of a multicell deployment hold their links on a slab.
+// Each row advances individually (the MAC's lazy per-station replay) and
+// draws only from its own stream, so a row's sample path does not depend
+// on its neighbours, the chunk it landed in or the order rows were handed
+// out. A single-cell replication and every cell of a multicell deployment
+// hold their links on a slab.
 type Slab struct {
 	planes []*plane
 	cur    int // chunk currently being filled
@@ -226,13 +204,13 @@ type Slab struct {
 func NewSlab() *Slab { return &Slab{} }
 
 // New hands out the next fading process, initialized at its stationary
-// distribution with exactly the draws NewFading makes (same stream, same
-// order — byte-identity contract). The returned pointer is stable for
-// the life of the slab; after a Reset the same rows are re-issued to the
-// next replication's users in materialization order.
+// distribution with exactly the draws the scalar implementation made
+// (same stream, same order — byte-identity contract). The returned
+// pointer is stable for the life of the slab; after a Reset the same rows
+// are re-issued to the next replication's users in materialization order.
 func (s *Slab) New(p Params, stream *rng.Stream) *Fading {
 	if s.cur == len(s.planes) {
-		s.planes = append(s.planes, newPlane(slabChunk))
+		s.planes = append(s.planes, new(plane))
 	}
 	pl := s.planes[s.cur]
 	i := s.used

@@ -209,18 +209,6 @@ func TestMeasureEstimateNoise(t *testing.T) {
 	}
 }
 
-func TestMeasureEstimateDelayedUsesPreviousFrame(t *testing.T) {
-	f := newTestFading(10)
-	f.Advance(frameDur)
-	ampBefore := f.Amplitude()
-	f.Advance(frameDur)
-	obs := rng.Derive(2, "obs")
-	delayed := f.MeasureEstimateDelayed(0, obs, 0)
-	if delayed.Amp != ampBefore {
-		t.Fatalf("delayed estimate = %v, want previous amplitude %v", delayed.Amp, ampBefore)
-	}
-}
-
 func TestEstimateAge(t *testing.T) {
 	e := Estimate{Amp: 1, At: 100}
 	if e.Age(900) != 800 {

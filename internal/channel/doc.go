@@ -15,12 +15,14 @@
 // independent of each other"), which is precisely the spatial diversity
 // CHARISMA's scheduler exploits.
 //
-// The state of every process lives in a structure-of-arrays fading plane
-// (see plane.go): a Fading value is a thin per-user view over the plane, so
-// the public API — and, critically, each user's private draw order, hence
-// every result byte — is unchanged from the original scalar implementation
-// while AR(1) step coefficients are shared per parameter class and
-// amplitude conversions are memoized per step.
+// The state of every process lives in a row of a structure-of-arrays
+// fading plane, a fixed 64-row chunk that a Slab hands out (see plane.go).
+// A Fading value is a thin view over its row, so the public API — and,
+// critically, each user's private draw order, hence every result byte — is
+// unchanged from the original scalar implementation while AR(1) step
+// coefficients are shared per parameter class and the combined amplitude
+// is memoized per step. A row keeps only the live AR(1) state, its stream
+// and parameter class, and that one memo.
 //
 // # Draw-order contract
 //

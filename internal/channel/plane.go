@@ -1,17 +1,18 @@
 package channel
 
 // This file implements the structure-of-arrays fading plane: the backing
-// store every Fading value is a view into. The per-user state of the §4.2
-// two-component model lives in parallel slices and advances one user at a
-// time (stepUser), with
+// store every Fading value is a view into. A plane is one fixed chunk of
+// slabChunk rows, and a Slab allocates it whole. A row holds only what a
+// run reads: the live AR(1) state of the §4.2 two-component model, the
+// row's private stream and parameter class, and one step-stamped amplitude
+// memo. Rows advance one at a time (stepUser), with
 //
 //   - AR(1) step coefficients computed once per (dt, parameter class) for
 //     the whole plane instead of being re-derived (and their √(1−ρ²)
 //     innovation scales re-evaluated) per fading object per step,
-//   - amplitude and local-mean conversions memoized per user per step:
-//     they only change on Advance, yet the MAC queries them several times
-//     per frame, and each query used to re-pay a dB→linear exp plus a
-//     Hypot, and
+//   - the combined amplitude memoized per row per step: it only changes
+//     on Advance, yet the MAC queries it several times per frame, and
+//     each query would otherwise re-pay a dB→linear exp plus a Hypot, and
 //   - the deferred-catch-up loop the MAC's lazy fading replay needs
 //     exposed as one batched call (advanceUserSteps) that keeps the whole
 //     recurrence in registers and skips every amplitude conversion for
@@ -73,58 +74,36 @@ func (c *coeffClass) coeffs(dt sim.Time) (rhoS, innovS, rhoL, innovL float64) {
 	return m.rhoS, m.innovS, m.rhoL, m.innovL
 }
 
-// plane is the structure-of-arrays state for a set of independent fading
-// processes. Users advance independently (the mac layer replays lazily), so
-// every per-step memo is stamped with the user's own step counter rather
-// than a plane-global epoch.
+// slabChunk is the row count of a plane, a Slab's unit of allocation:
+// big enough that a typical cell fits in one or two chunks, small enough
+// that a mostly-idle slab wastes little.
+const slabChunk = 64
+
+// plane is one fixed chunk of slabChunk fading processes in
+// structure-of-arrays layout, allocated whole by a Slab. Rows advance
+// independently (the mac layer replays lazily), so the amplitude memo is
+// stamped with the row's own step counter rather than a plane-global
+// epoch.
 type plane struct {
 	classes []coeffClass
-	classOf []int32
-	streams []*rng.Stream
-
-	// Live AR(1) state.
-	gRe, gIm, shadowDB []float64
-	// State before the user's most recent step (for delayed estimates).
-	prevGRe, prevGIm, prevShadowDB []float64
-
-	// step counts advances applied per user; the caches below are valid
-	// only when their stamp equals the user's current step.
-	step []int64
-
-	amp      []float64 // memoized combined amplitude c = c_l·c_s
-	ampStep  []int64
-	lt       []float64 // memoized linear local mean c_l
-	ltStep   []int64
-	prevAmp  []float64 // memoized pre-step amplitude
-	prevStep []int64
-
-	views []Fading
 
 	// ctr counts lazy-replay catch-ups. Plain adds on the goroutine that
 	// owns the plane's cell — see package obs.
 	ctr obs.SimCounters
-}
 
-func newPlane(n int) *plane {
-	pl := &plane{
-		classOf:      make([]int32, n),
-		streams:      make([]*rng.Stream, n),
-		gRe:          make([]float64, n),
-		gIm:          make([]float64, n),
-		shadowDB:     make([]float64, n),
-		prevGRe:      make([]float64, n),
-		prevGIm:      make([]float64, n),
-		prevShadowDB: make([]float64, n),
-		step:         make([]int64, n),
-		amp:          make([]float64, n),
-		ampStep:      make([]int64, n),
-		lt:           make([]float64, n),
-		ltStep:       make([]int64, n),
-		prevAmp:      make([]float64, n),
-		prevStep:     make([]int64, n),
-		views:        make([]Fading, n),
-	}
-	return pl
+	classOf [slabChunk]int32
+	streams [slabChunk]*rng.Stream
+
+	// Live AR(1) state.
+	gRe, gIm, shadowDB [slabChunk]float64
+
+	// step counts advances applied per row; amp is valid only when ampStep
+	// equals the row's current step.
+	step    [slabChunk]int64
+	amp     [slabChunk]float64 // memoized combined amplitude c = c_l·c_s
+	ampStep [slabChunk]int64
+
+	views [slabChunk]Fading
 }
 
 // classIndex interns a parameter set. A plane is almost always one class;
@@ -145,11 +124,9 @@ func (pl *plane) classIndex(p Params) int32 {
 func (pl *plane) initUser(i int, p Params, stream *rng.Stream) {
 	pl.classOf[i] = pl.classIndex(p)
 	pl.streams[i] = stream
-	re, im := stream.ComplexGaussian()
-	sh := stream.Normal(p.ShadowMeanDB, p.ShadowSigmaDB)
-	pl.gRe[i], pl.gIm[i], pl.shadowDB[i] = re, im, sh
-	pl.prevGRe[i], pl.prevGIm[i], pl.prevShadowDB[i] = re, im, sh
-	pl.ampStep[i], pl.ltStep[i], pl.prevStep[i] = -1, -1, -1
+	pl.gRe[i], pl.gIm[i] = stream.ComplexGaussian()
+	pl.shadowDB[i] = stream.Normal(p.ShadowMeanDB, p.ShadowSigmaDB)
+	pl.ampStep[i] = -1
 	pl.views[i] = Fading{plane: pl, idx: int32(i)}
 }
 
@@ -157,13 +134,6 @@ func (pl *plane) initUser(i int, p Params, stream *rng.Stream) {
 // already resolved. The arithmetic is kept textually identical to the
 // scalar implementation (byte-identity contract).
 func (pl *plane) stepUser(i int, rhoS, innovS, rhoL, innovL, mean float64) {
-	// Carry a memoized amplitude into the delayed-estimate cache: the
-	// pre-step amplitude is exactly the amplitude of the current state.
-	if pl.ampStep[i] == pl.step[i] {
-		pl.prevAmp[i] = pl.amp[i]
-		pl.prevStep[i] = pl.step[i] + 1
-	}
-	pl.prevGRe[i], pl.prevGIm[i], pl.prevShadowDB[i] = pl.gRe[i], pl.gIm[i], pl.shadowDB[i]
 	s := pl.streams[i]
 	wRe, wIm := s.ComplexGaussian()
 	pl.gRe[i] = rhoS*pl.gRe[i] + innovS*wRe
@@ -213,14 +183,12 @@ func (pl *plane) advanceUserSteps(i int, dt sim.Time, n int) {
 	mean := c.p.ShadowMeanDB
 	s := pl.streams[i]
 	re, im, sh := pl.gRe[i], pl.gIm[i], pl.shadowDB[i]
-	var pre, pim, psh float64
 	var buf [3 * catchUpChunk]float64
 	for left := n; left > 0; {
 		m := min(left, catchUpChunk)
 		w := buf[:3*m]
 		s.NormFloat64s(w)
 		for k := 0; k < len(w); k += 3 {
-			pre, pim, psh = re, im, sh
 			wRe, wIm := w[k]*rng.ComplexScale, w[k+1]*rng.ComplexScale
 			re = rhoS*re + innovS*wRe
 			im = rhoS*im + innovS*wIm
@@ -230,37 +198,16 @@ func (pl *plane) advanceUserSteps(i int, dt sim.Time, n int) {
 		left -= m
 	}
 	pl.gRe[i], pl.gIm[i], pl.shadowDB[i] = re, im, sh
-	pl.prevGRe[i], pl.prevGIm[i], pl.prevShadowDB[i] = pre, pim, psh
 	pl.step[i] += int64(n)
 }
 
-// longTermAt returns the memoized linear local mean c_l for user i.
-func (pl *plane) longTermAt(i int32) float64 {
-	if pl.ltStep[i] != pl.step[i] {
-		pl.lt[i] = mathx.AmpDBToLinear(pl.shadowDB[i])
-		pl.ltStep[i] = pl.step[i]
-	}
-	return pl.lt[i]
-}
-
-// amplitudeAt returns the memoized combined amplitude c = c_l·c_s for user
+// amplitudeAt returns the memoized combined amplitude c = c_l·c_s for row
 // i, computing it (local mean × Hypot envelope, exactly the scalar
 // LongTerm()*ShortTerm() expression) at most once per step.
 func (pl *plane) amplitudeAt(i int32) float64 {
 	if pl.ampStep[i] != pl.step[i] {
-		pl.amp[i] = pl.longTermAt(i) * math.Hypot(pl.gRe[i], pl.gIm[i])
+		pl.amp[i] = mathx.AmpDBToLinear(pl.shadowDB[i]) * math.Hypot(pl.gRe[i], pl.gIm[i])
 		pl.ampStep[i] = pl.step[i]
 	}
 	return pl.amp[i]
-}
-
-// prevAmplitudeAt returns the combined amplitude of user i's state before
-// its most recent step, computed lazily from the preserved pre-step
-// components unless the step carried a memoized value over.
-func (pl *plane) prevAmplitudeAt(i int32) float64 {
-	if pl.prevStep[i] != pl.step[i] {
-		pl.prevAmp[i] = mathx.AmpDBToLinear(pl.prevShadowDB[i]) * math.Hypot(pl.prevGRe[i], pl.prevGIm[i])
-		pl.prevStep[i] = pl.step[i]
-	}
-	return pl.prevAmp[i]
 }

@@ -14,9 +14,10 @@
 // deterministic, their assignment under concurrency is not.)
 //
 // The package sits strictly above internal/grid: grid exposes neutral
-// hooks (Worker.Client, Worker.CorruptResult, DiskCache.EntryPath) and
-// knows nothing about chaos. Production binaries arm it only behind
-// explicit -chaos-seed / -chaos-rates flags.
+// hooks (Worker.Client, Worker.CorruptResult) and knows nothing about
+// chaos; the cache injector walks the -cache-dir layout on its own.
+// Production binaries arm it only behind explicit -chaos-seed /
+// -chaos-rates flags.
 package chaos
 
 import (
@@ -204,9 +205,6 @@ func NewPlan(seed int64, rates Rates) *Plan {
 		cache:  sub("cache"),
 	}
 }
-
-// Rates returns the armed rates.
-func (p *Plan) Rates() Rates { return p.rates }
 
 // Counts returns a snapshot of the faults injected so far.
 func (p *Plan) Counts() Counts {

@@ -14,11 +14,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/grid"
 	"charisma/internal/mac"
+	"charisma/internal/mathx"
 	"charisma/internal/phy"
 	"charisma/internal/stats"
 )
@@ -84,6 +86,25 @@ func DefaultRunConfig() RunConfig {
 // replications), used so every figure stays regenerable in CI time.
 func QuickRunConfig() RunConfig {
 	return RunConfig{Seed: 1, WarmupSec: 1, DurationSec: 5, Replications: 2}
+}
+
+// CheckFlags returns a *core.ValidationError naming the first numeric
+// command-line flag whose value is negative or not a number. The commands
+// give 0 its own meaning (a default, or off), so a negative value has
+// none, and a NaN would slip past every "> 0" test into that meaning
+// silently. A flag whose name ends in "-frac" is a fraction and must also
+// be at most 1. charisma-sim and charisma-experiments both check their
+// flags with it.
+func CheckFlags(flags ...mathx.Field) error {
+	for _, f := range flags {
+		if f.Value < 0 || math.IsNaN(f.Value) {
+			return &core.ValidationError{Field: f.Name, Reason: fmt.Sprintf("value %v is negative or not a number", f.Value)}
+		}
+		if strings.HasSuffix(f.Name, "-frac") && f.Value > 1 {
+			return &core.ValidationError{Field: f.Name, Reason: fmt.Sprintf("fraction %v is above 1", f.Value)}
+		}
+	}
+	return nil
 }
 
 func (rc RunConfig) protocols() []string {

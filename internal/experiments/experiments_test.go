@@ -2,16 +2,47 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"charisma/internal/core"
+	"charisma/internal/mathx"
 	"charisma/internal/stats"
 )
 
 func tinyRC() RunConfig {
 	return RunConfig{Seed: 1, WarmupSec: 0.5, DurationSec: 1.5}
+}
+
+// TestCheckFlags: zero (the default), positive values and a fraction of
+// exactly 1 pass; a negative or NaN value, or a fraction above 1, is a
+// *core.ValidationError naming the first bad flag.
+func TestCheckFlags(t *testing.T) {
+	if err := CheckFlags(
+		mathx.Field{Name: "-reps", Value: 0},
+		mathx.Field{Name: "-precision", Value: 0.05},
+		mathx.Field{Name: "-duration", Value: math.Inf(1)},
+		mathx.Field{Name: "-audit-frac", Value: 1},
+	); err != nil {
+		t.Fatalf("valid flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		bad  mathx.Field
+		want string
+	}{
+		{mathx.Field{Name: "-workers", Value: -1}, "negative or not a number"},
+		{mathx.Field{Name: "-precision", Value: math.NaN()}, "negative or not a number"},
+		{mathx.Field{Name: "-audit-frac", Value: math.NaN()}, "negative or not a number"},
+		{mathx.Field{Name: "-audit-frac", Value: 1.5}, "above 1"},
+	} {
+		err := CheckFlags(mathx.Field{Name: "-reps", Value: 2}, tc.bad, mathx.Field{Name: "-max-reps", Value: -3})
+		var ve *core.ValidationError
+		if !errors.As(err, &ve) || ve.Field != tc.bad.Name || !strings.Contains(ve.Reason, tc.want) {
+			t.Errorf("%+v: err %v, want a *core.ValidationError for %s saying %q", tc.bad, err, tc.bad.Name, tc.want)
+		}
+	}
 }
 
 func TestPanelSpecsEnumerateAllEighteen(t *testing.T) {

@@ -226,11 +226,8 @@ func NewDiskCache(dir string, log *slog.Logger) DiskCache {
 	return DiskCache{Dir: dir, s: &diskState{log: log}}
 }
 
-// EntryPath returns where key's entry lives on disk, for tools that
-// inspect or perturb the cache from outside (the chaos fault injector).
-// ok is false for keys the cache would refuse.
-func (c DiskCache) EntryPath(key string) (string, bool) { return c.path(key) }
-
+// path returns where key's entry lives on disk; ok is false for keys the
+// cache would refuse.
 func (c DiskCache) path(key string) (string, bool) {
 	// Keys are hex hashes; refuse anything that could walk the tree.
 	if len(key) < 3 || filepath.Base(key) != key {
@@ -252,9 +249,19 @@ func (c DiskCache) Get(key string) (mac.Result, bool) {
 	if err != nil {
 		return mac.Result{}, false
 	}
+	r, ok := decodeEntry(b)
+	if !ok {
+		c.quarantine(p, key)
+	}
+	return r, ok
+}
+
+// decodeEntry runs Get's byte checks on an entry's contents: it returns the
+// result only for the exact put layout with a matching CRC over a body in
+// json.Marshal's own layout of mac.Result (decodeCanonical).
+func decodeEntry(b []byte) (mac.Result, bool) {
 	var r mac.Result
 	if body, ok := entryResult(b); !ok || !decodeCanonical(body, &r) {
-		c.quarantine(p, key)
 		return mac.Result{}, false
 	}
 	return r, true

@@ -108,7 +108,7 @@ func TestDiskCacheQuarantinesCorruptEntry(t *testing.T) {
 	c := NewDiskCache(dir, slog.New(slog.NewTextHandler(&log, nil)))
 	key := RepKey("deadbeef", 1)
 	c.Put(key, realResult(t))
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	b, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestDiskCacheChecksumCatchesSilentCorruption(t *testing.T) {
 	c := NewDiskCache(dir, nil)
 	key := RepKey("cafebabe", 2)
 	c.Put(key, realResult(t))
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	b, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDiskEntryMatchesLegacyEncoding(t *testing.T) {
 		key := RepKey("facade", int64(i))
 		want := legacyMarshal(t, r)
 		c.Put(key, r)
-		p, _ := c.EntryPath(key)
+		p, _ := c.path(key)
 		got, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func TestDiskEntryMatchesLegacyEncoding(t *testing.T) {
 			t.Fatalf("result %d: Put wrote\n%s\nwant\n%s", i, got, want)
 		}
 		other := RepKey("facade", int64(100+i))
-		op, _ := c.EntryPath(other)
+		op, _ := c.path(other)
 		if err := os.MkdirAll(filepath.Dir(op), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestDiskCacheReformattedEntryQuarantined(t *testing.T) {
 			key := RepKey("5eed", 1)
 			r := mac.Result{Protocol: "abcdef", Frames: 3}
 			c.Put(key, r)
-			p, _ := c.EntryPath(key)
+			p, _ := c.path(key)
 			b, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -323,7 +323,7 @@ func TestDiskCacheBodyLayoutQuarantined(t *testing.T) {
 			}
 			c := NewDiskCache(t.TempDir(), nil)
 			key := RepKey("b0d1e5", 1)
-			p, _ := c.EntryPath(key)
+			p, _ := c.path(key)
 			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func TestDiskCachePutFailures(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dc := NewDiskCache(t.TempDir(), nil)
-			entry, _ := dc.EntryPath(c.key)
+			entry, _ := dc.path(c.key)
 			shard := filepath.Dir(entry)
 			if c.block != nil {
 				c.block(t, shard, entry)
@@ -391,7 +391,7 @@ func TestDiskCachePutFailures(t *testing.T) {
 	if n := dc.Stats().DiskPutErrors; n != 0 {
 		t.Fatalf("unencodable result counted as %d put errors", n)
 	}
-	if p, _ := dc.EntryPath(key); fileExists(p) {
+	if p, _ := dc.path(key); fileExists(p) {
 		t.Fatal("unencodable result written")
 	}
 }
@@ -410,7 +410,7 @@ func TestDiskCacheQuarantineRenameFails(t *testing.T) {
 	c := NewDiskCache(t.TempDir(), slog.New(slog.NewTextHandler(&buf, nil)))
 	key := RepKey("0bad", 5)
 	c.Put(key, mac.Result{Protocol: "x"})
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	if err := os.WriteFile(p, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -440,9 +440,11 @@ func TestDiskCacheQuarantineRenameFails(t *testing.T) {
 	}
 }
 
-// FuzzDiskEntry: arbitrary bytes at an entry's path never panic Get, and a
-// hit implies the exact layout Put writes, with a matching CRC-32C, over a
-// body the strict decode accepts as the hit's value.
+// FuzzDiskEntry: arbitrary entry bytes never panic decodeEntry, the checks
+// Get runs on what it read, and a hit implies the exact layout Put writes,
+// with a matching CRC-32C, over a body the strict decode accepts as the
+// hit's value. It touches no file; the disk tests above cover Get's I/O
+// and quarantine.
 func FuzzDiskEntry(f *testing.F) {
 	f.Add(legacyMarshal(f, mac.Result{Protocol: "charisma", Frames: 12.5}))
 	f.Add(legacyMarshal(f, mac.Result{}))
@@ -452,19 +454,8 @@ func FuzzDiskEntry(f *testing.F) {
 	f.Add([]byte(`{"result":{},"sum":"00000000"}`))
 	f.Add([]byte(`{"Protocol":"v1"}`))
 	f.Add([]byte{})
-	dir := f.TempDir()
-	c := NewDiskCache(dir, nil)
-	key := RepKey("f022", 0)
-	p, _ := c.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, ok := c.Get(key)
-		os.Remove(p)
+		r, ok := decodeEntry(data)
 		if !ok {
 			return
 		}
@@ -490,7 +481,7 @@ func TestDiskCacheLegacyEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	c := NewDiskCache(dir, nil)
 	key := RepKey("0ddba11", 3)
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}

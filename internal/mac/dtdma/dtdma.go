@@ -63,9 +63,11 @@ func (p *Protocol) Init(s *mac.System) {
 }
 
 // txMode returns the transmission mode for a station: the fixed mode for
-// /FR; for /VR the station adapts using the CSI the receiver feeds back at
-// the frame boundary (paper Fig. 6). The MAC never sees the mode — it only
-// shows up as transmission time on air.
+// /FR; for /VR the mode the current frame's pilot estimate selects
+// (MeasureEstimate), with no feedback lag. Whether /VR should instead
+// adapt on the one-frame-old CSI the receiver feeds back (paper Fig. 6)
+// is an open question on the ROADMAP. The MAC never sees the mode — it
+// only shows up as transmission time on air.
 func (p *Protocol) txMode(s *mac.System, st *mac.Station) phy.Mode {
 	if !p.Variable {
 		return s.PHY.Modes()[0]

@@ -313,7 +313,6 @@ type System struct {
 
 	now      sim.Time
 	frameIdx int64
-	lastDur  sim.Time
 
 	reg  registry
 	lazy *LazyPopulation
@@ -429,7 +428,7 @@ func (s *System) ResetLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stre
 	}
 	s.Cfg, s.PHY, s.Rand, s.lazy = cfg, modem, macStream, pop
 	s.M = Metrics{}
-	s.now, s.frameIdx, s.lastDur = 0, 0, 0
+	s.now, s.frameIdx = 0, 0
 	s.queue = s.queue[:0]
 	s.DebugVoiceTx = nil
 	s.DebugEndFrame = nil
@@ -606,7 +605,6 @@ func (s *System) EndFrame(dur sim.Time) {
 		}
 	}
 	s.frameIdx++
-	s.lastDur = dur
 	if s.DebugEndFrame != nil {
 		s.DebugEndFrame(dur)
 	}

@@ -55,11 +55,12 @@ func mostlyIdleSystem(tb testing.TB, n int, meanSilenceSec float64, protocol str
 	vp.MeanSilenceSec = meanSilenceSec
 	stations := make([]*mac.Station, n)
 	cp := channel.DefaultParams()
+	slab := channel.NewSlab()
 	for i := range stations {
 		stations[i] = mac.NewStation(i,
 			traffic.NewVoice(vp, rng.Derive(7, "bench-voice", fmt.Sprint(i)), 0),
 			nil,
-			channel.NewFading(cp, rng.Derive(7, "bench-chan", fmt.Sprint(i))))
+			slab.New(cp, rng.Derive(7, "bench-chan", fmt.Sprint(i))))
 	}
 	var modem phy.PHY
 	if core.AdaptivePHYFor(protocol) {
