@@ -199,6 +199,15 @@ func (sc Scenario) Validate() error {
 	); bad {
 		return &ValidationError{Field: f.Name, Reason: fmt.Sprintf("%v, want a finite value", f.Value)}
 	}
+	// The run ends at tick FromSeconds(WarmupSec) + FromSeconds(DurationSec)
+	// of the int64 clock (a value ≤ 0 selects a default, see WithDefaults).
+	w, d := math.Max(sc.WarmupSec, 0)*float64(sim.Second), math.Max(sc.DurationSec, 0)*float64(sim.Second)
+	if w >= 1<<63 {
+		return &ValidationError{Field: "WarmupSec", Reason: fmt.Sprintf("%v s overflows the simulation clock", sc.WarmupSec)}
+	}
+	if d >= 1<<63 || sim.Time(d) > math.MaxInt64-sim.Time(w) {
+		return &ValidationError{Field: "DurationSec", Reason: fmt.Sprintf("%v s after a %v s warm-up overflows the simulation clock", sc.DurationSec, sc.WarmupSec)}
+	}
 	if err := sc.Channel.Validate(); err != nil {
 		return &ValidationError{Field: "Channel", Reason: err.Error()}
 	}

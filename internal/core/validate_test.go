@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"charisma/internal/sim"
 )
 
 // TestValidateRejections: every malformed scenario fails with a typed
@@ -201,6 +203,47 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			var verr *ValidationError
 			if !errors.As(err, &verr) {
 				t.Errorf("%s = %v: err %v, want a *ValidationError", want, bad, err)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsClockOverflow: a run ends at tick
+// sim.FromSeconds(WarmupSec) + sim.FromSeconds(DurationSec), so a finite
+// warm-up or duration whose tick count the int64 clock cannot hold is
+// rejected by name, by Validate and by Run, instead of wrapping into a
+// run of no length; the longest window the clock holds is accepted.
+func TestValidateRejectsClockOverflow(t *testing.T) {
+	clockSec := float64(math.MaxInt64) / float64(sim.Second) // ≈ 2.88e13 s
+	for _, c := range []struct {
+		warmup, duration float64
+		field            string // empty: accepted
+	}{
+		{2, 30, ""},
+		{1e13, 1.8e13, ""},
+		{-5, 2.8e13, ""}, // a non-positive warm-up selects the default
+		{2, 1e308, "DurationSec"},
+		{1e308, 30, "WarmupSec"},
+		{clockSec, 1, "WarmupSec"},
+		{2, clockSec, "DurationSec"},
+		{1.5e13, 1.5e13, "DurationSec"},
+		{-1e308, 1e308, "DurationSec"},
+	} {
+		sc := DefaultScenario(ProtoRAMA)
+		sc.NumVoice, sc.NumData = 2, 0
+		sc.WarmupSec, sc.DurationSec = c.warmup, c.duration
+		err := sc.Validate()
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("warm-up %v, duration %v: %v", c.warmup, c.duration, err)
+			}
+			continue
+		}
+		_, runErr := sc.Run()
+		for _, err := range []error{err, runErr} {
+			var ve *ValidationError
+			if !errors.As(err, &ve) || ve.Field != c.field {
+				t.Errorf("warm-up %v, duration %v: err %v, want a *ValidationError for %s", c.warmup, c.duration, err, c.field)
 			}
 		}
 	}

@@ -89,16 +89,20 @@ func QuickRunConfig() RunConfig {
 }
 
 // CheckFlags returns a *core.ValidationError naming the first numeric
-// command-line flag whose value is negative or not a number. The commands
-// give 0 its own meaning (a default, or off), so a negative value has
-// none, and a NaN would slip past every "> 0" test into that meaning
-// silently. A flag whose name ends in "-frac" is a fraction and must also
-// be at most 1. charisma-sim and charisma-experiments both check their
-// flags with it.
+// command-line flag whose value is negative, not a number or infinite.
+// The commands give 0 its own meaning (a default, or off), so a negative
+// value has none, and a NaN would slip past every "> 0" test into that
+// meaning silently; no flag has a use for +Inf, and a duration of +Inf
+// failed only once a sweep was under way. A flag whose name ends in
+// "-frac" is a fraction and must also be at most 1. charisma-sim and
+// charisma-experiments both check their flags with it.
 func CheckFlags(flags ...mathx.Field) error {
 	for _, f := range flags {
 		if f.Value < 0 || math.IsNaN(f.Value) {
 			return &core.ValidationError{Field: f.Name, Reason: fmt.Sprintf("value %v is negative or not a number", f.Value)}
+		}
+		if math.IsInf(f.Value, 1) {
+			return &core.ValidationError{Field: f.Name, Reason: fmt.Sprintf("value %v is not finite", f.Value)}
 		}
 		if strings.HasSuffix(f.Name, "-frac") && f.Value > 1 {
 			return &core.ValidationError{Field: f.Name, Reason: fmt.Sprintf("fraction %v is above 1", f.Value)}

@@ -23,7 +23,7 @@ func TestCheckFlags(t *testing.T) {
 	if err := CheckFlags(
 		mathx.Field{Name: "-reps", Value: 0},
 		mathx.Field{Name: "-precision", Value: 0.05},
-		mathx.Field{Name: "-duration", Value: math.Inf(1)},
+		mathx.Field{Name: "-duration", Value: 1e308},
 		mathx.Field{Name: "-audit-frac", Value: 1},
 	); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
@@ -36,6 +36,9 @@ func TestCheckFlags(t *testing.T) {
 		{mathx.Field{Name: "-precision", Value: math.NaN()}, "negative or not a number"},
 		{mathx.Field{Name: "-audit-frac", Value: math.NaN()}, "negative or not a number"},
 		{mathx.Field{Name: "-audit-frac", Value: 1.5}, "above 1"},
+		{mathx.Field{Name: "-duration", Value: math.Inf(1)}, "not finite"},
+		{mathx.Field{Name: "-duration", Value: math.Inf(-1)}, "negative or not a number"},
+		{mathx.Field{Name: "-precision", Value: math.Inf(1)}, "not finite"},
 	} {
 		err := CheckFlags(mathx.Field{Name: "-reps", Value: 2}, tc.bad, mathx.Field{Name: "-max-reps", Value: -3})
 		var ve *core.ValidationError

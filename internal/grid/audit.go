@@ -2,7 +2,6 @@ package grid
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"charisma/internal/mac"
@@ -98,8 +97,9 @@ func (s *Session) auditPickLocked() bool {
 // resultsIdentical byte-compares two results through their canonical JSON
 // encoding — the same bytes the cache persists and the wire carries.
 func resultsIdentical(a, b mac.Result) bool {
-	ab, aerr := json.Marshal(a)
-	bb, berr := json.Marshal(b)
+	var abuf, bbuf [entryBufSize]byte
+	ab, aerr := appendJSON(abuf[:0], a)
+	bb, berr := appendJSON(bbuf[:0], b)
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 

@@ -2,11 +2,12 @@ package grid_test
 
 // Micro-benchmarks of the grid's warm path — what a sweep re-walked
 // against a filled cache spends its time on: loading the scenario file,
-// hashing specs, deriving RepKeys, and reading (and writing) the disk
-// tier's checksummed entries.
+// hashing specs, deriving RepKeys, encoding specs and results, and reading
+// (and writing) the disk tier's checksummed entries.
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"charisma/internal/core"
@@ -38,24 +39,15 @@ func benchSpec(b *testing.B) (string, grid.JobSpec) {
 	return h, spec
 }
 
-// benchDisk returns a disk cache, 64 keys, and the result for them —
-// stored under every key when fill is set.
-func benchDisk(b *testing.B, fill bool) (grid.DiskCache, []string, mac.Result) {
+// benchResult is the replication result of benchSpec.
+func benchResult(b *testing.B) (string, mac.Result) {
 	b.Helper()
 	h, spec := benchSpec(b)
 	r, err := spec.RunRep(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := grid.NewDiskCache(b.TempDir(), nil)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = grid.RepKey(h, int64(i))
-		if fill {
-			c.Put(keys[i], r)
-		}
-	}
-	return c, keys, r
+	return h, r
 }
 
 func BenchmarkLoadScenarioFile(b *testing.B) {
@@ -90,20 +82,63 @@ func BenchmarkRepKey(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskCachePut puts every iteration under a fresh key, as a sweep
+// does on a miss, so no put renames over an existing entry; the RepKey
+// derivation (about 1 µs) is timed with it.
 func BenchmarkDiskCachePut(b *testing.B) {
-	c, keys, r := benchDisk(b, false)
+	h, r := benchResult(b)
+	c := grid.NewDiskCache(b.TempDir(), nil)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		c.Put(keys[i%len(keys)], r)
+		c.Put(grid.RepKey(h, int64(i)), r)
 	}
 }
 
 func BenchmarkDiskCacheGet(b *testing.B) {
-	c, keys, _ := benchDisk(b, true)
+	h, r := benchResult(b)
+	c := grid.NewDiskCache(b.TempDir(), nil)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = grid.RepKey(h, int64(i))
+		c.Put(keys[i], r)
+	}
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		if _, ok := c.Get(keys[i%len(keys)]); !ok {
 			b.Fatal("miss on a filled cache")
 		}
+	}
+}
+
+// BenchmarkCanonicalEncode times the grid's JSON writer on the corpus specs
+// and on a replication result, each beside json.Marshal of the same
+// values; both write the same bytes.
+func BenchmarkCanonicalEncode(b *testing.B) {
+	pts := benchCorpus(b)
+	_, r := benchResult(b)
+	values := map[string]func(i int) any{
+		"spec":   func(i int) any { return &pts[i%len(pts)].Spec },
+		"result": func(int) any { return &r },
+	}
+	for _, name := range []string{"spec", "result"} {
+		value := values[name]
+		b.Run(name+"/appendCanonical", func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				var ok bool
+				if buf, ok = grid.AppendCanonical(buf[:0], value(i)); !ok {
+					b.Fatal("no canonical encoding")
+				}
+			}
+		})
+		b.Run(name+"/json.Marshal", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if _, err := json.Marshal(value(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

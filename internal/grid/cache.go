@@ -3,7 +3,6 @@ package grid
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io/fs"
@@ -130,16 +129,18 @@ func (c *MemCache) Len() int {
 //
 //	{"sum":"<8 lowercase hex digits>","result":<body>}
 //
-// where body is json.Marshal of the mac.Result and the digits are CRC-32C
-// (Castagnoli) over body. The checksum turns silent disk corruption — a
-// flipped bit inside a float's digits still parses as valid JSON — into a
-// detected, quarantined entry instead of a wrong result served as a hit.
-// The layout itself is the format, body included: Get checks the envelope
-// byte for byte and reads the body with decodeCanonical, so a v1 entry
-// (bare mac.Result JSON), a hand-reformatted, truncated or re-indented
-// entry, and a body with a missing, unknown or reordered field (what an
-// older binary wrote before a field existed) are quarantined too. That
-// costs a re-simulation, never a wrong hit.
+// where body is json.Marshal's encoding of the mac.Result (written by
+// appendJSON straight into the envelope, see canon.go) and the digits are
+// CRC-32C (Castagnoli) over body. The checksum turns silent disk
+// corruption — a flipped bit inside a float's digits still parses as
+// valid JSON — into a detected, quarantined entry instead of a wrong
+// result served as a hit. The layout itself is the format, body included:
+// Get checks the envelope byte for byte and reads the body with
+// decodeCanonical, so a v1 entry (bare mac.Result JSON), a
+// hand-reformatted, truncated or re-indented entry, and a body with a
+// missing, unknown or reordered field (what an older binary wrote before
+// a field existed) are quarantined too. That costs a re-simulation, never
+// a wrong hit.
 const (
 	entryHead   = `{"sum":"`
 	entryMid    = `","result":`
@@ -149,21 +150,28 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendEntrySum appends body's CRC-32C as 8 lowercase hex digits.
-func appendEntrySum(dst, body []byte) []byte {
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(body, crcTable))
-	return hex.AppendEncode(dst, sum[:])
+// entrySum returns body's CRC-32C as 8 lowercase hex digits.
+func entrySum(body []byte) (sum [entrySumLen]byte) {
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(body, crcTable))
+	hex.Encode(sum[:], crc[:])
+	return sum
 }
 
-// encodeEntry wraps a result body in the v2 envelope.
-func encodeEntry(body []byte) []byte {
-	b := make([]byte, 0, entryBody+len(body)+1)
-	b = append(b, entryHead...)
-	b = appendEntrySum(b, body)
-	b = append(b, entryMid...)
-	b = append(b, body...)
-	return append(b, '}')
+// appendEntry appends r's v2 entry to dst: the body is encoded in place
+// behind the envelope's head, then summed into it.
+func appendEntry(dst []byte, r mac.Result) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, entryHead...)
+	dst = append(dst, make([]byte, entrySumLen)...) // the sum, filled below
+	dst = append(dst, entryMid...)
+	dst, err := appendJSON(dst, r)
+	if err != nil {
+		return dst[:at], err
+	}
+	sum := entrySum(dst[at+entryBody:])
+	copy(dst[at+len(entryHead):], sum[:])
+	return append(dst, '}'), nil
 }
 
 // entryResult returns the body of a well-formed v2 entry whose checksum
@@ -174,8 +182,7 @@ func entryResult(b []byte) (body []byte, ok bool) {
 		return nil, false
 	}
 	body = b[entryBody : len(b)-1]
-	var sum [entrySumLen]byte
-	if string(appendEntrySum(sum[:0], body)) != string(b[len(entryHead):len(entryHead)+entrySumLen]) {
+	if entrySum(body) != [entrySumLen]byte(b[len(entryHead):]) {
 		return nil, false
 	}
 	return body, true
@@ -239,21 +246,46 @@ func (c DiskCache) path(key string) (string, bool) {
 // Get implements Cache. It serves an entry only when the envelope has the
 // exact put layout with a matching CRC and the body decodes in
 // json.Marshal's own layout of mac.Result (decodeCanonical); anything else
-// is quarantined and read as a miss.
+// is quarantined and read as a miss. The entry is read whole into a pooled
+// buffer (readEntry), which goes back to the pool once decodeEntry has
+// copied the result out.
 func (c DiskCache) Get(key string) (mac.Result, bool) {
 	p, ok := c.path(key)
 	if !ok {
 		return mac.Result{}, false
 	}
-	b, err := os.ReadFile(p)
-	if err != nil {
-		return mac.Result{}, false
+	buf := entryBufs.Get().(*[]byte)
+	b, err := readEntry(p, (*buf)[:0])
+	r, ok := mac.Result{}, false
+	if err == nil {
+		if r, ok = decodeEntry(b); !ok {
+			c.quarantine(p, key)
+		}
 	}
-	r, ok := decodeEntry(b)
-	if !ok {
-		c.quarantine(p, key)
-	}
+	releaseEntryBuf(buf, b)
 	return r, ok
+}
+
+// entryBufs pools the buffers Get reads entries into and put encodes them
+// in. An entry is about 800 bytes; the CRC-32C call lets a buffer escape,
+// so a stack buffer would be a heap allocation per call.
+var entryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, entryBufSize)
+	return &b
+}}
+
+const (
+	entryBufSize   = 2 << 10
+	maxPooledEntry = 64 << 10
+)
+
+// releaseEntryBuf returns b, the latest use of *buf, to entryBufs, unless
+// an outsized entry grew it past maxPooledEntry.
+func releaseEntryBuf(buf *[]byte, b []byte) {
+	if cap(b) <= maxPooledEntry {
+		*buf = b[:0]
+		entryBufs.Put(buf)
+	}
 }
 
 // decodeEntry runs Get's byte checks on an entry's contents: it returns the
@@ -320,11 +352,12 @@ func (c DiskCache) put(key string, r mac.Result) error {
 	if !ok {
 		return nil // refused key, not a disk failure
 	}
-	body, err := json.Marshal(r)
+	buf := entryBufs.Get().(*[]byte)
+	b, err := appendEntry((*buf)[:0], r)
+	defer releaseEntryBuf(buf, b)
 	if err != nil {
-		return nil
+		return nil // an unencodable result is not a disk failure
 	}
-	b := encodeEntry(body)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}

@@ -45,6 +45,33 @@ func TestDiskCacheRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestDiskCacheLargeEntryRoundTrip: an entry larger than Get's starting
+// read buffer, and one past the largest buffer it pools, reads back whole,
+// so a read that stopped short would quarantine it; a later small entry
+// still reads back through the pool.
+func TestDiskCacheLargeEntryRoundTrip(t *testing.T) {
+	c := NewDiskCache(t.TempDir(), nil)
+	small := realResult(t)
+	for i, n := range []int{entryBufSize, 3 * entryBufSize, 2 * maxPooledEntry} {
+		r := small
+		r.Protocol = strings.Repeat("p", n)
+		key := RepKey("1a2e", int64(i))
+		c.Put(key, r)
+		got, ok := c.Get(key)
+		if !ok || !reflect.DeepEqual(got, r) {
+			t.Fatalf("%d-byte protocol: hit %v, exact %v", n, ok, reflect.DeepEqual(got, r))
+		}
+		key = RepKey("5ma11", int64(i))
+		c.Put(key, small)
+		if got, ok := c.Get(key); !ok || !reflect.DeepEqual(got, small) {
+			t.Fatalf("after a %d-byte entry: small entry hit %v", n, ok)
+		}
+	}
+	if n := c.Stats().DiskCorrupt; n != 0 {
+		t.Fatalf("DiskCorrupt = %d, want 0", n)
+	}
+}
+
 func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c := DiskCache{Dir: dir}
@@ -214,6 +241,12 @@ func legacyMarshal(t testing.TB, r mac.Result) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// encodeEntry wraps an arbitrary body in the v2 envelope, byte for byte.
+func encodeEntry(body []byte) []byte {
+	sum := entrySum(body)
+	return fmt.Appendf(nil, "%s%s%s%s}", entryHead, sum[:], entryMid, body)
 }
 
 // TestDiskEntryMatchesLegacyEncoding: Put writes exactly the bytes of the

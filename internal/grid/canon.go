@@ -1,41 +1,85 @@
 package grid
 
-// Canonical-layout decoding. Most JSON the grid reads back is JSON it
-// wrote itself with json.Marshal: disk-cache entry bodies (DiskCache.Put)
-// and scenario lines (WriteScenarioFile, charisma-scen gen). That layout
-// is narrow: object fields in declaration order under fixed key bytes, an
-// omitempty field either written or absent, no whitespace, and numbers in
-// strconv's shortest form. decodeCanonical reads exactly that layout
-// without encoding/json's scanner.
+// The canonical codec. Most JSON the grid reads back is JSON it wrote
+// itself: disk-cache entry bodies (DiskCache.Put), scenario lines
+// (WriteScenarioFile, charisma-scen gen), spec encodings (JobSpec.Encode,
+// Hash) and the HTTP task, result and heartbeat bodies. That layout is
+// json.Marshal's and it is narrow: object fields in declaration order
+// under fixed key bytes, an omitempty field either written or absent, no
+// whitespace, and numbers in strconv's shortest form. appendCanonical
+// writes it into the caller's buffer and decodeCanonical reads it without
+// encoding/json's scanner, both from one cached plan per type.
 //
-// It answers only where encoding/json's strict decode (strictDecode:
-// unknown fields rejected, nothing after the value) would accept the same
-// bytes and produce a reflect.DeepEqual value, and returns false
-// otherwise: whitespace, reordered, repeated, case-folded or unknown keys,
-// a missing field that is not omitempty, null where json.Marshal writes a
-// value. It never decides a document is invalid; the caller decides what
-// false means. Numbers follow the JSON grammar first, then parse with
-// strconv exactly as encoding/json does, so a float round-trips bit for
-// bit and a token encoding/json refuses (1e400, 1.0 into an int, -1 into
-// a uint) is refused here too. A string token holding an escape or a byte
-// ≥ 0x80 is handed to encoding/json whole, so unescaping and UTF-8 repair
-// are its own.
+// appendCanonical writes exactly json.Marshal's bytes or nothing: it
+// refuses a non-finite float (json.Marshal's "unsupported value" error is
+// the caller's to return, via appendJSON) and a string holding a byte
+// json.Marshal escapes or may rewrite (a control byte, '"', '\', '<',
+// '>', '&', or any byte ≥ 0x80), which appendJSON hands to json.Marshal
+// whole.
 //
-// The decode plan is derived once per type by reflection. A type the
-// plan cannot mirror exactly (a map, an interface, an array, []byte, an
-// embedded struct, a custom JSON or text codec, a json tag other than
-// ",omitempty") never decodes: decodeCanonical returns false for it, and
-// TestCanonicalTypesSupported fails if scenarioDoc or mac.Result reaches
-// one, so the warm path cannot silently fall back.
+// decodeCanonical answers only where encoding/json's strict decode
+// (strictDecode: unknown fields rejected, nothing after the value) would
+// accept the same bytes and produce a reflect.DeepEqual value, and
+// returns false otherwise: whitespace, reordered, repeated, case-folded or
+// unknown keys, a missing field that is not omitempty, null where
+// json.Marshal writes a value. It never decides a document is invalid;
+// the caller decides what false means. Numbers follow the JSON grammar
+// first, then parse with strconv exactly as encoding/json does, so a float
+// round-trips bit for bit and a token encoding/json refuses (1e400, 1.0
+// into an int, -1 into a uint) is refused here too. A string token holding
+// an escape or a byte ≥ 0x80 is handed to encoding/json whole, so
+// unescaping and UTF-8 repair are its own.
+//
+// The plan is derived once per type by reflection. A type the plan cannot
+// mirror exactly (a map, an interface, an array, []byte, an embedded
+// struct, a custom JSON or text codec, a json tag other than ",omitempty")
+// has none: appendCanonical and decodeCanonical refuse it, and
+// TestCanonicalTypesSupported fails if a type the grid writes or reads
+// back reaches one, so neither direction can silently fall back.
 
 import (
 	"encoding"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"sync"
 )
+
+// appendJSON appends json.Marshal's encoding of v to dst, through
+// appendCanonical where it answers and json.Marshal otherwise, so a value
+// json.Marshal refuses gets json.Marshal's own error. It is generic so
+// that only the fallback boxes v on the heap.
+func appendJSON[T any](dst []byte, v T) ([]byte, error) {
+	if b, ok := appendCanonical(dst, v); ok {
+		return b, nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, b...), nil
+}
+
+// appendCanonical appends json.Marshal's encoding of v to dst and reports
+// whether it could (see the section comment above). On false dst is
+// returned as it was passed.
+func appendCanonical(dst []byte, v any) ([]byte, bool) {
+	rv := reflect.ValueOf(v)
+	if !rv.IsValid() { // a nil interface
+		return dst, false
+	}
+	t := canonPlan(rv.Type())
+	if t == nil {
+		return dst, false
+	}
+	b, ok := t.encode(dst, rv)
+	if !ok {
+		return dst, false
+	}
+	return b, true
+}
 
 // decodeCanonical decodes b into *v, which must point to a zero value,
 // and reports whether it could (see the section comment above). On false
@@ -52,7 +96,7 @@ func decodeCanonical(b []byte, v any) bool {
 	return false
 }
 
-// canonType is the decode plan for one Go type.
+// canonType is the plan for one Go type.
 type canonType struct {
 	typ    reflect.Type
 	elem   *canonType   // pointer target or slice element
@@ -67,10 +111,10 @@ type canonField struct {
 	t         *canonType
 }
 
-// canonPlans caches decode plans by type; nil marks a type without one.
+// canonPlans caches plans by type; nil marks a type without one.
 var canonPlans sync.Map // reflect.Type → *canonType
 
-// canonPlan returns typ's decode plan, or nil when it has none.
+// canonPlan returns typ's plan, or nil when it has none.
 func canonPlan(typ reflect.Type) *canonType {
 	if t, ok := canonPlans.Load(typ); ok {
 		return t.(*canonType)
@@ -88,8 +132,8 @@ var (
 	jsonNumber = reflect.TypeFor[json.Number]()
 )
 
-// buildCanon derives typ's decode plan, or says why it has none. The
-// types it plans are not recursive.
+// buildCanon derives typ's plan, or says why it has none. The types it
+// plans are not recursive.
 func buildCanon(typ reflect.Type) (*canonType, error) {
 	for _, i := range selfCoded {
 		if typ.Implements(i) || reflect.PointerTo(typ).Implements(i) {
@@ -139,6 +183,104 @@ func buildCanon(typ reflect.Type) (*canonType, error) {
 		return nil, fmt.Errorf("%v: %v values are not decoded", typ, typ.Kind())
 	}
 	return t, nil
+}
+
+// encode appends v's json.Marshal encoding, or reports false where
+// json.Marshal would fail or escape a string.
+func (t *canonType) encode(dst []byte, v reflect.Value) ([]byte, bool) {
+	ok := true
+	switch t.typ.Kind() {
+	case reflect.Struct:
+		dst = append(dst, '{')
+		comma := false
+		for _, f := range t.fields {
+			fv := v.Field(f.index)
+			if f.omitEmpty && isEmptyValue(fv) {
+				continue
+			}
+			if comma {
+				dst = append(dst, ',')
+			}
+			comma = true
+			dst = append(dst, f.key...)
+			if dst, ok = f.t.encode(dst, fv); !ok {
+				return dst, false
+			}
+		}
+		return append(dst, '}'), true
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(dst, "null"...), true
+		}
+		return t.elem.encode(dst, v.Elem())
+	case reflect.Slice:
+		if v.IsNil() {
+			return append(dst, "null"...), true
+		}
+		dst = append(dst, '[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, ok = t.elem.encode(dst, v.Index(i)); !ok {
+				return dst, false
+			}
+		}
+		return append(dst, ']'), true
+	case reflect.String:
+		s := v.String()
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return dst, false
+			}
+		}
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"'), true
+	case reflect.Bool:
+		return strconv.AppendBool(dst, v.Bool()), true
+	case reflect.Float32, reflect.Float64:
+		return appendFloat(dst, v.Float(), t.typ.Bits())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(dst, v.Int(), 10), true
+	default: // the unsigned kinds; buildCanon admits no others
+		return strconv.AppendUint(dst, v.Uint(), 10), true
+	}
+}
+
+// isEmptyValue is encoding/json's omitempty test for the kinds a plan
+// admits: false, 0 (either sign), "", a nil pointer, a nil or empty
+// slice; a struct is never empty.
+func isEmptyValue(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice, reflect.String:
+		return v.Len() == 0
+	case reflect.Struct:
+		return false
+	default:
+		return v.IsZero()
+	}
+}
+
+// appendFloat formats f as encoding/json's floatEncoder does: like
+// strconv's shortest 'f', but 'e' below 1e-6 and from 1e21 (compared at
+// the value's own width), with a negative exponent's leading zero
+// dropped. A NaN or an infinity is refused.
+func appendFloat(dst []byte, f float64, bits int) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	abs, format := math.Abs(f), byte('f')
+	if abs != 0 && (bits == 64 && (abs < 1e-6 || abs >= 1e21) ||
+		bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21)) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, bits)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst, true
 }
 
 // canonDecoder is a cursor over one canonical-layout document.

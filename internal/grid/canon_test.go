@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
@@ -32,21 +33,30 @@ var canonStrings = []string{
 	"日本語", "\ufffd", "~!@#$%^*()_+{}|:?,./;'[]=-`", "\x7f",
 }
 
+// leaves are the strings and floats fillRandom draws from, besides
+// random printable ASCII and random finite bit patterns.
+type leaves struct {
+	strs   []string
+	floats []float64
+}
+
+var canonLeaves = leaves{canonStrings, canonFloats}
+
 // fillRandom sets v, which holds its zero value, to a random value: every
-// field set, slices nil, empty or filled, pointers nil or set. Strings are
-// valid UTF-8, the only strings json.Marshal preserves.
-func fillRandom(r *rand.Rand, v reflect.Value) {
+// field set, slices nil, empty or filled, pointers nil or set, strings and
+// floats drawn from l or at random.
+func fillRandom(r *rand.Rand, v reflect.Value, l leaves) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
-				fillRandom(r, v.Field(i))
+				fillRandom(r, v.Field(i), l)
 			}
 		}
 	case reflect.Pointer:
 		if r.IntN(4) > 0 {
 			v.Set(reflect.New(v.Type().Elem()))
-			fillRandom(r, v.Elem())
+			fillRandom(r, v.Elem(), l)
 		}
 	case reflect.Slice:
 		switch n := r.IntN(5); n {
@@ -57,7 +67,7 @@ func fillRandom(r *rand.Rand, v reflect.Value) {
 			k := n + r.IntN(8)
 			v.Set(reflect.MakeSlice(v.Type(), k, k))
 			for i := 0; i < v.Len(); i++ {
-				fillRandom(r, v.Index(i))
+				fillRandom(r, v.Index(i), l)
 			}
 		}
 	case reflect.String:
@@ -69,11 +79,11 @@ func fillRandom(r *rand.Rand, v reflect.Value) {
 			v.SetString(string(b))
 			return
 		}
-		v.SetString(canonStrings[r.IntN(len(canonStrings))])
+		v.SetString(l.strs[r.IntN(len(l.strs))])
 	case reflect.Bool:
 		v.SetBool(r.IntN(2) == 1)
 	case reflect.Float64:
-		f := canonFloats[r.IntN(len(canonFloats))]
+		f := l.floats[r.IntN(len(l.floats))]
 		if r.IntN(2) == 0 {
 			for f = math.Float64frombits(r.Uint64()); math.IsNaN(f) || math.IsInf(f, 0); {
 				f = math.Float64frombits(r.Uint64())
@@ -116,7 +126,7 @@ func TestCanonicalRoundTrip(t *testing.T) {
 			check(t, reflect.Zero(typ).Interface())
 			for i := 0; i < 2000; i++ {
 				v := reflect.New(typ).Elem()
-				fillRandom(r, v)
+				fillRandom(r, v, canonLeaves)
 				check(t, v.Interface())
 			}
 		})
@@ -259,13 +269,128 @@ func FuzzCanonical(f *testing.F) {
 	})
 }
 
-// TestCanonicalTypesSupported is the reflection guard: every type the warm
-// path decodes has a canonical plan, so neither a cache entry nor a
-// written scenario line can silently fall back to (or be quarantined for
-// want of) the canonical decode. A type the plan cannot mirror has none,
-// and decodeCanonical refuses even json.Marshal's own bytes of it.
+// encodeTypes are the types the grid writes with appendJSON and reads
+// back: spec encodings, cache-entry bodies, scenario lines and the HTTP
+// task, result and heartbeat bodies.
+var encodeTypes = []reflect.Type{
+	reflect.TypeFor[JobSpec](), reflect.TypeFor[mac.Result](), reflect.TypeFor[scenarioDoc](),
+	reflect.TypeFor[wireTask](), reflect.TypeFor[wireResult](), reflect.TypeFor[wireBeat](),
+}
+
+// checkEncode is the encoder's oracle on one value: appendCanonical
+// answers exactly where v's type has a plan and json.Marshal succeeds
+// without escaping a string, and then appends json.Marshal's bytes;
+// appendJSON appends json.Marshal's bytes or returns its error. Both
+// leave what dst already held alone.
+func checkEncode(t *testing.T, v any) {
+	t.Helper()
+	want, werr := json.Marshal(v)
+	plain := werr == nil && v != nil && canonPlan(reflect.TypeOf(v)) != nil && bytes.IndexByte(want, '\\') < 0 &&
+		bytes.IndexFunc(want, func(r rune) bool { return r >= utf8.RuneSelf }) < 0
+	prefix := []byte("[prefix]")
+	got, ok := appendCanonical(bytes.Clone(prefix), v)
+	switch {
+	case ok != plain:
+		t.Fatalf("%T: appendCanonical answered %v, want %v (json.Marshal: %s, %v)", v, ok, plain, want, werr)
+	case ok && !bytes.Equal(got, append(bytes.Clone(prefix), want...)):
+		t.Fatalf("%T: appendCanonical wrote\n%s\njson.Marshal writes\n%s", v, got[len(prefix):], want)
+	case !ok && !bytes.Equal(got, prefix):
+		t.Fatalf("%T: appendCanonical refused but changed dst to %q", v, got)
+	}
+	got, err := appendJSON(bytes.Clone(prefix), v)
+	switch {
+	case (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error():
+		t.Fatalf("%T: appendJSON error %v, json.Marshal error %v", v, err, werr)
+	case err == nil && !bytes.Equal(got, append(bytes.Clone(prefix), want...)):
+		t.Fatalf("%T: appendJSON wrote\n%s\njson.Marshal writes\n%s", v, got[len(prefix):], want)
+	}
+}
+
+// TestAppendCanonicalMatchesMarshal runs the encoder's oracle over random
+// values of every type the grid writes (edge floats, escaped and
+// non-ASCII strings, nil and empty slices, nil pointers), through a
+// pointer too, and over hand-picked edges: every float json.Marshal
+// formats at a switch, at both widths, NaN and ±Inf, every escaping
+// string, omitempty on zero, negative zero and empty slices.
+func TestAppendCanonicalMatchesMarshal(t *testing.T) {
+	r := rand.New(rand.NewPCG(26, 2026))
+	for _, typ := range encodeTypes {
+		t.Run(typ.Name(), func(t *testing.T) {
+			checkEncode(t, reflect.Zero(typ).Interface())
+			checkEncode(t, reflect.Zero(reflect.PointerTo(typ)).Interface())
+			for i := 0; i < 1000; i++ {
+				v := reflect.New(typ)
+				fillRandom(r, v.Elem(), canonLeaves)
+				checkEncode(t, v.Elem().Interface())
+				checkEncode(t, v.Interface())
+			}
+		})
+	}
+	t.Run("edges", func(t *testing.T) {
+		type omit struct {
+			F float64       `json:",omitempty"`
+			G float32       `json:",omitempty"`
+			S []float64     `json:",omitempty"`
+			B bool          `json:",omitempty"`
+			I int8          `json:",omitempty"`
+			U uint16        `json:",omitempty"`
+			P *mac.RepStats `json:",omitempty"`
+			R mac.RepStats
+		}
+		for _, f := range append(canonFloats, math.NaN(), math.Inf(1), math.Inf(-1), 1.5e-45, 3.4028235e38, 1e-6-1e-22) {
+			checkEncode(t, f)
+			checkEncode(t, float32(f))
+			checkEncode(t, mac.Result{Frames: f})
+			checkEncode(t, omit{F: f, G: float32(f)})
+			checkEncode(t, []float64{f, -f})
+		}
+		for _, s := range append(canonStrings, "a\u2028", "x&y", "<", ">", `"`, `\`, "\x80", "ok ~\x7f") {
+			checkEncode(t, mac.Result{Protocol: s})
+			checkEncode(t, wireBeat{Session: s})
+		}
+		for _, v := range []any{
+			omit{}, omit{S: []float64{}}, omit{S: []float64{0}}, omit{P: &mac.RepStats{}}, omit{I: -128, U: 65535, B: true},
+			JobSpec{Kind: KindScenario}, scenarioDoc{}, scenarioDoc{Replications: 2},
+			scenarioDoc{Scenario: &core.Scenario{SpeedsKmh: []float64{}}},
+			(*JobSpec)(nil), []JobSpec(nil), []JobSpec{}, struct{ A any }{}, map[string]int{"a": 1}, nil,
+		} {
+			checkEncode(t, v)
+		}
+	})
+}
+
+// FuzzAppendCanonical runs the encoder's oracle on a random value of each
+// type the grid writes, drawn from the fuzzed seed with the fuzzed string
+// and floats among its leaves; slices come out nil, empty or filled and
+// pointers nil or set as the seed draws them. The seeds cover escaped and
+// non-ASCII strings, negative zero, subnormals, floats either side of
+// 1e-6 and 1e21, NaN and ±Inf.
+func FuzzAppendCanonical(f *testing.F) {
+	for i, s := range canonStrings {
+		f.Add(uint64(i), s, canonFloats[i], canonFloats[len(canonFloats)-1-i])
+	}
+	f.Add(uint64(40), "charisma", math.NaN(), 0.5)
+	f.Add(uint64(41), "rama", math.Inf(1), math.Inf(-1))
+	f.Add(uint64(42), "", math.Copysign(0, -1), math.SmallestNonzeroFloat64)
+	f.Add(uint64(43), "a\xffb", 9.999999999999999e-7, 1e21)
+	f.Fuzz(func(t *testing.T, seed uint64, s string, x, y float64) {
+		r := rand.New(rand.NewPCG(seed, 26))
+		typ := encodeTypes[seed%uint64(len(encodeTypes))]
+		v := reflect.New(typ)
+		fillRandom(r, v.Elem(), leaves{[]string{s, "", "charisma"}, []float64{x, y, 0}})
+		checkEncode(t, v.Elem().Interface())
+	})
+}
+
+// TestCanonicalTypesSupported is the reflection guard: every type the grid
+// writes and reads back has a canonical plan, so neither a cache entry, a
+// written scenario line, a spec hash nor a wire body can silently fall
+// back to encoding/json (or be quarantined for want of the canonical
+// decode). A type the plan cannot mirror has none: appendCanonical
+// refuses it, and decodeCanonical refuses even json.Marshal's own bytes
+// of it.
 func TestCanonicalTypesSupported(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeFor[scenarioDoc](), reflect.TypeFor[mac.Result]()} {
+	for _, typ := range encodeTypes {
 		if _, err := buildCanon(typ); err != nil {
 			t.Errorf("%v has no canonical plan: %v", typ, err)
 		}
@@ -306,6 +431,9 @@ func TestCanonicalTypesSupported(t *testing.T) {
 		}
 		if got := decodeCanonical(b, reflect.New(typ).Interface()); got != c.supported {
 			t.Errorf("%v: decodeCanonical(%s) = %v", typ, b, got)
+		}
+		if _, got := appendCanonical(nil, c.v); got != c.supported {
+			t.Errorf("%v: appendCanonical answered %v", typ, got)
 		}
 	}
 }

@@ -5,4 +5,7 @@ package grid
 
 type ScenarioDoc = scenarioDoc
 
-var DecodeCanonical = decodeCanonical
+var (
+	DecodeCanonical = decodeCanonical
+	AppendCanonical = appendCanonical
+)

@@ -211,9 +211,8 @@ func TestLeaselessResultRejectedOverHTTP(t *testing.T) {
 	defer hs.Close()
 
 	_, id, _ := sv.current()
-	forged, err := json.Marshal(wireResult{Session: id, TaskResult: TaskResult{
-		Point: 0, Rep: 0, Result: mac.Result{Protocol: "forged", VoiceLossRate: 1},
-	}})
+	forged, err := json.Marshal(wireResult{Session: id, Point: 0, Rep: 0,
+		Result: mac.Result{Protocol: "forged", VoiceLossRate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

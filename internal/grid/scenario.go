@@ -490,11 +490,13 @@ func (d scenarioDoc) point() (Point, error) {
 }
 
 // WriteScenarioFile renders points as a JSONL scenario file, one document
-// per point, loadable by LoadScenarioFile. Documents carry the canonical
-// field order, and a write→load round trip preserves every spec's content
+// per point, loadable by LoadScenarioFile. Each line is json.Marshal's
+// bytes of the document (written by appendJSON), so the loader reads it
+// canonically, and a write→load round trip preserves every spec's content
 // hash (the payload values travel verbatim).
 func WriteScenarioFile(w io.Writer, pts []Point) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, p := range pts {
 		if err := p.Spec.Validate(); err != nil {
 			return fmt.Errorf("grid: scenario file point %d: %w", i, err)
@@ -503,11 +505,11 @@ func WriteScenarioFile(w io.Writer, pts []Point) error {
 		if p.Replications > 1 {
 			d.Replications = p.Replications
 		}
-		b, err := json.Marshal(d)
-		if err != nil {
+		var err error
+		if line, err = appendJSON(line[:0], d); err != nil {
 			return fmt.Errorf("grid: scenario file point %d: %w", i, err)
 		}
-		bw.Write(b)
+		bw.Write(line)
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()

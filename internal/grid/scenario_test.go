@@ -153,15 +153,18 @@ func TestLoadScenarioFileTypedRejections(t *testing.T) {
 	cell := `{"scenario": {"protocol": "charisma", "numVoice": 5, %s}}`
 	deployment := `{"multicell": {"cells": 2, "protocol": "charisma", "decisionPeriodFrames": 1, %s}}`
 	for name, c := range map[string]struct{ line, field string }{
-		"scenario partial PHY":         {fmt.Sprintf(cell, `"phy": {"meanSNRdB": -20}`), "PHY"},
-		"scenario partial MAC":         {fmt.Sprintf(cell, `"mac": {"permVoice": 0.9}`), "MAC"},
-		"scenario impossible geometry": {string(geometryLine), "MAC"},
-		"multicell partial PHY":        {fmt.Sprintf(deployment, `"numVoice": 5, "phy": {"meanSNRdB": -20}`), "PHY"},
-		"multicell partial MAC":        {fmt.Sprintf(deployment, `"numVoice": 5, "mac": {"permVoice": 0.9}`), "MAC"},
-		"multicell negative voice":     {fmt.Sprintf(deployment, `"numVoice": -5, "numData": 10`), "NumVoice"},
-		"multicell negative data":      {fmt.Sprintf(deployment, `"numVoice": 5, "numData": -1`), "NumData"},
-		"multicell RMAV":               {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", "RMAV", 1), "Protocol"},
-		"multicell padded rmav":        {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", " rmav ", 1), "Protocol"},
+		"scenario partial PHY":              {fmt.Sprintf(cell, `"phy": {"meanSNRdB": -20}`), "PHY"},
+		"scenario partial MAC":              {fmt.Sprintf(cell, `"mac": {"permVoice": 0.9}`), "MAC"},
+		"scenario impossible geometry":      {string(geometryLine), "MAC"},
+		"multicell partial PHY":             {fmt.Sprintf(deployment, `"numVoice": 5, "phy": {"meanSNRdB": -20}`), "PHY"},
+		"multicell partial MAC":             {fmt.Sprintf(deployment, `"numVoice": 5, "mac": {"permVoice": 0.9}`), "MAC"},
+		"multicell negative voice":          {fmt.Sprintf(deployment, `"numVoice": -5, "numData": 10`), "NumVoice"},
+		"multicell negative data":           {fmt.Sprintf(deployment, `"numVoice": 5, "numData": -1`), "NumData"},
+		"multicell RMAV":                    {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", "RMAV", 1), "Protocol"},
+		"multicell padded rmav":             {strings.Replace(fmt.Sprintf(deployment, `"numVoice": 5`), "charisma", " rmav ", 1), "Protocol"},
+		"scenario duration past the clock":  {fmt.Sprintf(cell, `"durationSec": 1e308`), "DurationSec"},
+		"scenario warm-up past the clock":   {fmt.Sprintf(cell, `"warmupSec": 3e13`), "WarmupSec"},
+		"multicell duration past the clock": {fmt.Sprintf(deployment, `"numVoice": 5, "durationSec": 1e308`), "DurationSec"},
 	} {
 		_, err := LoadScenarioFile(strings.NewReader(validLine(5) + "\n" + c.line + "\n"))
 		var ve *core.ValidationError

@@ -1,32 +1,51 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"charisma/internal/mac"
 )
 
 // Wire envelope types: the session id pins results to the sweep that
 // issued the task, so a slow worker posting into a later sweep of the same
-// coordinator process is rejected instead of corrupting it.
+// coordinator process is rejected instead of corrupting it. wireTask
+// carries a Task's fields and wireResult a TaskResult's, flat and in the
+// order json.Marshal wrote them when the two embedded those types (the
+// canonical plan has no field promotion), so every body keeps its bytes.
 type wireTask struct {
 	Session string
 	// LeaseMS is the lease TTL in milliseconds. A positive value asks the
 	// worker to heartbeat (POST /heartbeat) well within every window or
 	// lose the task to re-queueing; zero means the lease never expires.
 	LeaseMS int64 `json:",omitempty"`
-	Task
+	Point   int
+	Rep     int
+	Lease   int64
+	Spec    JobSpec
 }
 
 type wireResult struct {
 	Session string
-	TaskResult
+	Point   int
+	Rep     int
+	Lease   int64  `json:",omitempty"`
+	Err     string `json:",omitempty"`
+	Result  mac.Result
+}
+
+// taskResult is the result as the session completes it.
+func (r wireResult) taskResult() TaskResult {
+	return TaskResult{Point: r.Point, Rep: r.Rep, Lease: r.Lease, Err: r.Err, Result: r.Result}
 }
 
 // wireBeat is one heartbeat: the worker renewing its lease on a task.
@@ -35,9 +54,34 @@ type wireBeat struct {
 	Lease   int64
 }
 
+// readBody reads one request or response body whole and decodes it into
+// v, which holds its zero value: canonically when the body is exactly
+// json.Marshal's bytes (json.Encoder's trailing newline allowed), and
+// otherwise with encoding/json's lenient decode of the first value on the
+// same bytes — unknown fields and anything after the value ignored. It
+// answers as a json.Decoder reading r would: a read error (a body past
+// its limit) is the error only where the bytes before it end inside the
+// first value.
+func readBody(r io.Reader, v any) error {
+	b, rerr := io.ReadAll(r)
+	if rerr == nil && decodeCanonical(bytes.TrimSuffix(b, []byte("\n")), v) {
+		return nil
+	}
+	err := json.NewDecoder(bytes.NewReader(b)).Decode(v)
+	if rerr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+		return rerr
+	}
+	return err
+}
+
 // maxResultBody bounds a posted result; a mac.Result is a few hundred
 // bytes of JSON.
 const maxResultBody = 1 << 20
+
+// wireBufSize is the capacity a wire body is encoded into, so that one
+// allocation holds it: a corpus task body is 1.1–2.1 KB, a result body
+// under 1 KB.
+const wireBufSize = 4 << 10
 
 // Server exposes sessions to remote workers over HTTP — the
 // coordinator/worker protocol:
@@ -143,11 +187,12 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			sv.Log.Debug("task dispatched", "session", id, "worker", worker,
 				"lease", t.Lease, "point", t.Point, "rep", t.Rep)
 		}
-		writeJSON(w, wireTask{Session: id, LeaseMS: sv.LeaseTTL.Milliseconds(), Task: t})
+		writeJSON(w, wireTask{Session: id, LeaseMS: sv.LeaseTTL.Milliseconds(),
+			Point: t.Point, Rep: t.Rep, Lease: t.Lease, Spec: t.Spec})
 
 	case r.Method == http.MethodPost && r.URL.Path == "/heartbeat":
 		var hb wireBeat
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBody)).Decode(&hb); err != nil {
+		if err := readBody(http.MaxBytesReader(w, r.Body, maxResultBody), &hb); err != nil {
 			http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -162,7 +207,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	case r.Method == http.MethodPost && r.URL.Path == "/result":
 		var res wireResult
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBody)).Decode(&res); err != nil {
+		if err := readBody(http.MaxBytesReader(w, r.Body, maxResultBody), &res); err != nil {
 			http.Error(w, "bad result: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -176,7 +221,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// the worker is answered 204 either way — there is nothing it
 		// should retry. A result Complete rejects (no lease, unknown
 		// point, negative rep) is answered 400.
-		if err := sess.Complete(res.TaskResult); err != nil {
+		if err := sess.Complete(res.taskResult()); err != nil {
 			sv.resultsRejected.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -240,7 +285,12 @@ func (sv *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return err
 }
 
+// writeJSON writes v as json.Encoder would: json.Marshal's bytes and a
+// newline, or nothing when v cannot be encoded. A failed write means the
+// client went away; there is no one left to tell.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	if b, err := appendJSON(make([]byte, 0, wireBufSize), v); err == nil {
+		w.Write(append(b, '\n'))
+	}
 }

@@ -29,8 +29,11 @@ const (
 // (ints, floats, strings, float slices), so a spec round-trips losslessly
 // through its codec and can cross a process boundary.
 //
-// The canonical encoding is JSON with the fixed struct field order and
-// Go's shortest-round-trip float formatting; Hash is SHA-256 over it.
+// The canonical encoding is json.Marshal's bytes of the spec: the fixed
+// struct field order and Go's shortest-round-trip float formatting.
+// Encode and Hash write those bytes with appendJSON (see canon.go), so
+// every hash, and every cache entry keyed by one, is what json.Marshal's
+// encoding gives; Hash is SHA-256 over it, encoded into a stack buffer.
 // Specs are hashed literally: two specs that only differ in defaulted
 // zero fields run identically but hash differently, which costs a cache
 // miss, never a wrong hit.
@@ -90,7 +93,12 @@ func (s JobSpec) BaseSeed() int64 {
 
 // Encode returns the canonical JSON encoding of the spec.
 func (s JobSpec) Encode() ([]byte, error) {
-	b, err := json.Marshal(s)
+	return s.appendTo(nil)
+}
+
+// appendTo appends the canonical encoding of the spec to dst.
+func (s JobSpec) appendTo(dst []byte) ([]byte, error) {
+	b, err := appendJSON(dst, s)
 	if err != nil {
 		return nil, fmt.Errorf("grid: encode spec: %w", err)
 	}
@@ -124,7 +132,8 @@ func atEOF(dec *json.Decoder) bool {
 // Hash returns the spec's stable content hash: SHA-256 over the canonical
 // encoding, hex-encoded.
 func (s JobSpec) Hash() (string, error) {
-	b, err := s.Encode()
+	var buf [2048]byte // a corpus spec encodes in 1.0–2.0 KB
+	b, err := s.appendTo(buf[:0])
 	if err != nil {
 		return "", err
 	}

@@ -3,7 +3,6 @@ package grid
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -317,7 +316,7 @@ func (w Worker) heartbeatLoop(ctx context.Context, client *http.Client, base str
 // and a defer can only reach the value actually returned through a named
 // result.
 func (w Worker) execute(wt wireTask) (out wireResult) {
-	out = wireResult{Session: wt.Session, TaskResult: TaskResult{Point: wt.Point, Rep: wt.Rep, Lease: wt.Lease}}
+	out = wireResult{Session: wt.Session, Point: wt.Point, Rep: wt.Rep, Lease: wt.Lease}
 	if err := wt.Spec.Validate(); err != nil {
 		out.Err = err.Error()
 		return out
@@ -367,7 +366,7 @@ func (w Worker) fetchTask(ctx context.Context, client *http.Client, base string)
 		return wireTask{}, resp.StatusCode, nil
 	}
 	var wt wireTask
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResultBody)).Decode(&wt); err != nil {
+	if err := readBody(io.LimitReader(resp.Body, maxResultBody), &wt); err != nil {
 		return wireTask{}, resp.StatusCode, fmt.Errorf("grid: bad task payload: %w", err)
 	}
 	return wt, resp.StatusCode, nil
@@ -377,7 +376,7 @@ func (w Worker) fetchTask(ctx context.Context, client *http.Client, base string)
 // lease or session was superseded); transport and other failures return
 // an error instead, which callers treat as transient.
 func postBeat(ctx context.Context, client *http.Client, base, session string, lease int64) (renewed bool, err error) {
-	body, err := json.Marshal(wireBeat{Session: session, Lease: lease})
+	body, err := appendJSON(nil, wireBeat{Session: session, Lease: lease})
 	if err != nil {
 		return false, err
 	}
@@ -414,7 +413,7 @@ const postResultAttempts = 5
 // when the coordinator answered at all — so an operator can tell a dead
 // link from a rejecting coordinator.
 func postResult(ctx context.Context, client *http.Client, base string, res wireResult) error {
-	body, err := json.Marshal(res)
+	body, err := appendJSON(make([]byte, 0, wireBufSize), res)
 	if err != nil {
 		return fmt.Errorf("grid: encode result: %w", err)
 	}

@@ -113,7 +113,7 @@ func TestHeartbeatToleratesTransientErrors(t *testing.T) {
 	go func() {
 		defer close(done)
 		w.heartbeatLoop(ctx, hs.Client(), hs.URL,
-			wireTask{Session: "s1", Task: Task{Lease: 7}}, 5*time.Millisecond, superseded)
+			wireTask{Session: "s1", Lease: 7}, 5*time.Millisecond, superseded)
 	}()
 	waitUntil(t, 2*time.Second, func() bool { return stats.Snapshot().Heartbeats >= 2 })
 	select {
@@ -141,7 +141,7 @@ func TestHeartbeat409Abandons(t *testing.T) {
 	w := Worker{ID: "abandon-test", Stats: new(WorkerStats)}
 	superseded := make(chan struct{})
 	go w.heartbeatLoop(context.Background(), hs.Client(), hs.URL,
-		wireTask{Session: "s1", Task: Task{Lease: 9}}, 2*time.Millisecond, superseded)
+		wireTask{Session: "s1", Lease: 9}, 2*time.Millisecond, superseded)
 	select {
 	case <-superseded:
 	case <-time.After(2 * time.Second):
@@ -168,7 +168,7 @@ func TestExecuteAppliesCorruptResult(t *testing.T) {
 	}
 	// Run installs Stats before any execute; so does this direct call.
 	w := Worker{Stats: new(WorkerStats), CorruptResult: func(_, _ int, r *mac.Result) { r.Frames++ }}
-	wt := wireTask{Session: "s1", Task: Task{Point: 0, Rep: 0, Spec: spec}}
+	wt := wireTask{Session: "s1", Point: 0, Rep: 0, Spec: spec}
 	out := w.execute(wt)
 	if out.Err != "" {
 		t.Fatalf("execute failed: %s", out.Err)
@@ -247,7 +247,7 @@ func TestPostResultRetriesThenReportsLastStatus(t *testing.T) {
 	defer hs.Close()
 
 	err := postResult(context.Background(), hs.Client(), hs.URL,
-		wireResult{Session: "s1", TaskResult: TaskResult{Lease: 3}})
+		wireResult{Session: "s1", Lease: 3})
 	if err == nil {
 		t.Fatal("exhausted delivery returned nil")
 	}
@@ -274,7 +274,7 @@ func TestPostResultSucceedsAfterOutage(t *testing.T) {
 	defer hs.Close()
 
 	if err := postResult(context.Background(), hs.Client(), hs.URL,
-		wireResult{Session: "s1", TaskResult: TaskResult{Lease: 4}}); err != nil {
+		wireResult{Session: "s1", Lease: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 3 {

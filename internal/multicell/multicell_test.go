@@ -43,6 +43,8 @@ func TestValidation(t *testing.T) {
 		"Channel":              func(p *Params) { p.Channel.ShadowCoherenceSec = 0 },
 		"PHY":                  func(p *Params) { p.PHY.CSIMargin = 2 },
 		"MAC":                  func(p *Params) { p.MAC.PermVoice = 0 },
+		"WarmupSec":            func(p *Params) { p.WarmupSec = 1e308 },
+		"DurationSec":          func(p *Params) { p.DurationSec = 1e308 },
 	} {
 		p := DefaultParams()
 		mutate(&p)
