@@ -184,10 +184,12 @@ func (f *Fading) MeasureEstimate(noiseStd float64, observer *rng.Stream, now sim
 // next replication: every chunk's rows are handed out again from the
 // start, re-seeded by New with that user's own stream (initUser
 // overwrites all live state and invalidates the amplitude memo), so a
-// reused row is indistinguishable from a fresh one. Interned coefficient
-// classes survive a Reset deliberately — they are keyed by Params
-// equality and their memoized step coefficients are pure functions of
-// (Params, dt).
+// reused row is indistinguishable from a fresh one. Reset also drops the
+// interned coefficient classes: New scans a plane's classes linearly, and
+// a scenario with per-station speeds interns one class per station, so a
+// list kept across replications would grow with every replication a slab
+// hosts. The coefficients are pure functions of (Params, dt), so
+// re-deriving them changes no value.
 //
 // Each row advances individually (the MAC's lazy per-station replay) and
 // draws only from its own stream, so a row's sample path does not depend
@@ -223,8 +225,14 @@ func (s *Slab) New(p Params, stream *rng.Stream) *Fading {
 	return &pl.views[i]
 }
 
-// Reset rewinds the slab so every row can be handed out again.
-func (s *Slab) Reset() { s.cur, s.used = 0, 0 }
+// Reset rewinds the slab so every row can be handed out again, and drops
+// every plane's coefficient classes.
+func (s *Slab) Reset() {
+	s.cur, s.used = 0, 0
+	for _, pl := range s.planes {
+		pl.classes = pl.classes[:0]
+	}
+}
 
 // Obs sums the lazy-replay counters of every chunk plane the slab has
 // allocated. Read at a quiescent point only.

@@ -120,12 +120,19 @@ func (pl *plane) classIndex(p Params) int32 {
 
 // initUser seeds user i at its stationary distribution, drawing exactly the
 // initialization draws the scalar NewFading made: one complex Gaussian for
-// the envelope, one Gaussian for the shadow.
+// the envelope, one Gaussian for the shadow. The three come from one bulk
+// fill, in that order and combined with the ComplexGaussian (x·ComplexScale)
+// and Normal (mu + sigma·x) expressions, so the values are unchanged; the
+// fill computes the stream's whole register now, since a row reads all of
+// it within its first 112 steps, and every later draw takes the inlined
+// step.
 func (pl *plane) initUser(i int, p Params, stream *rng.Stream) {
 	pl.classOf[i] = pl.classIndex(p)
 	pl.streams[i] = stream
-	pl.gRe[i], pl.gIm[i] = stream.ComplexGaussian()
-	pl.shadowDB[i] = stream.Normal(p.ShadowMeanDB, p.ShadowSigmaDB)
+	var w [3]float64
+	stream.NormFloat64s(w[:])
+	pl.gRe[i], pl.gIm[i] = w[0]*rng.ComplexScale, w[1]*rng.ComplexScale
+	pl.shadowDB[i] = p.ShadowMeanDB + p.ShadowSigmaDB*w[2]
 	pl.ampStep[i] = -1
 	pl.views[i] = Fading{plane: pl, idx: int32(i)}
 }

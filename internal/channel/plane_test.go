@@ -229,6 +229,25 @@ func TestSlabReusedRowMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSlabResetDropsClasses: the coefficient classes a slab interns do
+// not outlive a Reset. Every replication of a per-station speed mix
+// interns one class per station; kept, the list New scans would grow by
+// that much per replication.
+func TestSlabResetDropsClasses(t *testing.T) {
+	s := NewSlab()
+	for rep := 0; rep < 50; rep++ {
+		s.Reset()
+		for u := 0; u < 8; u++ {
+			p := DefaultParams()
+			p.SpeedKmh = float64(1 + rep*8 + u)
+			s.New(p, rng.DeriveIndexed(int64(rep), "chan", u))
+		}
+		if n := len(s.planes[0].classes); n != 8 {
+			t.Fatalf("replication %d: %d classes interned, want the 8 of this replication", rep, n)
+		}
+	}
+}
+
 // TestSlabFrameHotPathAllocs is the channel-plane analogue of the mac
 // registry's frame-allocs guard: advancing every user of a slab or one
 // user, querying amplitudes, replaying deferred steps and measuring

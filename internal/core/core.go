@@ -49,9 +49,34 @@ func Protocols() []string {
 	return []string{ProtoCharisma, ProtoDTDMAVR, ProtoDTDMAFR, ProtoDRMA, ProtoRAMA, ProtoRMAV}
 }
 
-// NewProtocol instantiates a protocol by name.
-func NewProtocol(name string) (mac.Protocol, error) {
+// CanonicalProtocol maps a protocol name, or one of its accepted aliases,
+// to its Proto* name: case is ignored and surrounding space trimmed. ok is
+// false for a name no protocol answers to. It is the one table of
+// spellings — NewProtocol, KnownProtocol, AdaptivePHYFor and the multicell
+// RMAV rule all read it — and it allocates nothing for a lowercase name.
+func CanonicalProtocol(name string) (canon string, ok bool) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
+	case ProtoCharisma:
+		return ProtoCharisma, true
+	case ProtoRAMA:
+		return ProtoRAMA, true
+	case ProtoRMAV:
+		return ProtoRMAV, true
+	case ProtoDRMA:
+		return ProtoDRMA, true
+	case ProtoDTDMAFR, "dtdma/fr", "d-tdma-fr":
+		return ProtoDTDMAFR, true
+	case ProtoDTDMAVR, "dtdma/vr", "d-tdma-vr":
+		return ProtoDTDMAVR, true
+	}
+	return "", false
+}
+
+// NewProtocol instantiates a protocol by name (any spelling
+// CanonicalProtocol accepts).
+func NewProtocol(name string) (mac.Protocol, error) {
+	canon, _ := CanonicalProtocol(name)
+	switch canon {
 	case ProtoCharisma:
 		return charismaproto.New(), nil
 	case ProtoRAMA:
@@ -60,36 +85,27 @@ func NewProtocol(name string) (mac.Protocol, error) {
 		return rmav.New(), nil
 	case ProtoDRMA:
 		return drma.New(), nil
-	case ProtoDTDMAFR, "dtdma/fr", "d-tdma-fr":
+	case ProtoDTDMAFR:
 		return dtdma.New(), nil
-	case ProtoDTDMAVR, "dtdma/vr", "d-tdma-vr":
+	case ProtoDTDMAVR:
 		return dtdma.NewVariable(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown protocol %q", name)
 	}
+	return nil, fmt.Errorf("core: unknown protocol %q", name)
 }
 
 // KnownProtocol reports whether name (or one of its accepted aliases)
 // names an implemented protocol. It is the allocation-free validation
 // twin of NewProtocol.
 func KnownProtocol(name string) bool {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case ProtoCharisma, ProtoRAMA, ProtoRMAV, ProtoDRMA,
-		ProtoDTDMAFR, "dtdma/fr", "d-tdma-fr",
-		ProtoDTDMAVR, "dtdma/vr", "d-tdma-vr":
-		return true
-	}
-	return false
+	_, ok := CanonicalProtocol(name)
+	return ok
 }
 
 // AdaptivePHYFor reports whether a protocol runs on the channel-adaptive
 // physical layer (only CHARISMA and D-TDMA/VR do; §3–§4).
 func AdaptivePHYFor(name string) bool {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case ProtoCharisma, ProtoDTDMAVR, "dtdma/vr", "d-tdma-vr":
-		return true
-	}
-	return false
+	canon, _ := CanonicalProtocol(name)
+	return canon == ProtoCharisma || canon == ProtoDTDMAVR
 }
 
 // Scenario declares one simulation run.
@@ -255,10 +271,60 @@ func NewModem(protocol string, p phy.Params) phy.PHY {
 	return phy.NewFixed(p)
 }
 
+// CellParts is what a replication arena keeps of one cell's MAC between
+// replications: the modem it last built, with the inputs it was built
+// from, and one protocol instance per canonical name. A single-cell run
+// (Scenario.Run) and every cell of a multicell deployment rebuild through
+// it, so a sweep's replications reuse the modem's mode tables and each
+// protocol's scratch and memos. A protocol is re-Init'ed for every
+// replication, and its memos are keyed by the inputs they depend on, so a
+// reused instance behaves as a new one.
+type CellParts struct {
+	modem phy.PHY
+	// modemParams holds defensive clones of the slice fields, so a caller
+	// mutating its own phy.Params in place between runs is detected as a
+	// change.
+	modemParams phy.Params
+	protos      map[string]mac.Protocol
+}
+
+// Modem returns the cached modem when the adaptivity class and PHY
+// parameters are unchanged, else builds (and caches) a fresh one.
+func (c *CellParts) Modem(protocol string, p phy.Params) phy.PHY {
+	if c.modem == nil || c.modem.Adaptive() != AdaptivePHYFor(protocol) || !phyParamsEqual(p, c.modemParams) {
+		c.modem = NewModem(protocol, p)
+		c.modemParams = p
+		c.modemParams.Etas = slices.Clone(p.Etas)
+		c.modemParams.ThresholdsDB = slices.Clone(p.ThresholdsDB)
+	}
+	return c.modem
+}
+
+// Protocol returns the cell's instance of the named protocol (any
+// accepted spelling), building it on first use.
+func (c *CellParts) Protocol(name string) (mac.Protocol, error) {
+	canon, ok := CanonicalProtocol(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown protocol %q", name)
+	}
+	if p := c.protos[canon]; p != nil {
+		return p, nil
+	}
+	p, err := NewProtocol(canon)
+	if err != nil {
+		return nil, err
+	}
+	if c.protos == nil {
+		c.protos = make(map[string]mac.Protocol)
+	}
+	c.protos[canon] = p
+	return p, nil
+}
+
 // runArena owns every allocation a scenario run can recycle across
 // replications: the lazy system (station/registry/request slabs), the
 // frame clock, the channel slab, per-slot RNG streams and
-// traffic sources, the PHY modem, and one protocol instance per name.
+// traffic sources, and the cell's modem and protocols (CellParts).
 // Scenario.Run borrows an arena from a sync.Pool, rebuilds the cell into
 // it, and returns it — so a parameter sweep's rep N+1 reuses rep N's
 // memory with near-zero fresh allocations. Reuse is byte-identity-safe
@@ -274,7 +340,7 @@ type runArena struct {
 	sys       *mac.System
 	eng       *sim.Engine
 	slab      *channel.Slab
-	protos    map[string]mac.Protocol
+	parts     CellParts
 
 	// Per-slot cached streams and source objects (index = station slot).
 	// A stream is re-seeded at materialization time, so only stations
@@ -284,12 +350,6 @@ type runArena struct {
 	dStreams  []*rng.Stream
 	vSrcs     []*traffic.VoiceSource
 	dSrcs     []*traffic.DataSource
-
-	// Cached modem plus the inputs it was built from. modemParams holds
-	// defensive clones of the slice fields so a caller mutating its own
-	// phy.Params in place between runs is detected as a change.
-	modem       phy.PHY
-	modemParams phy.Params
 
 	// Materialization inputs, rebound by buildIn for each replication.
 	seed     int64
@@ -307,9 +367,8 @@ type runArena struct {
 func newRunArena() *runArena {
 	arenaBuilds.Add(1)
 	a := &runArena{
-		probe:  rng.New(0),
-		slab:   channel.NewSlab(),
-		protos: make(map[string]mac.Protocol),
+		probe: rng.New(0),
+		slab:  channel.NewSlab(),
 	}
 	a.pop.Materialize = a.materialize
 	return a
@@ -336,13 +395,8 @@ func ArenaObs() obs.SimCounters {
 // stream returns the cached per-slot stream, re-seeded exactly as
 // rng.DeriveIndexed(a.seed, label, i) would seed a fresh one.
 func (a *runArena) stream(pool []*rng.Stream, label string, i int) *rng.Stream {
-	s := pool[i]
-	if s == nil {
-		s = rng.New(0)
-		pool[i] = s
-	}
-	s.Reseed(rng.SeedForIndexed(a.seed, label, i))
-	return s
+	pool[i] = rng.Renew(pool[i], rng.SeedForIndexed(a.seed, label, i))
+	return pool[i]
 }
 
 // materialize is the arena's mac.LazyPopulation hook: identical draws to
@@ -392,18 +446,6 @@ func phyParamsEqual(a, b phy.Params) bool {
 		slices.Equal(a.Etas, b.Etas) && slices.Equal(a.ThresholdsDB, b.ThresholdsDB)
 }
 
-// modemFor returns the cached modem when the adaptivity class and PHY
-// parameters are unchanged, else builds (and caches) a fresh one.
-func (a *runArena) modemFor(sc Scenario) phy.PHY {
-	if a.modem == nil || a.modem.Adaptive() != AdaptivePHYFor(sc.Protocol) || !phyParamsEqual(sc.PHY, a.modemParams) {
-		a.modem = NewModem(sc.Protocol, sc.PHY)
-		a.modemParams = sc.PHY
-		a.modemParams.Etas = slices.Clone(sc.PHY.Etas)
-		a.modemParams.ThresholdsDB = slices.Clone(sc.PHY.ThresholdsDB)
-	}
-	return a.modem
-}
-
 // Build assembles the system and protocol without running them (exposed
 // for tests and custom drivers). Each call uses a private arena, so the
 // returned system shares no state with pooled Run executions or other
@@ -419,17 +461,11 @@ func (sc Scenario) buildIn(a *runArena) (*mac.System, mac.Protocol, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
 	}
-	key := strings.ToLower(strings.TrimSpace(sc.Protocol))
-	proto := a.protos[key]
-	if proto == nil {
-		p, err := NewProtocol(sc.Protocol)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.protos[key] = p
-		proto = p
+	proto, err := a.parts.Protocol(sc.Protocol)
+	if err != nil {
+		return nil, nil, err
 	}
-	modem := a.modemFor(sc)
+	modem := a.parts.Modem(sc.Protocol, sc.PHY)
 
 	// The population is built lazily: stations are deferred until their
 	// first source event, so instantiating a 10⁶-station cell costs one
@@ -480,10 +516,7 @@ func (sc Scenario) buildIn(a *runArena) (*mac.System, mac.Protocol, error) {
 	a.slab.Reset()
 	a.pop.FirstWake = a.firstWake
 
-	if a.macStream == nil {
-		a.macStream = rng.New(0)
-	}
-	a.macStream.Reseed(rng.SeedFor(sc.Seed, "mac", sc.Protocol))
+	a.macStream = rng.Renew(a.macStream, rng.SeedFor(sc.Seed, "mac", sc.Protocol))
 	if a.sys == nil {
 		sys, err := mac.NewSystemLazy(sc.MAC, modem, n, a.macStream, &a.pop)
 		if err != nil {

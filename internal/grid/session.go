@@ -983,13 +983,16 @@ type SweepStats struct {
 	Quarantined int
 }
 
-// Observe folds one finished session's counters into the stats.
+// Observe folds one finished session's counters into the stats. It reads
+// the four counters under the session lock, not a Progress snapshot, so it
+// copies and aggregates no results.
 func (st *SweepStats) Observe(s *Session) {
-	p := s.Progress()
-	st.Simulated += p.Executed
-	st.CacheHits += p.CacheHits
-	st.Requeues += p.Requeues
-	st.Quarantined += p.Quarantined
+	s.mu.Lock()
+	st.Simulated += s.executed
+	st.CacheHits += s.hits
+	st.Requeues += s.requeues
+	st.Quarantined += s.quarantines
+	s.mu.Unlock()
 }
 
 // String renders the counters for operator output.

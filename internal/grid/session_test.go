@@ -453,3 +453,41 @@ func TestSessionContextCancellation(t *testing.T) {
 		t.Fatalf("results on cancelled session: %v", err)
 	}
 }
+
+// TestSweepStatsObserve: Observe folds exactly the counters a Progress
+// snapshot reports, cold session and warm, and on a settled session it
+// allocates nothing — it reads the counters under the lock instead of
+// copying and aggregating every point's results.
+func TestSweepStatsObserve(t *testing.T) {
+	ctx := context.Background()
+	cache := NewCache(t.TempDir())
+	var st SweepStats
+	var want SweepStats
+	for pass := 0; pass < 2; pass++ {
+		sess, err := NewSession(sweepPoints(2), cache, Precision{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RunLocal(ctx, sess, 2); err != nil {
+			t.Fatal(err)
+		}
+		p := sess.Progress()
+		want.Simulated += p.Executed
+		want.CacheHits += p.CacheHits
+		want.Requeues += p.Requeues
+		want.Quarantined += p.Quarantined
+		st.Observe(sess)
+		if st != want {
+			t.Fatalf("pass %d: observed %+v, want %+v", pass, st, want)
+		}
+		if pass == 1 {
+			if want.Simulated == 0 || want.CacheHits == 0 {
+				t.Fatalf("a cold and a warm pass should simulate and hit: %+v", want)
+			}
+			var sink SweepStats
+			if n := testing.AllocsPerRun(100, func() { sink.Observe(sess) }); n != 0 {
+				t.Fatalf("Observe: %.0f allocs on a settled session, want 0", n)
+			}
+		}
+	}
+}

@@ -47,7 +47,7 @@ type Station struct {
 	// src bundles the traffic sources behind one pointer so a station
 	// carrying either or both pays 8 bytes in the struct; nil for inert
 	// multicell clones and for deferred stations before materialization.
-	src *sources
+	src *Sources
 	// fad is the station's uplink fading process; nil until a deferred
 	// station materializes.
 	fad *channel.Fading
@@ -58,10 +58,10 @@ type Station struct {
 	flags uint8
 }
 
-// sources carries a station's traffic endpoints.
-type sources struct {
-	voice *traffic.VoiceSource
-	data  *traffic.DataSource
+// Sources carries a station's traffic endpoints; either may be nil.
+type Sources struct {
+	Voice *traffic.VoiceSource
+	Data  *traffic.DataSource
 }
 
 // Station flag bits above the bucket field.
@@ -93,11 +93,20 @@ func (st *Station) setBucket(b bucketKind) { st.flags = st.flags&^stationBucketB
 // NewStation builds a station from its cold configuration. Any of the
 // sources and the fading process may be nil (an inert clone carries none).
 func NewStation(id int, v *traffic.VoiceSource, d *traffic.DataSource, fad *channel.Fading) *Station {
-	st := &Station{ID: id, fad: fad, slot: -1}
+	st := new(Station)
+	st.Reset(id, fad)
 	if v != nil || d != nil {
-		st.src = &sources{voice: v, data: d}
+		st.src = &Sources{Voice: v, Data: d}
 	}
 	return st
+}
+
+// Reset overwrites st whole with a fresh inert station: identity id,
+// fading process fad, no traffic, no MAC state, no slot. A deployment
+// rebuilding its stations into a previous replication's memory (the
+// multicell arena) uses it, so nothing of the old station survives.
+func (st *Station) Reset(id int, fad *channel.Fading) {
+	*st = Station{ID: id, fad: fad, slot: -1}
 }
 
 // Voice returns the station's voice source, or nil.
@@ -105,7 +114,7 @@ func (st *Station) Voice() *traffic.VoiceSource {
 	if st.src == nil {
 		return nil
 	}
-	return st.src.voice
+	return st.src.Voice
 }
 
 // Data returns the station's data source, or nil.
@@ -113,7 +122,7 @@ func (st *Station) Data() *traffic.DataSource {
 	if st.src == nil {
 		return nil
 	}
-	return st.src.data
+	return st.src.Data
 }
 
 // Fading returns the station's fading process, or nil.
@@ -126,16 +135,12 @@ func (st *Station) Reserved() bool { return st.flags&flagReserved != 0 }
 // base station.
 func (st *Station) PendingAtBS() bool { return st.flags&flagPendingAtBS != 0 }
 
-// SetTraffic swaps the station's traffic sources (the multicell
-// attach/detach path). The caller must Reindex the station with its owning
+// SetTraffic points the station at a traffic pair the caller owns, or
+// makes it inert with nil (the multicell attach/detach path). The station
+// keeps the pointer, so the pair must stay live and unchanged while the
+// station carries it. The caller must Reindex the station with its owning
 // system for the change to reach the scan paths.
-func (st *Station) SetTraffic(v *traffic.VoiceSource, d *traffic.DataSource) {
-	if v == nil && d == nil {
-		st.src = nil
-		return
-	}
-	st.src = &sources{voice: v, data: d}
-}
+func (st *Station) SetTraffic(src *Sources) { st.src = src }
 
 // CharismaParams are the priority-metric weights of CHARISMA's eq. (2):
 // phi = Alpha·f(CSI) + Beta·urgency (+ VoiceOffset for voice), with
@@ -323,9 +328,9 @@ type System struct {
 	// fixed-capacity chunks allocated on demand (an idle cell pays
 	// nothing, a mostly-deferred million-station cell pays per
 	// materialized station), rewound and reused by ResetLazy. Chunks
-	// never grow, so handed-out *sources pointers stay valid.
+	// never grow, so handed-out *Sources pointers stay valid.
 	stnSlab   []Station
-	srcChunks [][]sources
+	srcChunks [][]Sources
 	srcChunk  int
 
 	queue []*Request
@@ -354,25 +359,32 @@ type System struct {
 }
 
 // Obs returns the system's registry/wheel/candidate-cache counters.
-// Cumulative across ResetLazy (a pooled arena reports totals over every
-// replication it hosted); read only from the driving goroutine or after
-// it has quiesced.
+// Cumulative across Reset and ResetLazy (a reused system reports totals
+// over every replication it hosted); read only from the driving goroutine
+// or after it has quiesced.
 func (s *System) Obs() *obs.SimCounters { return &s.ctr }
 
-// NewSystem assembles a system. The caller supplies stations wired to their
-// fading processes and traffic sources.
+// NewSystem assembles a system over stations the caller built, wired to
+// their fading processes and traffic sources. It is Reset on a new System.
 func NewSystem(cfg Config, modem phy.PHY, stations []*Station, macStream *rng.Stream) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &System{}
+	if err := s.Reset(cfg, modem, stations, macStream); err != nil {
 		return nil, err
 	}
-	if modem == nil {
-		return nil, fmt.Errorf("mac: nil PHY")
+	return s, nil
+}
+
+// Reset re-initializes s as NewSystem would build it over stations,
+// reusing its registry slabs, timer wheel, queue and request free list
+// (see rebuild). Every station is registered afresh: slot, bucket and
+// first wake; the caller hands over stations with no MAC state (new, or
+// rebuilt with Station.Reset). The multicell arena rebuilds each cell's
+// system with it.
+func (s *System) Reset(cfg Config, modem phy.PHY, stations []*Station, macStream *rng.Stream) error {
+	if err := s.rebuild(cfg, modem, len(stations), macStream, nil); err != nil {
+		return err
 	}
-	if macStream == nil {
-		return nil, fmt.Errorf("mac: nil MAC stream")
-	}
-	s := &System{Cfg: cfg, PHY: modem, Stations: stations, Rand: macStream}
-	s.reg.reset(len(stations), &s.ctr)
+	s.Stations = stations
 	for i, st := range stations {
 		st.slot = int32(i)
 		b := classify(st)
@@ -382,7 +394,7 @@ func NewSystem(cfg Config, modem phy.PHY, stations []*Station, macStream *rng.St
 			s.armWake(st)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // NewSystemLazy assembles a system of n deferred stations: every station
@@ -417,22 +429,9 @@ func (s *System) ResetLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stre
 	if len(pop.FirstWake) != n {
 		return fmt.Errorf("mac: %d first wakes for %d stations", len(pop.FirstWake), n)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := s.rebuild(cfg, modem, n, macStream, pop); err != nil {
 		return err
 	}
-	if modem == nil {
-		return fmt.Errorf("mac: nil PHY")
-	}
-	if macStream == nil {
-		return fmt.Errorf("mac: nil MAC stream")
-	}
-	s.Cfg, s.PHY, s.Rand, s.lazy = cfg, modem, macStream, pop
-	s.M = Metrics{}
-	s.now, s.frameIdx = 0, 0
-	s.queue = s.queue[:0]
-	s.DebugVoiceTx = nil
-	s.DebugEndFrame = nil
-	s.reg.reset(n, &s.ctr)
 	if cap(s.stnSlab) >= n {
 		s.stnSlab = s.stnSlab[:n]
 	} else {
@@ -460,6 +459,30 @@ func (s *System) ResetLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stre
 	return nil
 }
 
+// rebuild is the part of Reset and ResetLazy they share: it validates the
+// inputs, re-zeroes every scalar, the metrics and the hooks, empties the
+// queue, and resets the registry for n stations, keeping the capacity of
+// every slab.
+func (s *System) rebuild(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, pop *LazyPopulation) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if modem == nil {
+		return fmt.Errorf("mac: nil PHY")
+	}
+	if macStream == nil {
+		return fmt.Errorf("mac: nil MAC stream")
+	}
+	s.Cfg, s.PHY, s.Rand, s.lazy = cfg, modem, macStream, pop
+	s.M = Metrics{}
+	s.now, s.frameIdx = 0, 0
+	s.queue = s.queue[:0]
+	s.DebugVoiceTx = nil
+	s.DebugEndFrame = nil
+	s.reg.reset(n, &s.ctr)
+	return nil
+}
+
 // srcChunkSize is the per-chunk capacity of the sources slab: small
 // enough that a lightly populated cell wastes little, big enough that a
 // typical cell fits in one or two chunks.
@@ -468,12 +491,12 @@ const srcChunkSize = 64
 // newSources takes the next row of the chunked sources slab. A chunk is
 // append-only up to its fixed capacity and never reallocated, so the
 // returned pointer is stable; ResetLazy rewinds the chunks for reuse.
-func (s *System) newSources(v *traffic.VoiceSource, d *traffic.DataSource) *sources {
+func (s *System) newSources(v *traffic.VoiceSource, d *traffic.DataSource) *Sources {
 	if s.srcChunk == len(s.srcChunks) {
-		s.srcChunks = append(s.srcChunks, make([]sources, 0, srcChunkSize))
+		s.srcChunks = append(s.srcChunks, make([]Sources, 0, srcChunkSize))
 	}
 	c := s.srcChunks[s.srcChunk]
-	c = append(c, sources{voice: v, data: d})
+	c = append(c, Sources{Voice: v, Data: d})
 	s.srcChunks[s.srcChunk] = c
 	if len(c) == srcChunkSize {
 		s.srcChunk++
@@ -567,7 +590,7 @@ func (s *System) advanceTraffic(st *Station) {
 	if st.src == nil {
 		return
 	}
-	if v := st.src.voice; v != nil {
+	if v := st.src.Voice; v != nil {
 		gen := v.Advance(s.now)
 		s.M.VoiceGenerated.Add(uint64(gen))
 		dropped := v.DropExpired(s.now)
@@ -578,7 +601,7 @@ func (s *System) advanceTraffic(st *Station) {
 			st.flags &^= flagReserved
 		}
 	}
-	if d := st.src.data; d != nil {
+	if d := st.src.Data; d != nil {
 		gen := d.Advance(s.now)
 		s.M.DataGenerated.Add(uint64(gen))
 	}
@@ -654,7 +677,7 @@ func (s *System) SyncChannel(st *Station) {
 // grant: it has speech packets buffered, no reservation, and no request
 // already queued at the base station.
 func (s *System) NeedsVoiceRequest(st *Station) bool {
-	return st.src != nil && st.src.voice != nil && st.src.voice.Buffered() > 0 &&
+	return st.src != nil && st.src.Voice != nil && st.src.Voice.Buffered() > 0 &&
 		st.flags&(flagReserved|flagPendingAtBS) == 0
 }
 
@@ -663,7 +686,7 @@ func (s *System) NeedsVoiceRequest(st *Station) bool {
 // reservations are never allowed: "a data request is not allowed to make
 // reservation", §4.1.)
 func (s *System) NeedsDataRequest(st *Station) bool {
-	return st.src != nil && st.src.data != nil && st.src.data.Backlog() > 0 &&
+	return st.src != nil && st.src.Data != nil && st.src.Data.Backlog() > 0 &&
 		st.flags&flagPendingAtBS == 0
 }
 
@@ -758,9 +781,9 @@ func (s *System) NewRequest(st *Station, kind Kind) *Request {
 	r := s.BorrowRequest()
 	r.St, r.Kind, r.Born = st, kind, s.now
 	if kind == KindVoice {
-		r.NPkts = st.src.voice.Buffered()
+		r.NPkts = st.src.Voice.Buffered()
 	} else {
-		r.NPkts = st.src.data.Backlog()
+		r.NPkts = st.src.Data.Backlog()
 	}
 	r.Est = s.MeasureEstimate(st)
 	return r
@@ -826,7 +849,7 @@ func (s *System) VoiceReservationsDue() []*Station {
 		if st.flags&flagReserved == 0 || s.reg.stamp[st.slot] > s.now {
 			return
 		}
-		if st.src.voice.Buffered() == 0 {
+		if st.src.Voice.Buffered() == 0 {
 			// Nothing to send this period (packet already dropped);
 			// keep the reservation cadence.
 			s.AdvanceReservation(st)
@@ -909,7 +932,7 @@ func (s *System) AdvanceReservation(st *Station) {
 func (s *System) TransmitVoice(st *Station, m phy.Mode, maxPkts int) (ok, errs int) {
 	s.syncChannel(st)
 	per := s.PHY.PacketErrorProb(m, st.fad.Amplitude())
-	v := st.src.voice
+	v := st.src.Voice
 	n := v.Buffered()
 	if n > maxPkts {
 		n = maxPkts
@@ -936,7 +959,7 @@ func (s *System) TransmitVoice(st *Station, m phy.Mode, maxPkts int) (ok, errs i
 func (s *System) TransmitData(st *Station, m phy.Mode, nPkts int) (ok, errs int) {
 	s.syncChannel(st)
 	per := s.PHY.PacketErrorProb(m, st.fad.Amplitude())
-	ok, errs = st.src.data.TransmitAttempts(nPkts, s.now,
+	ok, errs = st.src.Data.TransmitAttempts(nPkts, s.now,
 		func() bool { return !s.Rand.Bernoulli(per) },
 		func(delay sim.Time) { s.M.ObserveDataDelay(delay) },
 	)

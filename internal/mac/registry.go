@@ -225,9 +225,9 @@ func classify(st *Station) bucketKind {
 		return bucketPending
 	case st.flags&flagReserved != 0:
 		return bucketReserved
-	case st.src != nil && st.src.voice != nil && (st.src.voice.Talking() || st.src.voice.Buffered() > 0):
+	case st.src != nil && st.src.Voice != nil && (st.src.Voice.Talking() || st.src.Voice.Buffered() > 0):
 		return bucketTalkspurt
-	case st.src != nil && st.src.data != nil && st.src.data.Backlog() > 0:
+	case st.src != nil && st.src.Data != nil && st.src.Data.Backlog() > 0:
 		return bucketBacklogged
 	default:
 		return bucketIdle
@@ -246,10 +246,10 @@ func (s *System) nextWake(st *Station) sim.Time {
 		return -1
 	}
 	at := sim.Time(-1)
-	if v := st.src.voice; v != nil {
+	if v := st.src.Voice; v != nil {
 		at = v.NextEventAt()
 	}
-	if d := st.src.data; d != nil {
+	if d := st.src.Data; d != nil {
 		if na := d.NextArrivalAt(); at < 0 || na < at {
 			at = na
 		}

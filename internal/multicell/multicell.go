@@ -16,12 +16,22 @@
 // the others are inert but keep their channel processes advancing, so
 // every link's sample path is time-consistent when the handoff rule
 // consults it.
+//
+// Run rebuilds each replication into a deployment a previous run left,
+// as core.Scenario.Run does for a single cell: users, clones, fading
+// slabs, streams, traffic sources, systems and protocols are all reused,
+// and every one is re-initialized whole, so a rebuilt deployment is built
+// in the same order from the same seeds as a new one and runs the same
+// draws.
 package multicell
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strconv"
 
 	"charisma/internal/channel"
 	"charisma/internal/core"
@@ -135,27 +145,44 @@ func (p Params) Validate() error {
 	if err := p.cell().Validate(); err != nil {
 		return err
 	}
-	if proto, _ := core.NewProtocol(p.Protocol); proto.Name() == core.ProtoRMAV {
+	if canon, _ := core.CanonicalProtocol(p.Protocol); canon == core.ProtoRMAV {
 		return invalid("Protocol", "RMAV's variable frames cannot be cell-synchronized")
 	}
 	return nil
 }
 
-// user is one nomadic terminal with a link to every cell.
+// user is one nomadic terminal: its traffic source, the stream that
+// source draws from, and the cell whose clone carries it. src is the pair
+// the attached clone points at.
 type user struct {
-	voice  *traffic.VoiceSource
-	data   *traffic.DataSource
-	clones []*mac.Station // one per cell; exactly one carries the sources
+	src    mac.Sources
+	voice  traffic.VoiceSource
+	data   traffic.DataSource
+	stream *rng.Stream
 	cell   int
+}
+
+// cell is one base station: its system, its protocol and the modem and
+// protocol instances it keeps (parts), and its links. Clone k is user k's
+// station in this cell; its fading process is a slab row on its own
+// stream chStreams[k].
+type cell struct {
+	sys       *mac.System
+	proto     mac.Protocol
+	parts     core.CellParts
+	macStream *rng.Stream
+	slab      *channel.Slab
+	clones    []mac.Station
+	stations  []*mac.Station // the system's table: &clones[k]
+	chStreams []*rng.Stream
+	marked    bool // measurement window opened
 }
 
 // Deployment is a running multi-cell simulation.
 type Deployment struct {
-	p       Params
-	users   []*user
-	systems []*mac.System
-	protos  []mac.Protocol
-	marked  []bool // per cell: measurement window opened
+	p     Params
+	users []user
+	cells []cell
 
 	handoffs uint64
 	now      sim.Time
@@ -163,90 +190,124 @@ type Deployment struct {
 	dbScratch []float64 // per-decision clone dB cache (one entry per cell)
 }
 
-// New assembles a deployment.
+// New assembles a deployment the caller owns.
 func New(p Params) (*Deployment, error) {
-	p = p.WithDefaults()
-	if err := p.Validate(); err != nil {
+	d := &Deployment{}
+	if err := d.build(p); err != nil {
 		return nil, err
 	}
-	d := &Deployment{p: p}
+	return d, nil
+}
 
+// build assembles the deployment for p into d, reusing whatever d holds
+// from an earlier build. Every stream is reseeded and every station,
+// source, slab, system and protocol re-initialized, so the result does
+// not depend on what d held.
+func (d *Deployment) build(p Params) error {
+	p = p.WithDefaults()
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	n := p.NumVoice + p.NumData
+	d.p = p
+	d.handoffs, d.now = 0, 0
+	d.users = resize(d.users, n)
+	d.cells = resize(d.cells, p.Cells)
+	d.dbScratch = resize(d.dbScratch, p.Cells)
+	for c := range d.cells {
+		cl := &d.cells[c]
+		if cl.slab == nil {
+			cl.slab = channel.NewSlab()
+		}
+		cl.slab.Reset()
+		cl.clones = resize(cl.clones, n)
+		cl.stations = resize(cl.stations, n)
+		cl.chStreams = resize(cl.chStreams, n)
+	}
 	// Each cell keeps its links on one slab: clone k of cell c is a slab
 	// row on its own stream, derived from (seed, "mc-chan", c, k), so a
 	// link's sample path does not depend on the order the rows are built.
-	slabs := make([]*channel.Slab, p.Cells)
-	for c := range slabs {
-		slabs[c] = channel.NewSlab()
-	}
-	// Build clones: cell-local station lists with dense local IDs.
-	cellStations := make([][]*mac.Station, p.Cells)
-	for k := 0; k < n; k++ {
-		u := &user{clones: make([]*mac.Station, p.Cells)}
+	// Clones carry cell-local dense IDs.
+	vp, dp := traffic.DefaultVoiceParams(), traffic.DefaultDataParams()
+	for k := range d.users {
+		u := &d.users[k]
 		if k < p.NumVoice {
-			u.voice = traffic.NewVoice(traffic.DefaultVoiceParams(),
-				rng.DeriveIndexed(p.Seed, "mc-voice", k), 0)
+			u.stream = rng.Renew(u.stream, rng.SeedForIndexed(p.Seed, "mc-voice", k))
+			u.voice.Reset(vp, u.stream, 0)
+			u.src = mac.Sources{Voice: &u.voice}
 		} else {
-			u.data = traffic.NewData(traffic.DefaultDataParams(),
-				rng.DeriveIndexed(p.Seed, "mc-data", k), 0)
+			u.stream = rng.Renew(u.stream, rng.SeedForIndexed(p.Seed, "mc-data", k))
+			u.data.Reset(dp, u.stream, 0)
+			u.src = mac.Sources{Data: &u.data}
 		}
 		bestCell, bestDB := 0, -1e18
-		for c := 0; c < p.Cells; c++ {
-			fad := slabs[c].New(p.Channel, rng.DeriveIndexed(p.Seed, "mc-chan", c, k))
-			st := mac.NewStation(k, nil, nil, fad)
-			u.clones[c] = st
-			cellStations[c] = append(cellStations[c], st)
+		for c := range d.cells {
+			cl := &d.cells[c]
+			cl.chStreams[k] = rng.Renew(cl.chStreams[k], rng.SeedForIndexed(p.Seed, "mc-chan", c, k))
+			fad := cl.slab.New(p.Channel, cl.chStreams[k])
+			st := &cl.clones[k]
+			st.Reset(k, fad)
+			cl.stations[k] = st
 			if db := fad.LongTermDB(); db > bestDB {
 				bestCell, bestDB = c, db
 			}
 		}
-		u.cell = bestCell
-		d.attach(u, bestCell)
-		d.users = append(d.users, u)
+		d.attach(k, bestCell)
 	}
 
-	for c := 0; c < p.Cells; c++ {
-		sys, err := mac.NewSystem(p.MAC, core.NewModem(p.Protocol, p.PHY), cellStations[c],
-			rng.Derive(p.Seed, "mc-mac", fmt.Sprint(c), p.Protocol))
-		if err != nil {
-			return nil, err
+	for c := range d.cells {
+		cl := &d.cells[c]
+		cl.macStream = rng.Renew(cl.macStream, rng.SeedFor(p.Seed, "mc-mac", strconv.Itoa(c), p.Protocol))
+		if cl.sys == nil {
+			cl.sys = &mac.System{}
 		}
-		proto, err := core.NewProtocol(p.Protocol)
-		if err != nil {
-			return nil, err
+		if err := cl.sys.Reset(p.MAC, cl.parts.Modem(p.Protocol, p.PHY), cl.stations, cl.macStream); err != nil {
+			return err
 		}
-		proto.Init(sys)
-		d.systems = append(d.systems, sys)
-		d.protos = append(d.protos, proto)
+		proto, err := cl.parts.Protocol(p.Protocol)
+		if err != nil {
+			return err
+		}
+		proto.Init(cl.sys)
+		cl.proto = proto
+		cl.marked = false
 	}
-	d.marked = make([]bool, p.Cells)
-	d.dbScratch = make([]float64, p.Cells)
-	return d, nil
+	return nil
 }
 
-// attach points cell c's clone at the user's live traffic sources.
-func (d *Deployment) attach(u *user, c int) {
-	st := u.clones[c]
-	st.SetTraffic(u.voice, u.data)
+// resize returns s with length n, keeping every element it held up to its
+// capacity: a slot of an earlier, larger build keeps its warm memory.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// attach points user k's clone in cell c at the user's live traffic
+// sources.
+func (d *Deployment) attach(k, c int) {
+	u := &d.users[k]
+	d.cells[c].clones[k].SetTraffic(&u.src)
 	u.cell = c
 }
 
-// detach makes a clone inert and clears its MAC state in its cell.
-func (d *Deployment) detach(u *user, c int, sys *mac.System) {
-	st := u.clones[c]
-	st.SetTraffic(nil, nil)
-	if sys != nil {
-		// Purge any queued request referencing the departing station.
-		for i := 0; i < sys.QueueLen(); {
-			if sys.Queue()[i].St == st {
-				sys.PopQueueAt(i)
-				continue
-			}
-			i++
+// detach makes user k's clone in cell c inert and clears its MAC state in
+// the cell.
+func (d *Deployment) detach(k, c int) {
+	st := &d.cells[c].clones[k]
+	st.SetTraffic(nil)
+	sys := d.cells[c].sys
+	// Purge any queued request referencing the departing station.
+	for i := 0; i < sys.QueueLen(); {
+		if sys.Queue()[i].St == st {
+			sys.PopQueueAt(i)
+			continue
 		}
-		sys.SetPendingAtBS(st, false)
-		sys.CancelReservation(st)
+		i++
 	}
+	sys.SetPendingAtBS(st, false)
+	sys.CancelReservation(st)
 }
 
 // Handoffs returns the number of executed handoffs.
@@ -260,9 +321,12 @@ func (d *Deployment) decide() {
 		return
 	}
 	dbs := d.dbScratch
-	for _, u := range d.users {
-		for c, st := range u.clones {
-			d.systems[c].SyncChannel(st)
+	for k := range d.users {
+		u := &d.users[k]
+		for c := range d.cells {
+			cl := &d.cells[c]
+			st := &cl.clones[k]
+			cl.sys.SyncChannel(st)
 			dbs[c] = st.Fading().LongTermDB()
 		}
 		curDB := dbs[u.cell]
@@ -273,9 +337,9 @@ func (d *Deployment) decide() {
 			}
 		}
 		if best != u.cell && bestDB-curDB >= d.p.HysteresisDB {
-			d.detach(u, u.cell, d.systems[u.cell])
-			d.attach(u, best)
-			d.systems[best].Reindex(u.clones[best])
+			d.detach(k, u.cell)
+			d.attach(k, best)
+			d.cells[best].sys.Reindex(&d.cells[best].clones[k])
 			d.handoffs++
 		}
 	}
@@ -309,11 +373,7 @@ func (d *Deployment) Run() (Result, error) {
 		if remaining := int((limit - d.now + frameDur - 1) / frameDur); k > remaining {
 			k = remaining
 		}
-		_, err := run.Map(context.Background(), d.p.Workers, len(d.systems),
-			func(c int) (struct{}, error) {
-				return struct{}{}, d.advanceCell(c, k, frameDur, warmup)
-			})
-		if err != nil {
+		if err := d.advance(k, frameDur, warmup); err != nil {
 			return Result{}, err
 		}
 		frame += k
@@ -328,8 +388,9 @@ func (d *Deployment) Run() (Result, error) {
 	agg.Handoffs = d.handoffs
 	var delaySum float64
 	minSet := false
-	for _, sys := range d.systems {
-		r := sys.M.Result(d.p.Protocol, d.p.MAC.Geometry.FrameSymbols)
+	agg.PerCell = make([]mac.Result, 0, len(d.cells))
+	for c := range d.cells {
+		r := d.cells[c].sys.M.Result(d.p.Protocol, d.p.MAC.Geometry.FrameSymbols)
 		agg.PerCell = append(agg.PerCell, r)
 		if r.MaxDataDelaySec > agg.MaxDataDelaySec {
 			agg.MaxDataDelaySec = r.MaxDataDelaySec
@@ -359,7 +420,7 @@ func (d *Deployment) Run() (Result, error) {
 	}
 	if agg.Frames > 0 {
 		// Frames summed across cells; throughput is per cell-frame.
-		agg.DataThroughputPerFrame = float64(agg.DataDelivered) / (agg.Frames / float64(len(d.systems)))
+		agg.DataThroughputPerFrame = float64(agg.DataDelivered) / (agg.Frames / float64(len(d.cells)))
 	}
 	if agg.DataDelivered > 0 {
 		agg.MeanDataDelaySec = delaySum / float64(agg.DataDelivered)
@@ -371,15 +432,36 @@ func (d *Deployment) Run() (Result, error) {
 	return agg, nil
 }
 
+// advance runs every cell for k frames: in turn on the calling goroutine
+// when Workers is 1, else on run.Map's goroutines. Either way every cell
+// runs and their errors join.
+func (d *Deployment) advance(k int, frameDur, warmup sim.Time) error {
+	if d.p.Workers != 1 {
+		_, err := run.Map(context.Background(), d.p.Workers, len(d.cells),
+			func(c int) (struct{}, error) {
+				return struct{}{}, d.advanceCell(c, k, frameDur, warmup)
+			})
+		return err
+	}
+	var errs []error
+	for c := range d.cells {
+		if err := d.advanceCell(c, k, frameDur, warmup); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // advanceCell runs one cell for k frames, opening its measurement window
 // when the cell clock crosses the warm-up boundary. It runs concurrently
 // with the other cells' advances and must touch only cell-local state.
 func (d *Deployment) advanceCell(c, k int, frameDur, warmup sim.Time) error {
-	sys, proto := d.systems[c], d.protos[c]
+	cl := &d.cells[c]
+	sys, proto := cl.sys, cl.proto
 	for j := 0; j < k; j++ {
-		if !d.marked[c] && sys.Now() >= warmup {
+		if !cl.marked && sys.Now() >= warmup {
 			sys.M.Mark()
-			d.marked[c] = true
+			cl.marked = true
 		}
 		sys.BeginFrame()
 		dur := proto.RunFrame(sys)
@@ -391,10 +473,34 @@ func (d *Deployment) advanceCell(c, k int, frameDur, warmup sim.Time) error {
 	return nil
 }
 
-// Run builds and runs a deployment in one call.
+// spares holds the deployments Run keeps between calls for the next
+// replications to rebuild into (see build): one per processor, as many as
+// can run at once. Not a sync.Pool, whose per-P caches and the victim
+// copies it keeps across a GC held up to twice as many: a deployment
+// holds about 1.3 MB at a scenario corpus's largest shapes (a 4.9 KB
+// stream per link and per user), and pooling them raised the corpus
+// benchmark's peak RSS 15–19% (DESIGN.md). A run that finds no spare
+// builds a new deployment; one that finds the list full drops its own.
+var spares = make(chan *Deployment, runtime.GOMAXPROCS(0))
+
+// Run builds and runs a deployment in one call, rebuilding a spare one
+// when there is one, so consecutive runs (a sweep's replications) recycle
+// their predecessors' allocations. The result shares no memory with the
+// deployment.
 func Run(p Params) (Result, error) {
-	d, err := New(p)
-	if err != nil {
+	var d *Deployment
+	select {
+	case d = <-spares:
+	default:
+		d = new(Deployment)
+	}
+	defer func() {
+		select {
+		case spares <- d:
+		default:
+		}
+	}()
+	if err := d.build(p); err != nil {
 		return Result{}, err
 	}
 	return d.Run()
@@ -417,11 +523,18 @@ func RunReplicated(ctx context.Context, p Params, reps int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return pool(outs), nil
+}
+
+// pool folds replication results, in replication order, into the
+// RunReplicated aggregate.
+func pool(outs []Result) Result {
+	reps := len(outs)
 	if reps == 1 {
 		// The aggregation layer owns the replication metadata: stamp the
 		// single replication here, never inside Run itself.
 		outs[0].Result = mac.AggregateReplications([]mac.Result{outs[0].Result})
-		return outs[0], nil
+		return outs[0]
 	}
 	flat := make([]mac.Result, reps)
 	agg := Result{}
@@ -443,5 +556,5 @@ func RunReplicated(ctx context.Context, p Params, reps int) (Result, error) {
 		}
 		agg.PerCell = append(agg.PerCell, mac.AggregateReplications(per))
 	}
-	return agg, nil
+	return agg
 }

@@ -105,6 +105,36 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateProtocolSpellings: a deployment refuses RMAV in every
+// spelling the protocol-name table maps to it, with a typed error naming
+// Protocol, accepts every spelling of the fixed-frame protocols, and
+// validating allocates nothing.
+func TestValidateProtocolSpellings(t *testing.T) {
+	for _, name := range []string{"rmav", "RMAV", " Rmav\n", "\trmav"} {
+		p := DefaultParams()
+		p.Protocol = name
+		var ve *core.ValidationError
+		if err := p.Validate(); !errors.As(err, &ve) || ve.Field != "Protocol" {
+			t.Errorf("%q: err %v, want a *core.ValidationError for Protocol", name, err)
+		}
+	}
+	for _, name := range []string{"charisma", "CHARISMA", "rama", "drma", "d-tdma/fr", "dtdma/fr", "d-tdma-fr", "D-TDMA/VR", "dtdma/vr", "d-tdma-vr"} {
+		p := DefaultParams()
+		p.Protocol = name
+		if err := p.Validate(); err != nil {
+			t.Errorf("%q: %v", name, err)
+		}
+	}
+	p := DefaultParams()
+	if n := testing.AllocsPerRun(100, func() {
+		if p.Validate() != nil {
+			t.Fatal("defaults rejected")
+		}
+	}); n != 0 {
+		t.Errorf("Validate: %.0f allocs, want 0", n)
+	}
+}
+
 // collectFloats calls fn with the path and value of every float64
 // reachable from v: struct fields, recursively, and slice elements.
 func collectFloats(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
@@ -210,10 +240,10 @@ func TestExactlyOneLiveCloneInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func() {
-		for k, u := range d.users {
+		for k := range d.users {
 			live := 0
-			for _, st := range u.clones {
-				if st.Voice() != nil || st.Data() != nil {
+			for c := range d.cells {
+				if st := &d.cells[c].clones[k]; st.Voice() != nil || st.Data() != nil {
 					live++
 				}
 			}
@@ -280,8 +310,8 @@ func TestRegistryInvariantUnderSharding(t *testing.T) {
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for c, sys := range d.systems {
-		if err := sys.VerifyRegistry(); err != nil {
+	for c := range d.cells {
+		if err := d.cells[c].sys.VerifyRegistry(); err != nil {
 			t.Fatalf("cell %d: %v", c, err)
 		}
 	}

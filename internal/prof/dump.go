@@ -6,7 +6,6 @@ import (
 	"os/signal"
 	"sort"
 	"sync"
-	"syscall"
 )
 
 // This file is the single dump-on-exit path shared by the profiler and
@@ -93,11 +92,15 @@ func DumpAll(reason string) {
 // exit-path registrations (profile stops), and exits with status 2.
 // Catching the signal forfeits the Go runtime's default goroutine dump —
 // the traded-for artifacts are the flight-recorder JSONL and completed
-// profiles.
+// profiles. On a platform without SIGQUIT (Plan 9) it installs nothing;
+// DumpAll still runs every registered dump when called.
 func InstallDumpHandler() {
+	if quitSignal == nil {
+		return
+	}
 	sigOnce.Do(func() {
 		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, syscall.SIGQUIT)
+		signal.Notify(ch, quitSignal)
 		go func() {
 			for range ch {
 				DumpAll("sigquit")

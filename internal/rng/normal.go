@@ -25,10 +25,15 @@ func absInt32(i int32) uint32 {
 
 // normFloat64 is rand.Rand.NormFloat64 on the concrete source: one 32-bit
 // word, uint32(Int63() >> 31), picks a strip and a signed abscissa, and
-// more than 97% of words return from the first comparison.
+// more than 97% of words return from the first comparison. While the
+// register still has untouched words the draw runs on the rand.Rand,
+// whose source computes them; the loop below runs the inlined step.
 func (s *Stream) normFloat64() float64 {
+	if s.src.cold > 0 {
+		return s.r.NormFloat64()
+	}
 	for {
-		j := int32(uint32(s.src.Int63() >> 31)) // Possibly negative
+		j := int32(uint32((s.src.next() & (1<<63 - 1)) >> 31)) // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
 		if absInt32(j) < kn[i] {
@@ -43,12 +48,13 @@ func (s *Stream) normFloat64() float64 {
 // normSlow finishes a draw whose word missed the fast path: the base strip
 // samples the tail from two Float64 per try until one is accepted, and any
 // other strip runs the wedge test, whose rejection (ok false) sends the
-// caller back for a fresh word.
+// caller back for a fresh word. Both callers have ended the first-touch
+// countdown, so its uniforms take the unchecked step.
 func (s *Stream) normSlow(j, i int32, x float64) (v float64, ok bool) {
 	if i == 0 {
 		for {
-			x = -math.Log(s.Float64()) * (1.0 / rn)
-			y := -math.Log(s.Float64())
+			x = -math.Log(s.float64()) * (1.0 / rn)
+			y := -math.Log(s.float64())
 			if y+y >= x*x {
 				break
 			}
@@ -58,19 +64,23 @@ func (s *Stream) normSlow(j, i int32, x float64) (v float64, ok bool) {
 		}
 		return -rn - x, true
 	}
-	if fn[i]+float32(s.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+	if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 		return x, true
 	}
 	return 0, false
 }
 
 // NormFloat64s fills dst with consecutive standard Gaussians: exactly the
-// values len(dst) successive NormFloat64 calls would return. Between
-// register wraps the lagged-Fibonacci recurrence runs on local copies of
-// its two indices, so the fast path of each draw is a few register
-// operations and two table loads.
+// values len(dst) successive NormFloat64 calls would return. It first
+// computes every register word not yet touched (a bulk fill reads the
+// whole register anyway). Between register wraps the lagged-Fibonacci
+// recurrence runs on local copies of its two indices, so the fast path of
+// each draw is a few register operations and two table loads.
 func (s *Stream) NormFloat64s(dst []float64) {
 	r := &s.src
+	if r.cold > 0 {
+		r.complete()
+	}
 	for k := 0; k < len(dst); {
 		// Both indices decrement once per word, so min(tap, feed) words
 		// can be drawn before either wraps; a zero-length run takes the

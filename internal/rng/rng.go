@@ -13,20 +13,25 @@
 //
 // A Stream draws from the package's own source (source.go): math/rand's
 // additive lagged-Fibonacci generator, emitting exactly the words
-// rand.NewSource would for the same seed, but seeded by jump-ahead instead
-// of a serial chain. Seeding is a large per-station setup cost of a short
-// replication (a birth probe, a fading view and a traffic source per
-// station; see DESIGN.md "Seeding cost").
+// rand.NewSource would for the same seed. Seeding costs what the stream
+// reads: Seed stores the seed LCG's start state, and each of the 607
+// register words is computed by jump-ahead the first time a draw touches
+// it. A birth probe or a traffic source of a short replication reads a
+// handful of words; a fading stream's first bulk fill computes the rest
+// of the register at once (see DESIGN.md "Seeding cost").
 //
 // The per-frame draws — Float64, Bernoulli, Normal, ComplexGaussian and the
 // bulk NormFloat64s the fading catch-up uses — run math/rand's own
 // arithmetic (the Float64 division and resample, the 128-strip ziggurat and
 // its tables, normal.go) directly on that concrete source, so they skip the
-// rand.Source interface call per word. Exp and IntN stay on an
-// embedded rand.Rand over the same source; it holds no draw state of its
-// own, so both paths consume one sequence, and every value equals what
-// rand.New(rand.NewSource(seed)) returns for the same calls (pinned by
-// FuzzStreamMatchesMathRand and TestStreamMatchesMathRand).
+// rand.Source interface call per word. Each checks once, on entry, whether
+// the register still has untouched words; if it does, the draw runs on the
+// embedded rand.Rand, whose source methods compute those words, and
+// otherwise on the inlined recurrence step. Exp and IntN always run on the
+// rand.Rand. It holds no draw state of its own, so all paths consume one
+// sequence, and every value equals what rand.New(rand.NewSource(seed))
+// returns for the same calls (pinned by FuzzStreamMatchesMathRand,
+// TestStreamMatchesMathRand and TestColdRegisterMatchesMathRand).
 package rng
 
 import (
@@ -47,7 +52,8 @@ type Stream struct {
 }
 
 // New returns a stream seeded with the given value. It draws exactly what
-// rand.New(rand.NewSource(seed)) would.
+// rand.New(rand.NewSource(seed)) would. The stream is one allocation of
+// about 4.9 KB; seeding it computes no register word (see Reseed).
 func New(seed int64) *Stream {
 	s := new(Stream)
 	s.src.Seed(seed)
@@ -114,15 +120,28 @@ func SeedForIndexed(base int64, label string, idx ...int) int64 {
 }
 
 // Reseed resets the stream to the state New(seed) would produce, in place
-// and without allocating: a jump-ahead fill of the existing register,
-// about 5× cheaper than math/rand's serial seed chain (BenchmarkStreamReseed
-// vs BenchmarkMathRandSeed). Hot construction paths (one birth probe per
-// station of a 10⁶-user cell, the per-station streams of a warm
-// replication arena) use it instead of a fresh stream;
+// and without allocating. It computes no register word: it stores the seed
+// LCG's start state and re-arms the first-touch countdown, so a reseeded
+// stream pays for the words its draws read, up to the 607-word fill a
+// bulk draw completes (BenchmarkStreamReseed, against
+// BenchmarkMathRandSeed's serial seed chain). Hot construction paths (one
+// birth probe per station of a 10⁶-user cell, the per-station streams of
+// a warm replication arena) use it instead of a fresh stream;
 // Reseed(s) followed by any draw sequence matches New(s) exactly (pinned
-// by TestReseedMatchesNew). It runs math/rand's Rand.Seed, which also
-// clears the Rand's Read position (no method here uses it).
+// by TestReseedMatchesNew and TestReseedInsideCountdown). It runs
+// math/rand's Rand.Seed, which also clears the Rand's Read position (no
+// method here uses it).
 func (s *Stream) Reseed(seed int64) { s.r.Seed(seed) }
+
+// Renew returns s re-seeded in place with seed, or New(seed) when s is nil:
+// a stream slot that a replication arena keeps across replications.
+func Renew(s *Stream, seed int64) *Stream {
+	if s == nil {
+		return New(seed)
+	}
+	s.Reseed(seed)
+	return s
+}
 
 // Derive returns a new stream seeded from this stream's identity plus the
 // labels. It does not consume randomness from the parent.
@@ -139,8 +158,17 @@ func DeriveIndexed(base int64, label string, idx ...int) *Stream {
 // Float64 returns a uniform sample in [0,1): math/rand's
 // float64(Int63())/(1<<63), drawn again in the 2⁻⁵³ case that rounds to 1.
 func (s *Stream) Float64() float64 {
+	if s.src.cold > 0 {
+		return s.r.Float64()
+	}
+	return s.float64()
+}
+
+// float64 is Float64 on a register whose every word has been touched: the
+// recurrence step inlined, no countdown check.
+func (s *Stream) float64() float64 {
 	for {
-		if f := float64(s.src.Int63()) / (1 << 63); f != 1 {
+		if f := float64(s.src.next()&(1<<63-1)) / (1 << 63); f != 1 {
 			return f
 		}
 	}
@@ -163,7 +191,10 @@ func (s *Stream) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.Float64() < p
+	if s.src.cold == 0 {
+		return s.float64() < p
+	}
+	return s.Float64() < p // a call, so the inlined path above stays small
 }
 
 // Exp returns an exponentially distributed sample with the given mean. It

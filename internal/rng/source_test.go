@@ -134,15 +134,38 @@ func TestStreamAllocs(t *testing.T) {
 var streamSink *Stream
 
 // BenchmarkStreamReseed is the per-station seeding cost of the arena and
-// birth-probe paths (held allocation-free by TestStreamAllocs).
+// birth-probe paths (held allocation-free by TestStreamAllocs). Reseed
+// itself computes no register word, so it is timed with what follows it:
+// "probe" is a voice birth probe's draws (a Bernoulli and an Exp, two
+// words on the first-touch path), and "fill" is a one-value bulk fill,
+// which computes the whole register as a fading stream's first catch-up
+// does.
 func BenchmarkStreamReseed(b *testing.B) {
 	s := New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reseed(int64(i))
-	}
+	b.Run("probe", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			s.Reseed(int64(i))
+			if s.Bernoulli(0.4) {
+				sink++
+			}
+			sink += s.Exp(1.35)
+		}
+		benchSink = sink
+	})
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		var dst [1]float64
+		for i := 0; i < b.N; i++ {
+			s.Reseed(int64(i))
+			s.NormFloat64s(dst[:])
+		}
+		benchSink = dst[0]
+	})
 }
+
+var benchSink float64
 
 // BenchmarkMathRandSeed is the stock serial seeding BenchmarkStreamReseed
 // replaces, kept as its reference point.

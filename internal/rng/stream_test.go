@@ -130,6 +130,19 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	for _, seed := range edgeSeeds[:8] {
 		f.Add(seed, []byte{opNormFloat64s, 200, 3, opComplexGaussian, opBernoulli, 128, opNormal, 9})
 	}
+	// Reseeds and bulk fills inside the first-touch countdown: after a
+	// few single draws, across the 273-draw tap boundary, and a reseed
+	// while the countdown still runs.
+	cold := func(n int, tail ...byte) []byte {
+		tape := make([]byte, 0, n+len(tail))
+		for i := 0; i < n; i++ {
+			tape = append(tape, opFloat64)
+		}
+		return append(tape, tail...)
+	}
+	f.Add(int64(3), cold(5, opReseed, 9, opFloat64, opNormFloat64s, 0, 1, opInt63))
+	f.Add(int64(4), cold(30, opNormFloat64s, 75, 7, opReseed, 1, opNormal, 0, opNormFloat64s, 1, 0))
+	f.Add(int64(5), cold(240, opBernoulli, 100, opReseed, 200, opExp, 9, opNormFloat64s, 2, 3))
 	f.Fuzz(checkTape)
 }
 
