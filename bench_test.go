@@ -191,7 +191,7 @@ func ablationCell(mutate func(*core.Scenario)) (float64, error) {
 	if mutate != nil {
 		mutate(&sc)
 	}
-	r, err := sc.Run()
+	r, err := sc.Run(context.Background())
 	return r.VoiceLossRate, err
 }
 
@@ -333,29 +333,6 @@ func BenchmarkAblationQueueCap(b *testing.B) {
 
 // --- substrate micro-benchmarks --------------------------------------------
 
-// BenchmarkEngineScheduleEvery measures the frame clock: one recurring
-// driver armed and run for 1000 ticks per op, the pattern Scenario.Run
-// uses for the TDMA cadence. The step is built once, outside the timed
-// loop, so the engine must report 0 allocs/op.
-func BenchmarkEngineScheduleEvery(b *testing.B) {
-	e := sim.NewEngine()
-	n := 0
-	step := func(*sim.Engine) sim.Time {
-		if n++; n%1000 == 0 {
-			return -1
-		}
-		return 800
-	}
-	e.ScheduleEvery(e.Now(), step) // grow the driver slice before timing
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleEvery(e.Now(), step)
-		e.Run()
-	}
-}
-
 // BenchmarkScenarioRun tracks the end-to-end allocation footprint of a
 // complete (short) scenario run — the unit a sweep fans out by the
 // thousand.
@@ -366,7 +343,7 @@ func BenchmarkScenarioRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sc.Run(); err != nil {
+		if _, err := sc.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,7 +569,7 @@ func BenchmarkMulticellSharded(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := d.Run(); err != nil {
+				if _, err := d.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

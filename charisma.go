@@ -267,7 +267,8 @@ func (o Options) runScenarios(ctx context.Context, scs []core.Scenario) ([]mac.R
 }
 
 // RunContext is Run with cancellation: a cancelled context stops pending
-// replications and returns the context's error.
+// replications and running ones too, each within 64 frames, and returns
+// the context's error. A replication cut short is dropped, never cached.
 func RunContext(ctx context.Context, o Options) (Result, error) {
 	sc, err := o.scenario()
 	if err != nil {

@@ -14,6 +14,7 @@
 package charisma
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -155,14 +156,14 @@ func goldenLines(t testing.TB) []string {
 		return sc
 	}
 	for _, p := range core.Protocols() {
-		r, err := scenario(p, false).Run()
+		r, err := scenario(p, false).Run(context.Background())
 		if err != nil {
 			t.Fatalf("protocol %s: %v", p, err)
 		}
 		emitResult("proto/"+p, r)
 	}
 	// Queue variant (selection diversity pool) for the flagship protocol.
-	rq, err := scenario(core.ProtoCharisma, true).Run()
+	rq, err := scenario(core.ProtoCharisma, true).Run(context.Background())
 	if err != nil {
 		t.Fatalf("charisma+queue: %v", err)
 	}
@@ -173,7 +174,7 @@ func goldenLines(t testing.TB) []string {
 	scSpeeds.SpeedsKmh = []float64{10, 80, 50, 120, 30, 50, 10, 80, 50, 50,
 		10, 80, 50, 120, 30, 50, 10, 80, 50, 50,
 		10, 80, 50, 120, 30, 50, 10, 80, 50, 50, 50, 50, 50, 50, 50}
-	rs, err := scSpeeds.Run()
+	rs, err := scSpeeds.Run(context.Background())
 	if err != nil {
 		t.Fatalf("charisma+speeds: %v", err)
 	}
@@ -185,7 +186,7 @@ func goldenLines(t testing.TB) []string {
 	mp.NumVoice, mp.NumData = 20, 4
 	mp.Workers = 1
 	mp.WarmupSec, mp.DurationSec = 0.25, 1
-	mr, err := multicell.Run(mp)
+	mr, err := multicell.Run(context.Background(), mp)
 	if err != nil {
 		t.Fatalf("multicell: %v", err)
 	}
@@ -205,7 +206,7 @@ func goldenLines(t testing.TB) []string {
 	scHeavy := scenario(core.ProtoCharisma, true)
 	scHeavy.NumVoice, scHeavy.NumData = 80, 30
 	scHeavy.MAC.QueueCap = 8
-	rh, err := scHeavy.Run()
+	rh, err := scHeavy.Run(context.Background())
 	if err != nil {
 		t.Fatalf("charisma+heavy: %v", err)
 	}

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -148,7 +149,7 @@ func TestMeanRateBoundUpperBoundsSimulation(t *testing.T) {
 	sc := core.DefaultScenario(core.ProtoDTDMAFR)
 	sc.NumVoice = int(bound * 1.15) // clearly past the bound
 	sc.WarmupSec, sc.DurationSec = 1, 6
-	r, err := sc.Run()
+	r, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"charisma/internal/mac"
@@ -34,7 +35,7 @@ func arenaScenarios() []Scenario {
 // runFresh executes sc on a brand-new arena (no reuse at all).
 func runFresh(t *testing.T, sc Scenario) mac.Result {
 	t.Helper()
-	res, err := sc.runIn(newRunArena())
+	res, err := sc.runIn(context.Background(), newRunArena())
 	if err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
@@ -50,7 +51,7 @@ func TestArenaReuseByteIdentity(t *testing.T) {
 	a := newRunArena()
 	// Dirty the arena with every scenario once, in order.
 	for _, sc := range scs {
-		if _, err := sc.runIn(a); err != nil {
+		if _, err := sc.runIn(context.Background(), a); err != nil {
 			t.Fatalf("prime %s: %v", sc.Protocol, err)
 		}
 	}
@@ -59,7 +60,7 @@ func TestArenaReuseByteIdentity(t *testing.T) {
 	// is bit comparison).
 	for _, sc := range scs {
 		want := runFresh(t, sc)
-		got, err := sc.runIn(a)
+		got, err := sc.runIn(context.Background(), a)
 		if err != nil {
 			t.Fatalf("reused run %s: %v", sc.Protocol, err)
 		}
@@ -81,7 +82,7 @@ func TestArenaReuseAcrossSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		sc.Seed = seed
 		want := runFresh(t, sc)
-		got, err := sc.runIn(a)
+		got, err := sc.runIn(context.Background(), a)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -101,7 +102,7 @@ func TestArenaPopulationResize(t *testing.T) {
 		sc.NumVoice, sc.NumData = pop[0], pop[1]
 		sc.WarmupSec, sc.DurationSec = 0.5, 2
 		want := runFresh(t, sc)
-		got, err := sc.runIn(a)
+		got, err := sc.runIn(context.Background(), a)
 		if err != nil {
 			t.Fatalf("nv=%d nd=%d: %v", pop[0], pop[1], err)
 		}
@@ -111,46 +112,16 @@ func TestArenaPopulationResize(t *testing.T) {
 	}
 }
 
-// TestEngineFiresOncePerFrame pins the traffic the frame clock is sized
-// for: under every protocol, RMAV's variable-length frames included, a run
-// fires its engine exactly once per frame, and the arena's engine keeps
-// counting across the Reset between replications.
-func TestEngineFiresOncePerFrame(t *testing.T) {
-	a := newRunArena()
-	var total uint64
-	perProto := map[string]int64{}
-	for _, sc := range arenaScenarios() {
-		if _, err := sc.runIn(a); err != nil {
-			t.Fatalf("%s: %v", sc.Protocol, err)
-		}
-		frames := a.sys.FrameIndex()
-		if frames <= 0 {
-			t.Fatalf("%s: ran %d frames", sc.Protocol, frames)
-		}
-		perProto[sc.Protocol] = frames
-		total += uint64(frames)
-		if got := a.eng.Obs().EngineEvents; got != total {
-			t.Errorf("%s: EngineEvents = %d after this run's %d frames, want %d (one per frame, cumulative)",
-				sc.Protocol, got, frames, total)
-		}
-	}
-	// Every scenario simulates the same span, so only variable-length
-	// frames can change the count.
-	if perProto[ProtoRMAV] == perProto[ProtoCharisma] {
-		t.Fatalf("rmav ran %d frames like charisma: variable frames not exercised", perProto[ProtoRMAV])
-	}
-}
-
 // BenchmarkReplicationSetup measures the steady-state per-replication
-// setup on a warm arena — build, protocol init, engine reset, and full
-// materialization of a 50-station cell. The CI bench smoke gates this at
+// setup on a warm arena — build, protocol init, and full materialization
+// of a 50-station cell. The CI bench smoke gates this at
 // zero allocations per op.
 func BenchmarkReplicationSetup(b *testing.B) {
 	sc := DefaultScenario(ProtoCharisma)
 	sc.NumVoice, sc.NumData = 40, 10
 	sc.UseQueue = true
 	a := newRunArena()
-	if _, err := sc.runIn(a); err != nil {
+	if _, err := sc.runIn(context.Background(), a); err != nil {
 		b.Fatal(err)
 	}
 	setup := func(seed int64) {
@@ -160,7 +131,6 @@ func BenchmarkReplicationSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		proto.Init(sys)
-		a.eng.Reset()
 		sys.MaterializeAll()
 	}
 	// One full warm setup so every slot's cached source object exists
@@ -175,7 +145,7 @@ func BenchmarkReplicationSetup(b *testing.B) {
 
 // TestArenaSetupSteadyStateAllocs gates the per-replication setup cost:
 // after the first build warms an arena, rebuilding the same-shaped cell
-// (build + protocol init + engine reset + full materialization) must not
+// (build + protocol init + full materialization) must not
 // allocate at all. Every malloc of a batch of 50 back-to-back setups is
 // counted, against the ~132k allocations a fresh per-replication build
 // used to cost (Fig11a panel in BENCH_6.json, as of commit 7aaa6a2).
@@ -193,17 +163,12 @@ func TestArenaSetupSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("buildIn: %v", err)
 		}
 		proto.Init(sys)
-		if a.eng == nil {
-			t.Fatal("arena engine not built")
-		}
-		a.eng.Reset()
 		// Force every station's sources, streams and fading rows — the
 		// full setup cost a replication could possibly pay.
 		sys.MaterializeAll()
 	}
-	// Warm the arena (first build allocates everything), then prime the
-	// engine once so Reset has something to rewind.
-	if _, err := sc.runIn(a); err != nil {
+	// Warm the arena (first build allocates everything) with a full run.
+	if _, err := sc.runIn(context.Background(), a); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 	setup()

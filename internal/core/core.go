@@ -1,8 +1,8 @@
 // Package core is the paper's "common simulation platform" (§5): it
 // assembles a cell — fading links, physical layer, traffic sources, one of
-// the six access control protocols — from a declarative Scenario, drives
-// the TDMA frame cadence on the sim frame clock, and harvests the
-// paper's metrics after a warm-up transient.
+// the six access control protocols — from a declarative Scenario, steps it
+// frame by frame through mac.System.Run, and harvests the paper's metrics
+// after a warm-up transient.
 //
 // All six protocols run against byte-identical channel and traffic sample
 // paths for a given seed (common random numbers): per-user streams are
@@ -10,12 +10,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"charisma/internal/channel"
 	"charisma/internal/mac"
@@ -25,7 +25,6 @@ import (
 	"charisma/internal/mac/rama"
 	"charisma/internal/mac/rmav"
 	"charisma/internal/mathx"
-	"charisma/internal/obs"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
 	"charisma/internal/sim"
@@ -323,22 +322,21 @@ func (c *CellParts) Protocol(name string) (mac.Protocol, error) {
 
 // runArena owns every allocation a scenario run can recycle across
 // replications: the lazy system (station/registry/request slabs), the
-// frame clock, the channel slab, per-slot RNG streams and
-// traffic sources, and the cell's modem and protocols (CellParts).
-// Scenario.Run borrows an arena from a sync.Pool, rebuilds the cell into
-// it, and returns it — so a parameter sweep's rep N+1 reuses rep N's
-// memory with near-zero fresh allocations. Reuse is byte-identity-safe
-// because every component re-initializes completely: mac.ResetLazy,
-// sim.Engine.Reset, channel.Slab.Reset + initUser, Stream.Reseed (pinned
-// equal to a fresh New by TestReseedMatchesNew), and the traffic Reset
-// constructors reproduce the fresh draw sequences exactly.
+// channel slab, per-slot RNG streams and traffic sources, and the cell's
+// modem and protocols (CellParts). Scenario.Run borrows an arena from a
+// sync.Pool, rebuilds the cell into it, and returns it — so a parameter
+// sweep's rep N+1 reuses rep N's memory with near-zero fresh
+// allocations. Reuse is byte-identity-safe because every component
+// re-initializes completely: mac.ResetLazy (which also closes the
+// measurement window), channel.Slab.Reset + initUser, Stream.Reseed
+// (pinned equal to a fresh New by TestReseedMatchesNew), and the traffic
+// Reset constructors reproduce the fresh draw sequences exactly.
 type runArena struct {
 	probe     *rng.Stream
 	macStream *rng.Stream
 	firstWake []sim.Time
 	pop       mac.LazyPopulation
 	sys       *mac.System
-	eng       *sim.Engine
 	slab      *channel.Slab
 	parts     CellParts
 
@@ -358,14 +356,9 @@ type runArena struct {
 	speeds   []float64
 	vp       traffic.VoiceParams
 	dp       traffic.DataParams
-
-	// used marks an arena that has hosted at least one run; a pool hit
-	// on a used arena is a warm reuse (see arenaReuses).
-	used bool
 }
 
 func newRunArena() *runArena {
-	arenaBuilds.Add(1)
 	a := &runArena{
 		probe: rng.New(0),
 		slab:  channel.NewSlab(),
@@ -375,22 +368,6 @@ func newRunArena() *runArena {
 }
 
 var arenaPool = sync.Pool{New: func() any { return newRunArena() }}
-
-// Arena traffic counters: pool hits versus fresh constructions. Atomics,
-// not SimCounters fields — sweeps call Run from many goroutines at once,
-// so these are genuinely concurrent. One add per replication is
-// far off the per-event hot path.
-var arenaReuses, arenaBuilds atomic.Uint64
-
-// ArenaObs folds the process-wide arena pool counters into a SimCounters
-// snapshot (the rest of the fields are zero — per-run engine/registry/
-// plane counters live on their components).
-func ArenaObs() obs.SimCounters {
-	return obs.SimCounters{
-		ArenaReuses: arenaReuses.Load(),
-		ArenaBuilds: arenaBuilds.Load(),
-	}
-}
 
 // stream returns the cached per-slot stream, re-seeded exactly as
 // rng.DeriveIndexed(a.seed, label, i) would seed a fresh one.
@@ -447,9 +424,9 @@ func phyParamsEqual(a, b phy.Params) bool {
 }
 
 // Build assembles the system and protocol without running them (exposed
-// for tests and custom drivers). Each call uses a private arena, so the
-// returned system shares no state with pooled Run executions or other
-// Build results.
+// for tests and custom drivers, which Init the protocol and step it with
+// System.Run). Each call uses a private arena, so the returned system
+// shares no state with pooled Run executions or other Build results.
 func (sc Scenario) Build() (*mac.System, mac.Protocol, error) {
 	return sc.buildIn(newRunArena())
 }
@@ -532,65 +509,47 @@ func (sc Scenario) buildIn(a *runArena) (*mac.System, mac.Protocol, error) {
 // Run executes the scenario and returns the measured metrics. The run
 // borrows a replication arena from a process-wide pool, so consecutive
 // runs (a sweep's replications) recycle their predecessors' allocations.
-func (sc Scenario) Run() (mac.Result, error) {
+// A cancelled ctx stops the run within System.Run's check interval and
+// returns ctx.Err().
+func (sc Scenario) Run(ctx context.Context) (mac.Result, error) {
 	a := arenaPool.Get().(*runArena)
-	if a.used {
-		arenaReuses.Add(1)
-	} else {
-		a.used = true
-	}
-	res, err := sc.runIn(a)
+	res, err := sc.runIn(ctx, a)
 	arenaPool.Put(a)
 	return res, err
 }
 
-func (sc Scenario) runIn(a *runArena) (mac.Result, error) {
+func (sc Scenario) runIn(ctx context.Context, a *runArena) (mac.Result, error) {
 	sc = sc.WithDefaults()
 	sys, proto, err := sc.buildIn(a)
 	if err != nil {
 		return mac.Result{}, err
 	}
 	warmup := sim.FromSeconds(sc.WarmupSec)
-	limit := warmup + sim.FromSeconds(sc.DurationSec)
-
 	proto.Init(sys)
-	if a.eng == nil {
-		a.eng = sim.NewEngine()
-	} else {
-		a.eng.Reset()
-	}
-	eng := a.eng
-	if frames, _ := trace.FlightArmed(); frames > 0 {
-		label := fmt.Sprintf("%s seed=%d", sc.Protocol, sc.Seed)
-		fl := trace.AttachFlight(sys, frames, label)
+	if fl := AttachFlight(sys, sc.Protocol, sc.Seed, -1); fl != nil {
 		defer fl.Close()
-		// A panic anywhere in the frame loop dumps the ring before
-		// unwinding — the post-mortem the recorder exists for.
-		defer func() {
-			if r := recover(); r != nil {
-				fl.Dump(fmt.Sprintf("panic: %v", r))
-				panic(r)
-			}
-		}()
+		defer trace.DumpOnPanic(fl)
 	}
-	marked := false
-	// One recurring driver is the TDMA cadence: the step returns each
-	// frame's (possibly variable) duration as the delay to the next tick,
-	// so the engine fires exactly once per frame.
-	eng.ScheduleEvery(0, func(e *sim.Engine) sim.Time {
-		if !marked && sys.Now() >= warmup {
-			sys.M.Mark()
-			marked = true
-		}
-		sys.BeginFrame()
-		dur := proto.RunFrame(sys)
-		sys.EndFrame(dur)
-		if sys.Now() >= limit {
-			return -1
-		}
-		return dur
-	})
-	eng.Run()
-
+	if err := sys.Run(ctx, proto, warmup, warmup+sim.FromSeconds(sc.DurationSec)); err != nil {
+		return mac.Result{}, err
+	}
 	return sys.M.Result(proto.Name(), sys.Cfg.Geometry.FrameSymbols), nil
+}
+
+// AttachFlight attaches the armed flight recorder (trace.ArmFlight) to
+// sys and returns it; nil, at the cost of one check, when the recorder is
+// disarmed. Scenario.Run and every multicell cell attach through it. The
+// dump labels the ring with the protocol and seed, and with the cell's
+// index when cell is not negative. The caller Closes the recorder when
+// its run ends and defers trace.DumpOnPanic around the frame loop.
+func AttachFlight(sys *mac.System, protocol string, seed int64, cell int) *trace.Flight {
+	frames, _ := trace.FlightArmed()
+	if frames <= 0 {
+		return nil
+	}
+	label := fmt.Sprintf("%s seed=%d", protocol, seed)
+	if cell >= 0 {
+		label += fmt.Sprintf(" cell=%d", cell)
+	}
+	return trace.AttachFlight(sys, frames, label)
 }

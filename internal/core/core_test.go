@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestRunAllProtocolsSmoke(t *testing.T) {
 		for _, queue := range []bool{false, true} {
 			sc := shortScenario(p, 12, 3)
 			sc.UseQueue = queue
-			r, err := sc.Run()
+			r, err := sc.Run(context.Background())
 			if err != nil {
 				t.Fatalf("%s queue=%v: %v", p, queue, err)
 			}
@@ -149,7 +150,7 @@ func TestRunAllProtocolsSmoke(t *testing.T) {
 func TestVoiceConservation(t *testing.T) {
 	for _, p := range Protocols() {
 		sc := shortScenario(p, 15, 0)
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +170,11 @@ func TestVoiceConservation(t *testing.T) {
 // Determinism: identical scenarios produce bit-identical results.
 func TestRunDeterminism(t *testing.T) {
 	for _, p := range []string{ProtoCharisma, ProtoRMAV} {
-		a, err := shortScenario(p, 10, 2).Run()
+		a, err := shortScenario(p, 10, 2).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := shortScenario(p, 10, 2).Run()
+		b, err := shortScenario(p, 10, 2).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +188,11 @@ func TestRunSeedSensitivity(t *testing.T) {
 	a := shortScenario(ProtoCharisma, 30, 0)
 	b := shortScenario(ProtoCharisma, 30, 0)
 	b.Seed = 2
-	ra, err := a.Run()
+	ra, err := a.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Run()
+	rb, err := b.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestCommonRandomNumbersAcrossProtocols(t *testing.T) {
 	var gen []uint64
 	var dat []uint64
 	for _, p := range []string{ProtoCharisma, ProtoDTDMAVR, ProtoDTDMAFR, ProtoDRMA, ProtoRAMA} {
-		r, err := shortScenario(p, 10, 3).Run()
+		r, err := shortScenario(p, 10, 3).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestCharismaBeatsFRAtModerateLoad(t *testing.T) {
 		sc.NumVoice = 80
 		sc.WarmupSec = 1
 		sc.DurationSec = 8
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

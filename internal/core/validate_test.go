@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -143,7 +144,7 @@ func TestPartialBlocksRejected(t *testing.T) {
 	} {
 		sc := Scenario{Protocol: ProtoCharisma, NumVoice: 5, DurationSec: 0.1}
 		c.set(&sc)
-		_, runErr := sc.Run()
+		_, runErr := sc.Run(context.Background())
 		for _, err := range []error{sc.WithDefaults().Validate(), runErr} {
 			var ve *ValidationError
 			if !errors.As(err, &ve) || ve.Field != c.field || !strings.Contains(ve.Reason, "partly set") {
@@ -239,7 +240,7 @@ func TestValidateRejectsClockOverflow(t *testing.T) {
 			}
 			continue
 		}
-		_, runErr := sc.Run()
+		_, runErr := sc.Run(context.Background())
 		for _, err := range []error{err, runErr} {
 			var ve *ValidationError
 			if !errors.As(err, &ve) || ve.Field != c.field {

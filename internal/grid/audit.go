@@ -123,6 +123,8 @@ func (s *Session) auditLoop() {
 		s.auditing++
 		spec := s.points[j.point].Spec
 		s.mu.Unlock()
+		// RunRep, not RunRepContext: a re-execution cut short by a
+		// cancel would fail here and quarantine an honest worker.
 		truth, err := spec.RunRep(j.rep)
 		s.mu.Lock()
 		s.auditing--

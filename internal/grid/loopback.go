@@ -75,13 +75,14 @@ func RunPoints(ctx context.Context, points []Point, cfg DriveConfig) ([]mac.Resu
 
 // RunLocal drives a session to completion with in-process loopback
 // workers: workers goroutines (one per core when below 1) pull tasks from
-// the session, run them through JobSpec.RunRep, and complete them — the
-// exact loop cmd/charisma-worker runs over HTTP, minus the wire. Loopback
-// tasks are held under non-expiring leases: an in-process worker cannot
-// crash without the whole coordinator, where context cancellation already
-// unwinds the session. It returns when the session finishes or the
-// context is cancelled; remote workers attached to the same session via a
-// Server share the queue transparently.
+// the session, run them through JobSpec.RunRepContext, and complete them —
+// the exact loop cmd/charisma-worker runs over HTTP, minus the wire.
+// Loopback tasks are held under non-expiring leases: an in-process worker
+// cannot crash without the whole coordinator, where context cancellation
+// already unwinds the session. It returns when the session finishes or
+// the context is cancelled; a replication the cancel cuts short is
+// dropped, never completed as a failure. Remote workers attached to the
+// same session via a Server share the queue transparently.
 func RunLocal(ctx context.Context, s *Session, workers int) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -96,7 +97,10 @@ func RunLocal(ctx context.Context, s *Session, workers int) error {
 				if !ok {
 					return
 				}
-				res, err := t.Spec.RunRep(t.Rep)
+				res, err := t.Spec.RunRepContext(ctx, t.Rep)
+				if err != nil && ctx.Err() != nil {
+					return // cut short by the cancel: no result
+				}
 				tr := TaskResult{Point: t.Point, Rep: t.Rep, Lease: t.Lease, Result: res}
 				if err != nil {
 					tr.Err = err.Error()

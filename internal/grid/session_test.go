@@ -34,7 +34,7 @@ func serialReference(scs []core.Scenario, reps int) ([]mac.Result, error) {
 			sc := base
 			sc.Seed = run.RepSeed(base.Seed, i)
 			var err error
-			if runs[i], err = sc.Run(); err != nil {
+			if runs[i], err = sc.Run(context.Background()); err != nil {
 				return nil, err
 			}
 		}

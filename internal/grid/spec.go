@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -154,7 +155,12 @@ func RepKey(specHash string, repSeed int64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunRep executes replication rep of the spec through the existing engine,
+// RunRep is RunRepContext under a context that is never cancelled.
+func (s JobSpec) RunRep(rep int) (mac.Result, error) {
+	return s.RunRepContext(context.Background(), rep)
+}
+
+// RunRepContext executes replication rep of the spec on the frame loop,
 // under the seed run.RepSeed(BaseSeed, rep), so a sweep's results are
 // byte-identical to a serial loop of the same runs. A multicell result is
 // the deployment-wide aggregate with Frames normalized to per-cell-frame
@@ -162,8 +168,9 @@ func RepKey(specHash string, repSeed int64) string {
 // counts the measurement window once), so the generic replication fold
 // recomputes DataThroughputPerFrame in the per-cell-frame normalization
 // multicell.Run and RunReplicated use. The handoff count is a
-// deployment-level statistic and is not carried in a mac.Result.
-func (s JobSpec) RunRep(rep int) (mac.Result, error) {
+// deployment-level statistic and is not carried in a mac.Result. A
+// cancelled ctx stops the replication with an error wrapping ctx.Err().
+func (s JobSpec) RunRepContext(ctx context.Context, rep int) (mac.Result, error) {
 	if err := s.Validate(); err != nil {
 		return mac.Result{}, err
 	}
@@ -172,7 +179,7 @@ func (s JobSpec) RunRep(rep int) (mac.Result, error) {
 	case KindScenario:
 		sc := *s.Scenario
 		sc.Seed = seed
-		res, err := sc.Run()
+		res, err := sc.Run(ctx)
 		if err != nil {
 			return mac.Result{}, fmt.Errorf("grid: scenario (%s) rep %d: %w", sc.Protocol, rep, err)
 		}
@@ -180,7 +187,7 @@ func (s JobSpec) RunRep(rep int) (mac.Result, error) {
 	default: // KindMulticell, by Validate
 		p := *s.Multicell
 		p.Seed = seed
-		r, err := multicell.Run(p)
+		r, err := multicell.Run(ctx, p)
 		if err != nil {
 			return mac.Result{}, fmt.Errorf("grid: multicell (%s) rep %d: %w", p.Protocol, rep, err)
 		}

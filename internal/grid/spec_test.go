@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -157,7 +158,7 @@ func TestRunRepMatchesRunner(t *testing.T) {
 		}
 		ref := sc
 		ref.Seed = run.RepSeed(sc.Seed, rep)
-		want, err := ref.Run()
+		want, err := ref.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

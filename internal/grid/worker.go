@@ -74,7 +74,7 @@ type Worker struct {
 type WorkerStats struct {
 	Claimed     atomic.Uint64 // tasks accepted from /task
 	Completed   atomic.Uint64 // results posted (or abandoned as stale after execution)
-	Abandoned   atomic.Uint64 // tasks dropped because the lease was superseded
+	Abandoned   atomic.Uint64 // tasks dropped: lease superseded, result undeliverable, or run cancelled
 	CacheHits   atomic.Uint64 // tasks served from the worker-local cache
 	CacheMisses atomic.Uint64 // tasks that missed the worker-local cache
 	beats       atomic.Uint64 // successful heartbeat round-trips
@@ -222,6 +222,14 @@ func (w Worker) loop(ctx context.Context, client *http.Client, base string, poll
 			w.Log.Debug("task claimed",
 				"session", wt.Session, "lease", wt.Lease, "point", wt.Point, "rep", wt.Rep)
 			res, lost := w.executeLeased(ctx, client, base, wt)
+			if ctx.Err() != nil {
+				// A run the cancel cut short is no result: post nothing
+				// and let the lease lapse.
+				w.Stats.Abandoned.Add(1)
+				w.Log.Info("cancelled, task abandoned",
+					"session", wt.Session, "lease", wt.Lease, "point", wt.Point, "rep", wt.Rep)
+				return ctx.Err()
+			}
 			if lost {
 				// The lease was superseded mid-execution; the result
 				// would be discarded, so don't bother posting it.
@@ -256,7 +264,7 @@ func (w Worker) loop(ctx context.Context, client *http.Client, base string, poll
 // that the coordinator superseded the lease before the task finished.
 func (w Worker) executeLeased(ctx context.Context, client *http.Client, base string, wt wireTask) (res wireResult, lost bool) {
 	if wt.Lease == 0 || wt.LeaseMS <= 0 {
-		return w.execute(wt), false
+		return w.execute(ctx, wt), false
 	}
 	interval := time.Duration(wt.LeaseMS) * time.Millisecond / 3
 	if interval < 10*time.Millisecond {
@@ -266,7 +274,7 @@ func (w Worker) executeLeased(ctx context.Context, client *http.Client, base str
 	defer stopHB()
 	superseded := make(chan struct{})
 	go w.heartbeatLoop(hbCtx, client, base, wt, interval, superseded)
-	res = w.execute(wt)
+	res = w.execute(ctx, wt)
 	stopHB()
 	select {
 	case <-superseded:
@@ -314,8 +322,9 @@ func (w Worker) heartbeatLoop(ctx context.Context, client *http.Client, base str
 // wraps the outcome for the wire. The named return matters: CorruptResult
 // runs in a defer so it covers the cache-hit and simulate paths alike,
 // and a defer can only reach the value actually returned through a named
-// result.
-func (w Worker) execute(wt wireTask) (out wireResult) {
+// result. A replication cut short by a cancel of ctx fails, so it is
+// never cached.
+func (w Worker) execute(ctx context.Context, wt wireTask) (out wireResult) {
 	out = wireResult{Session: wt.Session, Point: wt.Point, Rep: wt.Rep, Lease: wt.Lease}
 	if err := wt.Spec.Validate(); err != nil {
 		out.Err = err.Error()
@@ -338,7 +347,7 @@ func (w Worker) execute(wt wireTask) (out wireResult) {
 			w.Stats.CacheMisses.Add(1)
 		}
 	}
-	r, err := wt.Spec.RunRep(wt.Rep)
+	r, err := wt.Spec.RunRepContext(ctx, wt.Rep)
 	if err != nil {
 		out.Err = err.Error()
 		return out

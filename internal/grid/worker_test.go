@@ -169,7 +169,7 @@ func TestExecuteAppliesCorruptResult(t *testing.T) {
 	// Run installs Stats before any execute; so does this direct call.
 	w := Worker{Stats: new(WorkerStats), CorruptResult: func(_, _ int, r *mac.Result) { r.Frames++ }}
 	wt := wireTask{Session: "s1", Point: 0, Rep: 0, Spec: spec}
-	out := w.execute(wt)
+	out := w.execute(context.Background(), wt)
 	if out.Err != "" {
 		t.Fatalf("execute failed: %s", out.Err)
 	}
@@ -189,7 +189,7 @@ func TestExecuteAppliesCorruptResult(t *testing.T) {
 	}
 	key := RepKey(h, run.RepSeed(spec.BaseSeed(), 0))
 	w.Cache.Put(key, honest)
-	out = w.execute(wt)
+	out = w.execute(context.Background(), wt)
 	if out.Result.Frames != honest.Frames+1 {
 		t.Fatalf("cache-hit Frames = %v, want %v", out.Result.Frames, honest.Frames+1)
 	}

@@ -16,12 +16,14 @@
 //
 // Conservation is checked on a dedicated warm-up-free run (the metric
 // window would otherwise split packet lifetimes across the mark), driving
-// the same Build/frame loop Scenario.Run uses but never calling Mark, so
-// window counters equal lifetime totals and the laws are exact equalities.
+// the same Build and frame loop (mac.System.Run) Scenario.Run uses with a
+// zero warm-up: the window opens at tick 0, so window counters equal
+// lifetime totals and the laws are exact equalities.
 package invariant
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -187,18 +189,10 @@ func checkConservation(rep *Report, sc core.Scenario) error {
 		return err
 	}
 	proto.Init(sys)
-	eng := sim.NewEngine()
 	limit := sim.FromSeconds(sc.WarmupSec) + sim.FromSeconds(sc.DurationSec)
-	eng.ScheduleEvery(0, func(e *sim.Engine) sim.Time {
-		sys.BeginFrame()
-		dur := proto.RunFrame(sys)
-		sys.EndFrame(dur)
-		if sys.Now() >= limit {
-			return -1
-		}
-		return dur
-	})
-	eng.Run()
+	if err := sys.Run(context.Background(), proto, 0, limit); err != nil {
+		return err
+	}
 
 	// Deferred stations that never woke materialize now with zero
 	// lifetime counts — the census must still visit them.
@@ -216,7 +210,7 @@ func checkConservation(rep *Report, sc core.Scenario) error {
 		}
 	}
 
-	// Mark was never called, so Since() counters are lifetime totals.
+	// The window opened at tick 0, so the counters are lifetime totals.
 	m := &sys.M
 	vGen, vDrop := m.VoiceGenerated.Total(), m.VoiceDropped.Total()
 	vOK, vErr := m.VoiceTxOK.Total(), m.VoiceTxErr.Total()

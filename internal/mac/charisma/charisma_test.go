@@ -1,6 +1,7 @@
 package charisma_test
 
 import (
+	"context"
 	"testing"
 
 	"charisma/internal/core"
@@ -185,7 +186,7 @@ func TestAlphaZeroDegradesToChannelBlind(t *testing.T) {
 		sc.WarmupSec = 1
 		sc.DurationSec = 6
 		sc.MAC.Charisma.Alpha = alpha
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

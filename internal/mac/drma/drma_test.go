@@ -1,6 +1,7 @@
 package drma_test
 
 import (
+	"context"
 	"testing"
 
 	"charisma/internal/core"
@@ -124,7 +125,7 @@ func TestQueueBarelyChangesDRMA(t *testing.T) {
 		sc.UseQueue = queue
 		sc.WarmupSec = 1
 		sc.DurationSec = 8
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -318,6 +319,8 @@ type System struct {
 
 	now      sim.Time
 	frameIdx int64
+	// windowOpen: Run has opened the measurement window since the rebuild.
+	windowOpen bool
 
 	reg  registry
 	lazy *LazyPopulation
@@ -475,7 +478,7 @@ func (s *System) rebuild(cfg Config, modem phy.PHY, n int, macStream *rng.Stream
 	}
 	s.Cfg, s.PHY, s.Rand, s.lazy = cfg, modem, macStream, pop
 	s.M = Metrics{}
-	s.now, s.frameIdx = 0, 0
+	s.now, s.frameIdx, s.windowOpen = 0, 0, false
 	s.queue = s.queue[:0]
 	s.DebugVoiceTx = nil
 	s.DebugEndFrame = nil
@@ -630,6 +633,37 @@ func (s *System) EndFrame(dur sim.Time) {
 	s.frameIdx++
 	if s.DebugEndFrame != nil {
 		s.DebugEndFrame(dur)
+	}
+}
+
+// ctxCheckFrames is how often Run checks its context. Every lane of a
+// sweep shares one context, whose Err takes a mutex, so Run does not
+// check it every frame.
+const ctxCheckFrames = 64
+
+// Run is the frame loop: BeginFrame, p.RunFrame, EndFrame, until the
+// first frame that ends at or past until, and always at least one frame.
+// It opens the measurement window (M.Mark) before the first frame that
+// starts at or after warmup, once per rebuild, so a run split into
+// several calls opens it once. It checks ctx before the first frame and
+// every ctxCheckFrames frames after, and returns ctx.Err() itself once
+// ctx is cancelled. It allocates nothing.
+func (s *System) Run(ctx context.Context, p Protocol, warmup, until sim.Time) error {
+	for i := 0; ; i++ {
+		if i%ctxCheckFrames == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !s.windowOpen && s.now >= warmup {
+			s.M.Mark()
+			s.windowOpen = true
+		}
+		s.BeginFrame()
+		s.EndFrame(p.RunFrame(s))
+		if s.now >= until {
+			return nil
+		}
 	}
 }
 

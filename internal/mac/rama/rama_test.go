@@ -1,6 +1,7 @@
 package rama_test
 
 import (
+	"context"
 	"testing"
 
 	"charisma/internal/core"
@@ -91,7 +92,7 @@ func TestGracefulDegradationAtOverload(t *testing.T) {
 	sc.NumVoice = 220
 	sc.WarmupSec = 1
 	sc.DurationSec = 6
-	r, err := sc.Run()
+	r, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rmav_test
 
 import (
+	"context"
 	"testing"
 
 	"charisma/internal/channel"
@@ -166,7 +167,7 @@ func TestInstabilityAtModerateLoad(t *testing.T) {
 		sc.NumVoice = nv
 		sc.WarmupSec = 1
 		sc.DurationSec = 8
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestQueueIgnored(t *testing.T) {
 		sc.UseQueue = queue
 		sc.WarmupSec = 1
 		sc.DurationSec = 4
-		r, err := sc.Run()
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func runFresh(t *testing.T, p Params) Result {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r, err := d.Run()
+	r, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
@@ -87,14 +87,14 @@ func TestArenaMatchesFresh(t *testing.T) {
 			if err := reused.build(p); err != nil {
 				t.Fatalf("round %d shape %d: build: %v", round, i, err)
 			}
-			got, err := reused.Run()
+			got, err := reused.Run(context.Background())
 			if err != nil {
 				t.Fatalf("round %d shape %d: run: %v", round, i, err)
 			}
 			if err := sameResult(got, want); err != nil {
 				t.Fatalf("round %d shape %d (%s, %d cells) on a reused deployment: %v", round, i, p.Protocol, p.Cells, err)
 			}
-			spared, err := Run(p)
+			spared, err := Run(context.Background(), p)
 			if err != nil {
 				t.Fatalf("round %d shape %d: Run: %v", round, i, err)
 			}
@@ -110,13 +110,13 @@ func TestArenaMatchesFresh(t *testing.T) {
 // replications cannot change it.
 func TestRunResultOwnsItsMemory(t *testing.T) {
 	shapes := arenaShapes()
-	first, err := Run(shapes[0])
+	first, err := Run(context.Background(), shapes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := append(first.PerCell[:0:0], first.PerCell...)
 	for _, p := range shapes[1:] {
-		if _, err := Run(p); err != nil {
+		if _, err := Run(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestMulticellArenaSteadyStateAllocs(t *testing.T) {
 	batch := func() {
 		for seed := int64(1); seed <= 10; seed++ {
 			p.Seed = seed
-			if _, err := Run(p); err != nil {
+			if _, err := Run(context.Background(), p); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -27,7 +27,6 @@ package multicell
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -41,6 +40,7 @@ import (
 	"charisma/internal/run"
 	"charisma/internal/sim"
 	"charisma/internal/stats"
+	"charisma/internal/trace"
 	"charisma/internal/traffic"
 )
 
@@ -175,7 +175,6 @@ type cell struct {
 	clones    []mac.Station
 	stations  []*mac.Station // the system's table: &clones[k]
 	chStreams []*rng.Stream
-	marked    bool // measurement window opened
 }
 
 // Deployment is a running multi-cell simulation.
@@ -187,7 +186,8 @@ type Deployment struct {
 	handoffs uint64
 	now      sim.Time
 
-	dbScratch []float64 // per-decision clone dB cache (one entry per cell)
+	dbScratch []float64       // per-decision clone dB cache (one entry per cell)
+	flights   []*trace.Flight // each cell's flight recorder while an armed Run runs
 }
 
 // New assembles a deployment the caller owns.
@@ -270,7 +270,6 @@ func (d *Deployment) build(p Params) error {
 		}
 		proto.Init(cl.sys)
 		cl.proto = proto
-		cl.marked = false
 	}
 	return nil
 }
@@ -355,17 +354,28 @@ type Result struct {
 
 // Run executes the deployment and returns aggregated metrics.
 //
-// The deployment is sharded: cells advance on their own goroutines (bounded
-// by Params.Workers) and only synchronize at handoff decision epochs —
-// every DecisionPeriodFrames frames — instead of at every frame. Between
-// epochs the cells are fully independent (per-cell MAC streams, per-clone
-// fading streams, and traffic sources owned by exactly one attached clone),
-// so the result is byte-identical to sequential execution for any worker
-// count; parallelism is purely a throughput knob.
-func (d *Deployment) Run() (Result, error) {
+// The deployment is sharded: each cell runs the frame loop,
+// mac.System.Run, on its own goroutine (bounded by Params.Workers) up to
+// the next handoff decision epoch — every DecisionPeriodFrames frames —
+// where the cells synchronize. Between epochs the cells are fully
+// independent (per-cell MAC streams, per-clone fading streams, and
+// traffic sources owned by exactly one attached clone), so the result is
+// byte-identical to sequential execution for any worker count;
+// parallelism is purely a throughput knob. A cancelled ctx stops every
+// cell, and Run returns ctx.Err(). An armed flight recorder gives each
+// cell its own ring, labelled with the cell's index.
+func (d *Deployment) Run(ctx context.Context) (Result, error) {
 	frameDur := d.p.MAC.Geometry.Duration()
 	warmup := sim.FromSeconds(d.p.WarmupSec)
 	limit := warmup + sim.FromSeconds(d.p.DurationSec)
+	for c := range d.cells {
+		if fl := core.AttachFlight(d.cells[c].sys, d.p.Protocol, d.p.Seed, c); fl != nil {
+			d.flights = append(d.flights, fl)
+		}
+	}
+	if len(d.flights) > 0 {
+		defer d.closeFlights()
+	}
 	frame := 0
 	for d.now < limit {
 		// Frames until the next decision boundary, capped at the horizon.
@@ -373,11 +383,12 @@ func (d *Deployment) Run() (Result, error) {
 		if remaining := int((limit - d.now + frameDur - 1) / frameDur); k > remaining {
 			k = remaining
 		}
-		if err := d.advance(k, frameDur, warmup); err != nil {
+		until := d.now + sim.Time(k)*frameDur
+		if err := d.advance(ctx, warmup, until); err != nil {
 			return Result{}, err
 		}
 		frame += k
-		d.now += sim.Time(k) * frameDur
+		d.now = until
 		if d.now < limit && frame%d.p.DecisionPeriodFrames == 0 {
 			d.decide()
 		}
@@ -432,45 +443,50 @@ func (d *Deployment) Run() (Result, error) {
 	return agg, nil
 }
 
-// advance runs every cell for k frames: in turn on the calling goroutine
-// when Workers is 1, else on run.Map's goroutines. Either way every cell
-// runs and their errors join.
-func (d *Deployment) advance(k int, frameDur, warmup sim.Time) error {
+// advance runs every cell up to until: in turn on the calling goroutine
+// when Workers is 1, else on run.Map's goroutines. A cancelled ctx stops
+// every cell, and advance returns ctx.Err() itself.
+func (d *Deployment) advance(ctx context.Context, warmup, until sim.Time) error {
 	if d.p.Workers != 1 {
-		_, err := run.Map(context.Background(), d.p.Workers, len(d.cells),
+		_, err := run.Map(ctx, d.p.Workers, len(d.cells),
 			func(c int) (struct{}, error) {
-				return struct{}{}, d.advanceCell(c, k, frameDur, warmup)
+				return struct{}{}, d.advanceCell(ctx, c, warmup, until)
 			})
 		return err
 	}
-	var errs []error
 	for c := range d.cells {
-		if err := d.advanceCell(c, k, frameDur, warmup); err != nil {
-			errs = append(errs, err)
+		if err := d.advanceCell(ctx, c, warmup, until); err != nil {
+			return err
 		}
-	}
-	return errors.Join(errs...)
-}
-
-// advanceCell runs one cell for k frames, opening its measurement window
-// when the cell clock crosses the warm-up boundary. It runs concurrently
-// with the other cells' advances and must touch only cell-local state.
-func (d *Deployment) advanceCell(c, k int, frameDur, warmup sim.Time) error {
-	cl := &d.cells[c]
-	sys, proto := cl.sys, cl.proto
-	for j := 0; j < k; j++ {
-		if !cl.marked && sys.Now() >= warmup {
-			sys.M.Mark()
-			cl.marked = true
-		}
-		sys.BeginFrame()
-		dur := proto.RunFrame(sys)
-		if dur != frameDur {
-			return fmt.Errorf("multicell: protocol %s produced a variable frame", proto.Name())
-		}
-		sys.EndFrame(dur)
 	}
 	return nil
+}
+
+// advanceCell runs one cell's frame loop up to until; the loop opens the
+// cell's measurement window when its clock crosses the warm-up boundary.
+// It runs concurrently with the other cells' advances and must touch only
+// cell-local state. A panic in the loop dumps every cell's flight
+// recorder before unwinding, on whichever goroutine the cell runs.
+func (d *Deployment) advanceCell(ctx context.Context, c int, warmup, until sim.Time) error {
+	if len(d.flights) > 0 {
+		defer trace.DumpOnPanic(d.flights...)
+	}
+	cl := &d.cells[c]
+	if err := cl.sys.Run(ctx, cl.proto, warmup, until); err != nil {
+		return err
+	}
+	if cl.sys.Now() != until {
+		return fmt.Errorf("multicell: protocol %s produced a variable frame", cl.proto.Name())
+	}
+	return nil
+}
+
+// closeFlights detaches the cells' flight recorders once Run ends.
+func (d *Deployment) closeFlights() {
+	for _, fl := range d.flights {
+		fl.Close()
+	}
+	d.flights = nil
 }
 
 // spares holds the deployments Run keeps between calls for the next
@@ -486,8 +502,8 @@ var spares = make(chan *Deployment, runtime.GOMAXPROCS(0))
 // Run builds and runs a deployment in one call, rebuilding a spare one
 // when there is one, so consecutive runs (a sweep's replications) recycle
 // their predecessors' allocations. The result shares no memory with the
-// deployment.
-func Run(p Params) (Result, error) {
+// deployment. A cancelled ctx stops the run and returns ctx.Err().
+func Run(ctx context.Context, p Params) (Result, error) {
 	var d *Deployment
 	select {
 	case d = <-spares:
@@ -503,7 +519,7 @@ func Run(p Params) (Result, error) {
 	if err := d.build(p); err != nil {
 		return Result{}, err
 	}
-	return d.Run()
+	return d.Run(ctx)
 }
 
 // RunReplicated executes reps independent deployments concurrently — each
@@ -518,7 +534,7 @@ func RunReplicated(ctx context.Context, p Params, reps int) (Result, error) {
 	outs, err := run.Map(ctx, 0, reps, func(i int) (Result, error) {
 		pi := p
 		pi.Seed = run.RepSeed(p.Seed, i)
-		return Run(pi)
+		return Run(ctx, pi)
 	})
 	if err != nil {
 		return Result{}, err

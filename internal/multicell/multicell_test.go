@@ -75,7 +75,7 @@ func TestValidation(t *testing.T) {
 	} {
 		p := quickParams()
 		c.mutate(&p)
-		_, runErr := Run(p)
+		_, runErr := Run(context.Background(), p)
 		for _, err := range []error{p.WithDefaults().Validate(), runErr} {
 			if !errors.As(err, &ve) || ve.Field != c.field {
 				t.Errorf("%s: err %v, want a *core.ValidationError for %s", name, err, c.field)
@@ -153,7 +153,7 @@ func collectFloats(v reflect.Value, path string, fn func(path string, f reflect.
 }
 
 func TestRunProducesAggregateMetrics(t *testing.T) {
-	r, err := Run(quickParams())
+	r, err := Run(context.Background(), quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestHandoffsHappen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// With 1 s shadow coherence and a 4 dB hysteresis over 11 s, users
@@ -199,7 +199,7 @@ func TestDisableHandoffFreezesAttachment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if d.Handoffs() != 0 {
@@ -220,7 +220,7 @@ func TestHandoffBeatsStaticAttachment(t *testing.T) {
 		p.WarmupSec = 1
 		p.DurationSec = 12
 		p.DisableHandoff = disable
-		r, err := Run(p)
+		r, err := Run(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestExactlyOneLiveCloneInvariant(t *testing.T) {
 		}
 	}
 	check()
-	if _, err := d.Run(); err != nil {
+	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	check()
@@ -272,7 +272,7 @@ func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	for i, w := range []int{1, 2, runtime.NumCPU()} {
 		pi := p
 		pi.Workers = w
-		r, err := Run(pi)
+		r, err := Run(context.Background(), pi)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -307,7 +307,7 @@ func TestRegistryInvariantUnderSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for c := range d.cells {
@@ -318,11 +318,11 @@ func TestRegistryInvariantUnderSharding(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run(quickParams())
+	a, err := Run(context.Background(), quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quickParams())
+	b, err := Run(context.Background(), quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestHandoffWithDRMAPendingGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if d.Handoffs() == 0 {
@@ -358,7 +358,7 @@ func TestHandoffWithDRMAPendingGrants(t *testing.T) {
 func TestWorksWithFixedPHYProtocol(t *testing.T) {
 	p := quickParams()
 	p.Protocol = core.ProtoDTDMAFR
-	r, err := Run(p)
+	r, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestHysteresisDampensHandoffs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(); err != nil {
+		if _, err := d.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return d.Handoffs()
@@ -389,7 +389,7 @@ func TestHysteresisDampensHandoffs(t *testing.T) {
 func TestRunReplicatedSingleMatchesRun(t *testing.T) {
 	p := quickParams()
 	p.DurationSec = 3
-	single, err := Run(p)
+	single, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestRunReplicatedAggregates(t *testing.T) {
 			t.Fatalf("cell %d Replications = %d, want %d", c, pc.Reps.Replications, reps)
 		}
 	}
-	single, err := Run(p)
+	single, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestRunReplicatedThroughputNormalization(t *testing.T) {
 	p := quickParams()
 	p.NumVoice, p.NumData = 10, 10
 	p.DurationSec = 3
-	single, err := Run(p)
+	single, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestRunReplicatedThroughputNormalization(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pi := p
 		pi.Seed = run.RepSeed(p.Seed, i)
-		ri, err := Run(pi)
+		ri, err := Run(context.Background(), pi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // It deliberately contains two very different kinds of primitive:
 //
 //   - SimCounters: plain uint64 fields embedded by value inside
-//     single-goroutine components (the frame clock, a cell's MAC
-//     system, a fading plane). Incrementing one is a register add — no
+//     single-goroutine components (a cell's MAC system, a fading plane,
+//     the benchmark's frame clock). Incrementing one is a register add — no
 //     atomics, no branches, no allocations — so the counters are
 //     compiled in permanently without disturbing the hot-path
 //     allocation guards or the golden byte-identity suite (they never
@@ -36,12 +36,13 @@ import (
 // every replication it has hosted.
 //
 // A block must only ever be written by the goroutine that owns its
-// component (the clock, system, and plane of one cell run). Reading a
+// component (the system and plane of one cell run). Reading a
 // live block from another goroutine is racy by design — snapshot at a
 // quiescent point (between replications, or after Run returns).
 type SimCounters struct {
-	// Frame clock (sim.Engine).
-	EngineEvents uint64 // driver firings: one per frame in a scenario run
+	// The frame clock of the benchmark's traced replay (the program's
+	// frame loop, mac.System.Run, counts frames in FrameIndex instead).
+	EngineEvents uint64 // driver firings: one per frame of the traced replay
 
 	// Registry timer wheel.
 	WheelArms     uint64 // timers armed (wheel.add)
@@ -52,11 +53,6 @@ type SimCounters struct {
 	EpochBumps uint64 // candidacy-changing Reindex calls (cache invalidations)
 	CandHits   uint64 // ForEachCandidate served from the cached scratch
 	CandMisses uint64 // ForEachCandidate rebuilds of the scratch
-
-	// Replication arena (written with package atomics in core, folded
-	// into a SimCounters snapshot at read time).
-	ArenaReuses uint64 // Scenario.Run served by a warm pooled arena
-	ArenaBuilds uint64 // fresh arena constructions
 
 	// Channel plane lazy replay.
 	ChannelCatchUps     uint64 // batched per-station catch-up calls
@@ -73,8 +69,6 @@ func (c *SimCounters) Add(o *SimCounters) {
 	c.EpochBumps += o.EpochBumps
 	c.CandHits += o.CandHits
 	c.CandMisses += o.CandMisses
-	c.ArenaReuses += o.ArenaReuses
-	c.ArenaBuilds += o.ArenaBuilds
 	c.ChannelCatchUps += o.ChannelCatchUps
 	c.ChannelCatchUpSteps += o.ChannelCatchUpSteps
 }

@@ -26,9 +26,10 @@ func RepSeed(base int64, i int) int64 {
 // Map runs fn(0..n-1) on a bounded worker pool and returns the results in
 // index order. Tasks are independent: a failure does not stop the others,
 // and the returned error joins every failure via errors.Join. Context
-// cancellation stops workers from picking up new tasks; the context error
-// is joined into the result. Worker count never affects the output values
-// — each index writes its own slot.
+// cancellation stops workers from picking up new tasks, and Map then
+// returns the context's error itself: a task the same cancel cut short
+// would only repeat it. Worker count never affects the output values —
+// each index writes its own slot.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
@@ -40,7 +41,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		workers = n
 	}
 	out := make([]T, n)
-	errs := make([]error, n+1)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -60,7 +61,9 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		}()
 	}
 	wg.Wait()
-	errs[n] = ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return out, err
+	}
 	if err := errors.Join(errs...); err != nil {
 		return out, err
 	}

@@ -55,4 +55,14 @@ func TestRunContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	// Tasks the cancel cuts short fail with the context's error; Map
+	// returns that error once, not joined with theirs.
+	ctx, cancel = context.WithCancel(context.Background())
+	_, err = Map(ctx, 2, 4, func(i int) (int, error) {
+		cancel()
+		return 0, ctx.Err()
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %q, want context.Canceled itself", err)
+	}
 }

@@ -34,103 +34,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-// once returns a step that records its firing time and stops.
-func once(fires *[]Time) StepFunc {
-	return func(e *Engine) Time {
-		*fires = append(*fires, e.Now())
-		return -1
-	}
-}
-
-func TestEngineRunsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []Time
-	for _, at := range []Time{50, 10, 30, 20, 40} {
-		e.ScheduleEvery(at, once(&order))
-	}
-	e.Run()
-	want := []Time{10, 20, 30, 40, 50}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("fired at %v, want %v", order, want)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("clock = %v, want 50", e.Now())
-	}
-}
-
-// Drivers due at the same time fire in the order they were armed, and a
-// re-arm counts as arming again: a driver armed for t+800 before the
-// periodic driver re-arms for t+800 fires ahead of it.
-func TestEngineStableFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 100; i++ {
-		e.ScheduleEvery(10, func(*Engine) Time {
-			order = append(order, i)
-			return -1
-		})
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time drivers not FIFO: order[%d] = %d", i, v)
-		}
-	}
-
-	var ticks []string
-	n, t0 := 0, e.Now()
-	e.ScheduleEvery(t0, func(*Engine) Time {
-		ticks = append(ticks, "tick")
-		if n++; n == 3 {
-			return -1
-		}
-		return 800
-	})
-	e.ScheduleEvery(t0+800, func(*Engine) Time {
-		ticks = append(ticks, "once")
-		return -1
-	})
-	e.Run()
-	if want := []string{"tick", "once", "tick", "tick"}; !reflect.DeepEqual(ticks, want) {
-		t.Fatalf("drivers fired %v, want %v", ticks, want)
-	}
-}
-
-// A step may schedule further drivers.
-func TestEngineScheduleFromHandler(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var step StepFunc
-	step = func(eng *Engine) Time {
-		count++
-		if count < 10 {
-			eng.ScheduleEvery(eng.Now()+5, step)
-		}
-		return -1
-	}
-	e.ScheduleEvery(0, step)
-	e.Run()
-	if count != 10 {
-		t.Fatalf("chained steps = %d, want 10", count)
-	}
-	if e.Now() != 45 {
-		t.Fatalf("clock = %v, want 45", e.Now())
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	var fires []Time
-	e.ScheduleEvery(10, once(&fires))
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.ScheduleEvery(5, once(&fires))
-}
-
 func TestEngineNilHandlerPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {
@@ -181,49 +84,8 @@ func TestScheduleEveryVariablePeriod(t *testing.T) {
 	}
 }
 
-// Reset must leave the engine equivalent to a fresh one in behaviour
-// (same firing order, same clock), drop drivers still pending, and keep
-// EngineEvents cumulative.
-func TestEngineResetBehavesLikeFresh(t *testing.T) {
-	script := func(e *Engine, trace *[]Time) {
-		for _, at := range []Time{7, 3, 3, 9, 7} {
-			n := 0
-			e.ScheduleEvery(at, func(eng *Engine) Time {
-				*trace = append(*trace, eng.Now())
-				if n++; n == 2 {
-					return -1
-				}
-				return at
-			})
-		}
-		e.Run()
-	}
-	var fresh, reused []Time
-	script(NewEngine(), &fresh)
-
-	er := NewEngine()
-	var scratch []Time
-	script(er, &scratch)
-	// Left pending across the Reset: it must never fire afterwards.
-	er.ScheduleEvery(er.Now()+50, func(*Engine) Time {
-		t.Error("driver pending at Reset fired after it")
-		return -1
-	})
-	er.Reset()
-	if er.Now() != 0 {
-		t.Fatalf("post-Reset clock = %v, want 0", er.Now())
-	}
-	script(er, &reused)
-	if !reflect.DeepEqual(fresh, reused) {
-		t.Fatalf("reset engine trace %v != fresh trace %v", reused, fresh)
-	}
-	if got, want := er.Obs().EngineEvents, uint64(2*len(fresh)); got != want {
-		t.Fatalf("EngineEvents = %d across a Reset, want cumulative %d", got, want)
-	}
-}
-
-// Steady-state reuse must not allocate: Reset keeps the driver slice, so
-// a Reset/ScheduleEvery/Run cycle with a prebuilt step is free.
+// Re-arming the driver and running it allocates nothing, so the clock
+// adds no allocation to what the benchmark's replay times.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -234,9 +96,7 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		return 800
 	}
 	cycle := func() {
-		e.Reset()
-		e.ScheduleEvery(0, step)
-		e.ScheduleEvery(400, step)
+		e.ScheduleEvery(e.Now(), step)
 		e.Run()
 	}
 	cycle()
@@ -249,36 +109,32 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	// thread, timer-heap growth) land in the process-wide count at random,
 	// while one on the measured path recurs in every batch.
 	if allocs := min(testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch), testing.AllocsPerRun(1, batch)); allocs != 0 {
-		t.Fatalf("steady-state reset/schedule/run: %.0f mallocs in 100 cycles, want 0", allocs)
+		t.Fatalf("steady-state schedule/run: %.0f mallocs in 100 cycles, want 0", allocs)
 	}
 }
 
-// Property: for any set of drivers with random starts and periods,
-// firings come in non-decreasing time order and every driver fires
-// exactly as often as its step allows.
+// Property: for a driver with a random start and period, firings come in
+// non-decreasing time order and the driver fires exactly as often as its
+// step allows.
 func TestEngineOrderingProperty(t *testing.T) {
-	prop := func(seed int64, n uint8) bool {
+	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		total := int(n%16) + 1
-		want, fired := 0, 0
+		period, left := Time(r.Intn(50)), r.Intn(8)+1
+		want, fired := left, 0
 		last := Time(-1)
 		ok := true
-		for i := 0; i < total; i++ {
-			period, left := Time(r.Intn(50)), r.Intn(8)+1
-			want += left
-			e.ScheduleEvery(Time(r.Intn(1000)), func(eng *Engine) Time {
-				fired++
-				if eng.Now() < last {
-					ok = false
-				}
-				last = eng.Now()
-				if left--; left == 0 {
-					return -1
-				}
-				return period
-			})
-		}
+		e.ScheduleEvery(Time(r.Intn(1000)), func(eng *Engine) Time {
+			fired++
+			if eng.Now() < last {
+				ok = false
+			}
+			last = eng.Now()
+			if left--; left == 0 {
+				return -1
+			}
+			return period
+		})
 		e.Run()
 		return ok && fired == want && e.Obs().EngineEvents == uint64(want)
 	}
@@ -287,8 +143,8 @@ func TestEngineOrderingProperty(t *testing.T) {
 	}
 }
 
-// Property: random delays and drivers scheduled from steps preserve
-// causality (the clock never runs backwards).
+// Property: random delays preserve causality (the clock never runs
+// backwards).
 func TestEngineClockMonotoneProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -296,8 +152,7 @@ func TestEngineClockMonotoneProperty(t *testing.T) {
 		remaining := 100
 		prev := Time(0)
 		ok := true
-		var step StepFunc
-		step = func(eng *Engine) Time {
+		e.ScheduleEvery(0, func(eng *Engine) Time {
 			if eng.Now() < prev {
 				ok = false
 			}
@@ -306,12 +161,8 @@ func TestEngineClockMonotoneProperty(t *testing.T) {
 				return -1
 			}
 			remaining--
-			if r.Intn(4) == 0 {
-				eng.ScheduleEvery(eng.Now()+Time(r.Intn(10)), step)
-			}
 			return Time(r.Intn(10))
-		}
-		e.ScheduleEvery(0, step)
+		})
 		e.Run()
 		return ok
 	}

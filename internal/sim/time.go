@@ -1,9 +1,9 @@
-// Package sim provides the simulation's frame clock: an integer simulated
-// clock and an Engine that fires recurring drivers (ScheduleEvery) in time
-// order, first-armed first among drivers due together. The paper's uplink
-// is frame-synchronous, so a scenario run schedules exactly one driver,
-// the TDMA frame tick, whose step returns each frame's (possibly
-// variable) length; station wakes live in the MAC's timer wheel.
+// Package sim provides the simulation's integer clock, Time, and its
+// conversions. The paper's uplink is frame-synchronous, so the program
+// steps a cell with one frame loop, mac.System.Run, whose frames each
+// take the (possibly variable) length the protocol returns; station
+// wakes live in the MAC's timer wheel. Engine, a one-driver frame clock,
+// remains only for the benchmark's traced replay.
 //
 // The whole reproduction is clocked in modulation symbols of the 320 kHz
 // TDMA air interface described in the paper (Table 1): one tick is one

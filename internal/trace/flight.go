@@ -7,8 +7,9 @@
 // nothing.
 //
 // Arming is process-global (ArmFlight, driven by the CLIs'
-// -flight-recorder flag); attachment is per run (core.Scenario wires a
-// Flight onto each System it drives when armed). Recording costs one
+// -flight-recorder flag); attachment is per run: core.AttachFlight wires a
+// Flight onto each System that core.Scenario.Run drives, and onto every
+// cell of a multicell deployment, when armed. Recording costs one
 // DebugEndFrame callback and a handful of counter subtractions per
 // frame; when disarmed the only cost anywhere is the hook's nil check.
 // The recorder only reads the MAC's cumulative counters, so an armed run
@@ -210,6 +211,18 @@ func (f *Flight) Dump(reason string) {
 			fmt.Fprintln(os.Stderr, "trace: flight dump:", err)
 			return
 		}
+	}
+}
+
+// DumpOnPanic, deferred around a frame loop, dumps every recorder in fls
+// when the loop panics and then lets the panic unwind: the post-mortem
+// the recorder exists for.
+func DumpOnPanic(fls ...*Flight) {
+	if r := recover(); r != nil {
+		for _, f := range fls {
+			f.Dump(fmt.Sprintf("panic: %v", r))
+		}
+		panic(r)
 	}
 }
 

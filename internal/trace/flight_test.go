@@ -2,17 +2,16 @@ package trace_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"syscall"
+	"reflect"
 	"testing"
-	"time"
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
+	"charisma/internal/multicell"
 	"charisma/internal/phy"
 	"charisma/internal/prof"
 	"charisma/internal/sim"
@@ -152,79 +151,122 @@ func TestFlightCloseDetaches(t *testing.T) {
 	runFrames(sys, proto, 10) // must not panic or record
 }
 
-// TestSIGQUITDumpsFlightJSONL re-executes the test binary, lets the
-// helper arm the recorder and raise SIGQUIT against itself, and checks
-// the process exits with the dump-handler status and leaves a parseable
-// JSONL dump behind — the full operator post-mortem path.
-func TestSIGQUITDumpsFlightJSONL(t *testing.T) {
-	if os.Getenv("CHARISMA_FLIGHT_SIGQUIT_HELPER") == "1" {
-		sigquitHelper()
-		return
-	}
+// TestDumpOnPanicDumpsEveryRing: a panic under DumpOnPanic dumps every
+// ring it was given, then keeps unwinding.
+func TestDumpOnPanicDumpsEveryRing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=TestSIGQUITDumpsFlightJSONL")
-	cmd.Env = append(os.Environ(),
-		"CHARISMA_FLIGHT_SIGQUIT_HELPER=1",
-		"CHARISMA_FLIGHT_PATH="+path)
-	out, err := cmd.CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("helper exited %v (want exit status 2)\n%s", err, out)
+	trace.ArmFlight(8, path)
+	defer trace.ArmFlight(0, "")
+	var fls []*trace.Flight
+	for _, label := range []string{"cell=0", "cell=1"} {
+		sys, proto := buildCell(t, 10)
+		fl := trace.AttachFlight(sys, 8, label)
+		defer fl.Close()
+		runFrames(sys, proto, 20)
+		fls = append(fls, fl)
 	}
-	meta, frames := parseFlight(t, path)
-	if meta == nil {
-		t.Fatalf("no meta line in SIGQUIT dump\n%s", out)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the loop's own panic", r)
+			}
+		}()
+		defer trace.DumpOnPanic(fls...)
+		panic("boom")
+	}()
+	rings := parseRings(t, path)
+	if len(rings) != 2 {
+		t.Fatalf("%d rings dumped, want 2", len(rings))
 	}
-	if meta["reason"] != "sigquit" {
-		t.Fatalf("reason = %q, want sigquit", meta["reason"])
-	}
-	if len(frames) == 0 {
-		t.Fatal("SIGQUIT dump retained no frames")
+	for _, r := range rings {
+		if r.meta["reason"] != "panic: boom" || len(r.frames) != 8 {
+			t.Fatalf("ring %q: reason %q, %d frames; want \"panic: boom\" and 8", r.meta["label"], r.meta["reason"], len(r.frames))
+		}
 	}
 }
 
-// sigquitHelper runs in the re-executed child: arm, simulate, raise
-// SIGQUIT, and wait to be terminated by the dump handler.
-func sigquitHelper() {
-	trace.ArmFlight(32, os.Getenv("CHARISMA_FLIGHT_PATH"))
-	sc := core.DefaultScenario(core.ProtoCharisma)
-	sc.NumVoice = 10
-	sys, proto, err := sc.Build()
+// ring is one recorder's part of a dump: its meta line and frames.
+type ring struct {
+	meta   map[string]any
+	frames []trace.FrameEvent
+}
+
+// parseRings splits a dump file into its rings, in file order.
+func parseRings(t *testing.T, path string) []ring {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
-		os.Exit(3)
+		t.Fatal(err)
 	}
-	proto.Init(sys)
-	fl := trace.AttachFlight(sys, 32, "sigquit-helper")
-	defer fl.Close()
-	for i := 0; i < 100; i++ {
-		sys.BeginFrame()
-		sys.EndFrame(proto.RunFrame(sys))
+	defer f.Close()
+	var rings []ring
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Bytes()
+		var probe struct {
+			Meta bool `json:"meta"`
+		}
+		if err := json.Unmarshal(line, &probe); err != nil {
+			t.Fatalf("unparseable JSONL line %q: %v", line, err)
+		}
+		if probe.Meta {
+			meta := map[string]any{}
+			if err := json.Unmarshal(line, &meta); err != nil {
+				t.Fatal(err)
+			}
+			rings = append(rings, ring{meta: meta})
+			continue
+		}
+		if len(rings) == 0 {
+			t.Fatalf("frame line %q before any meta line", line)
+		}
+		var ev trace.FrameEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		rings[len(rings)-1].frames = append(rings[len(rings)-1].frames, ev)
 	}
-	_ = syscall.Kill(os.Getpid(), syscall.SIGQUIT)
-	time.Sleep(30 * time.Second) // the handler exits the process first
-	os.Exit(3)
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rings
 }
 
 // TestRecordingDoesNotPerturbResults: an observer never changes a result
-// byte — neither an armed flight recorder around Scenario.Run nor a
-// DebugVoiceTx hook on a hand-driven frame loop, which must still see
-// the transmissions it exists to observe.
+// byte — neither an armed flight recorder around Scenario.Run or around
+// every cell of a multicell replication, nor a DebugVoiceTx hook on a
+// hand-driven frame loop, which must still see the transmissions it
+// exists to observe.
 func TestRecordingDoesNotPerturbResults(t *testing.T) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice = 25
 	sc.WarmupSec, sc.DurationSec = 0.3, 1
-	plain, err := sc.Run()
+	mp := multicell.DefaultParams()
+	mp.NumVoice, mp.NumData = 24, 4
+	mp.WarmupSec, mp.DurationSec = 0.3, 1
+	plain, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mPlain, err := multicell.Run(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace.ArmFlight(32, filepath.Join(t.TempDir(), "flight.jsonl"))
 	defer trace.ArmFlight(0, "")
-	armed, err := sc.Run()
+	armed, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if armed != plain {
 		t.Fatal("an armed flight recorder changed Scenario.Run's result")
+	}
+	mArmed, err := multicell.Run(context.Background(), mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mArmed, mPlain) {
+		t.Fatal("armed flight recorders changed multicell.Run's result")
 	}
 
 	frameLoop := func(observe bool) (res mac.Result, seen int) {

@@ -69,7 +69,8 @@ func RunMultiCell(o MultiCellOptions) (MultiCellResult, error) {
 }
 
 // RunMultiCellContext is RunMultiCell with cancellation: a cancelled
-// context stops pending replications and returns the context's error.
+// context stops pending replications and running ones too, every cell
+// within 64 frames, and returns the context's error.
 func RunMultiCellContext(ctx context.Context, o MultiCellOptions) (MultiCellResult, error) {
 	if err := cmp.Or(
 		nonNegative("Cells", o.Cells),
