@@ -637,7 +637,7 @@ func TestActiveFrameSteadyStateAllocs(t *testing.T) {
 
 // TestObsOffHotPathAllocs is the observability cost gate: with no
 // observer attached (no flight recorder) the always-compiled-in
-// obs.SimCounters must be invisible. The steady-state frame path stays
+// mac.Counters must be invisible. The steady-state frame path stays
 // within the active-frame malloc ceiling while the counters demonstrably
 // advance. If instrumentation ever grows an allocation per frame, this
 // fails before any golden or bench gate does.

@@ -82,7 +82,7 @@ func main() {
 		progress   = flag.Bool("progress", true, "render live per-point sweep progress to stderr as replications settle")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		flightN    = flag.Int("flight-recorder", 0, "keep the last N frames of each local replication; dump JSONL on panic/SIGQUIT/sweep anomaly")
+		flightN    = flag.Int("flight-recorder", 0, "keep the last N frames of each local replication; dump JSONL on panic/SIGQUIT")
 		flightPath = flag.String("flight-path", "charisma-flight.jsonl", "flight-recorder dump file (JSONL, appended)")
 	)
 	flag.Parse()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"charisma/internal/mathx"
-	"charisma/internal/obs"
 	"charisma/internal/rng"
 	"charisma/internal/sim"
 )
@@ -232,16 +231,6 @@ func (s *Slab) Reset() {
 	for _, pl := range s.planes {
 		pl.classes = pl.classes[:0]
 	}
-}
-
-// Obs sums the lazy-replay counters of every chunk plane the slab has
-// allocated. Read at a quiescent point only.
-func (s *Slab) Obs() obs.SimCounters {
-	var sum obs.SimCounters
-	for _, pl := range s.planes {
-		sum.Add(&pl.ctr)
-	}
-	return sum
 }
 
 // TracePoint is one sample of a recorded fading trace (Fig. 5 style).

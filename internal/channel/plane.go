@@ -29,7 +29,6 @@ import (
 	"math"
 
 	"charisma/internal/mathx"
-	"charisma/internal/obs"
 	"charisma/internal/rng"
 	"charisma/internal/sim"
 )
@@ -86,10 +85,6 @@ const slabChunk = 64
 // epoch.
 type plane struct {
 	classes []coeffClass
-
-	// ctr counts lazy-replay catch-ups. Plain adds on the goroutine that
-	// owns the plane's cell — see package obs.
-	ctr obs.SimCounters
 
 	classOf [slabChunk]int32
 	streams [slabChunk]*rng.Stream
@@ -176,8 +171,6 @@ func (pl *plane) advanceUserSteps(i int, dt sim.Time, n int) {
 	if n <= 0 {
 		return
 	}
-	pl.ctr.ChannelCatchUps++
-	pl.ctr.ChannelCatchUpSteps += uint64(n)
 	if dt < 0 {
 		panic("channel: negative time step")
 	}

@@ -81,7 +81,7 @@ func TestChaoticSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.EnableAudit(grid.Audit{Frac: 1, Seed: 9, Workers: 2})
+	sess.EnableAudit(grid.Audit{Frac: 1, Seed: 9})
 	sv := grid.NewServer()
 	sv.LeaseTTL = 250 * time.Millisecond
 	sv.Attach(sess)

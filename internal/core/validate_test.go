@@ -89,6 +89,30 @@ func TestValidateRejections(t *testing.T) {
 			mutate: func(sc *Scenario) { sc.MAC.Geometry.MinislotSymbols = -1 },
 			field:  "MAC",
 		},
+		{
+			name:   "negative CHARISMA fairness memory",
+			mutate: func(sc *Scenario) { sc.MAC.Charisma.FairnessMemory = -0.1 },
+			field:  "MAC",
+			reason: "fairness memory -0.1",
+		},
+		{
+			name:   "CHARISMA fairness memory of 1",
+			mutate: func(sc *Scenario) { sc.MAC.Charisma.FairnessMemory = 1 },
+			field:  "MAC",
+			reason: "fairness memory 1",
+		},
+		{
+			name:   "CHARISMA fairness memory above 1",
+			mutate: func(sc *Scenario) { sc.MAC.Charisma.FairnessMemory = 1.5 },
+			field:  "MAC",
+			reason: "fairness memory 1.5",
+		},
+		{
+			name:   "negative CHARISMA fairness exponent",
+			mutate: func(sc *Scenario) { sc.MAC.Charisma.FairnessExponent = -1 },
+			field:  "MAC",
+			reason: "fairness exponent -1",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,6 +149,21 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 		sparse := Scenario{Protocol: p, NumVoice: 10}
 		if err := sparse.WithDefaults().Validate(); err != nil {
 			t.Errorf("sparse %s scenario after WithDefaults: %v", p, err)
+		}
+	}
+}
+
+// TestValidateAcceptsFairnessKnobs: zero keeps its documented meaning for
+// both CHARISMA fairness knobs (default memory, fairness off), and values
+// inside their ranges are accepted.
+func TestValidateAcceptsFairnessKnobs(t *testing.T) {
+	for _, mem := range []float64{0, 0.5} {
+		for _, exp := range []float64{0, 1} {
+			sc := DefaultScenario(ProtoCharisma).WithDefaults()
+			sc.MAC.Charisma.FairnessMemory, sc.MAC.Charisma.FairnessExponent = mem, exp
+			if err := sc.Validate(); err != nil {
+				t.Errorf("memory %v, exponent %v: %v", mem, exp, err)
+			}
 		}
 	}
 }

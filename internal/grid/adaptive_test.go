@@ -1,13 +1,18 @@
 package grid
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
+	"charisma/internal/prof"
 	"charisma/internal/stats"
 )
 
@@ -184,5 +189,41 @@ func TestAdaptiveDisabledKeepsFixedReps(t *testing.T) {
 		if n := sess.Progress().Points[j].Scheduled; n != 2 {
 			t.Fatalf("point %d grew to %d reps with adaptation disabled", j, n)
 		}
+	}
+}
+
+// TestAnomalyWarnsWithoutDump: a point that reaches its replication cap
+// unconverged is reported to the session's logger, and dumps nothing: by
+// then its own replications have closed their flight rings, so a dump
+// could only hold other runs' frames.
+func TestAnomalyWarnsWithoutDump(t *testing.T) {
+	dumped := make(chan string, 1)
+	cancel := prof.OnDump("anomaly-test", func(reason string) {
+		select {
+		case dumped <- reason:
+		default:
+		}
+	})
+	defer cancel()
+
+	// Data traffic gives throughput a nonzero mean that two replications
+	// cannot pin to a 1e-9 relative CI95.
+	pt := Point{Spec: ScenarioSpec(tinyScenario(core.ProtoCharisma, 4, 4)), Replications: 2}
+	sess, err := NewSession([]Point{pt}, nil, Precision{TargetRel: 1e-9, MaxReps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	sess.SetLogger(slog.New(slog.NewTextHandler(&logged, nil)))
+	if err := RunLocal(context.Background(), sess, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logged.String(), "sweep point hit replication cap without converging") {
+		t.Fatalf("no anomaly warning logged:\n%s", logged.String())
+	}
+	select {
+	case reason := <-dumped:
+		t.Fatalf("the anomaly triggered a dump (reason %q)", reason)
+	case <-time.After(2 * time.Second):
 	}
 }

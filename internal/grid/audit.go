@@ -35,8 +35,6 @@ type Audit struct {
 	// Seed derives the audit coin's rng substream, so which results get
 	// audited is reproducible given the same completion order.
 	Seed int64
-	// Workers bounds concurrent local re-executions (below 1 means 1).
-	Workers int
 }
 
 // Enabled reports whether auditing is active.
@@ -62,24 +60,18 @@ type deliveredEntry struct {
 }
 
 // EnableAudit arms byzantine-result defense on the session and starts the
-// audit executors. Call it right after NewSession, before any transport
+// audit executor. Call it right after NewSession, before any transport
 // delivers results; enabling mid-sweep would let earlier results through
 // unaudited and untracked.
 func (s *Session) EnableAudit(cfg Audit) {
 	if !cfg.Enabled() {
 		return
 	}
-	n := cfg.Workers
-	if n < 1 {
-		n = 1
-	}
 	s.mu.Lock()
 	s.audit = cfg
 	s.auditRng = rng.Derive(cfg.Seed, "grid", "audit")
 	s.mu.Unlock()
-	for i := 0; i < n; i++ {
-		go s.auditLoop()
-	}
+	go s.auditLoop()
 }
 
 // auditPickLocked flips the audit coin for one remote result. Caller
@@ -103,9 +95,9 @@ func resultsIdentical(a, b mac.Result) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-// auditLoop is one audit executor: it pops parked jobs, re-executes them
+// auditLoop is the audit executor: it pops parked jobs, re-executes them
 // locally (outside the session mutex — a replication can take seconds),
-// and delivers the verdict. Loops exit when the session closes with no
+// and delivers the verdict. It exits when the session closes with no
 // parked work left; checkDone keeps the session open while audits are
 // parked or executing, because a failed audit creates new work.
 func (s *Session) auditLoop() {

@@ -197,7 +197,7 @@ func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.EnableAudit(Audit{Frac: 1, Seed: 5, Workers: 2})
+	sess.EnableAudit(Audit{Frac: 1, Seed: 5})
 	sv := NewServer()
 	sv.Attach(sess)
 	hs := httptest.NewServer(sv)

@@ -60,8 +60,10 @@
 // A Session also publishes its own live state: Progress snapshots carry,
 // per sweep point, the replications resolved so far and the partial
 // aggregate over the successful ones (with across-replication CI95
-// half-widths), version-stamped and coalesced latest-wins through
-// Subscribe. The Server serves the same snapshot over GET /progress, and
-// cmd/charisma-experiments renders it as per-point panel data while the
-// sweep is still running.
+// half-widths), version-stamped so that WaitProgress blocks until the
+// state moves past a version the caller has seen. RunPoints hands each
+// new snapshot to DriveConfig.OnProgress, and a slow callback skips to
+// the latest one. The Server serves the same snapshot over GET /progress,
+// and cmd/charisma-experiments renders it as per-point panel data while
+// the sweep is still running.
 package grid

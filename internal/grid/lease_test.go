@@ -341,28 +341,18 @@ func TestWorkerAbandonsSupersededLease(t *testing.T) {
 	}
 }
 
-// TestProgressStreaming: subscribers see monotonically growing versions,
-// per-point settlement with live aggregates, and a final Done snapshot
-// whose per-point aggregates equal the session's Results.
+// TestProgressStreaming: RunPoints' OnProgress sees strictly increasing
+// versions, per-point settlement with live aggregates, and a final Done
+// snapshot whose per-point aggregates equal the sweep's results.
 func TestProgressStreaming(t *testing.T) {
-	ctx := context.Background()
-	sess, err := NewSession(sweepPoints(2), nil, Precision{})
+	var seen []Progress
+	want, err := RunPoints(context.Background(), sweepPoints(2), DriveConfig{
+		Workers:    2,
+		OnProgress: func(p Progress) { seen = append(seen, p) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := sess.Subscribe(ctx)
-	done := make(chan []Progress)
-	go func() {
-		var seen []Progress
-		for p := range sub {
-			seen = append(seen, p)
-		}
-		done <- seen
-	}()
-	if err := RunLocal(ctx, sess, 2); err != nil {
-		t.Fatal(err)
-	}
-	seen := <-done
 	if len(seen) == 0 {
 		t.Fatal("no progress snapshots delivered")
 	}
@@ -374,10 +364,6 @@ func TestProgressStreaming(t *testing.T) {
 		if seen[i].Version <= seen[i-1].Version {
 			t.Fatalf("versions not increasing: %d then %d", seen[i-1].Version, seen[i].Version)
 		}
-	}
-	want, err := sess.Results()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(last.Points) != len(want) {
 		t.Fatalf("final snapshot has %d points, want %d", len(last.Points), len(want))

@@ -28,9 +28,10 @@ type DriveConfig struct {
 	Audit Audit
 	// Stats, when non-nil, accumulates simulated/cache-hit counts.
 	Stats *SweepStats
-	// OnProgress, when non-nil, receives coalesced (latest-wins) progress
-	// snapshots while the sweep runs, ending with the final state — live
-	// per-point aggregates before the sweep settles.
+	// OnProgress, when non-nil, receives progress snapshots while the
+	// sweep runs, ending with the final state: live per-point aggregates
+	// before the sweep settles. A slow callback skips to the latest
+	// snapshot.
 	OnProgress func(Progress)
 }
 
@@ -47,14 +48,20 @@ func RunPoints(ctx context.Context, points []Point, cfg DriveConfig) ([]mac.Resu
 		cfg.Server.Attach(sess)
 	}
 	if cfg.OnProgress != nil {
-		// The subscription drains on its own: the channel closes after
-		// the final snapshot when the session settles or ctx is
-		// cancelled — the same two ways the drive below returns.
+		// The relay ends after the final snapshot, when the session
+		// settles or ctx is cancelled: the same two ways the drive below
+		// returns.
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			for p := range sess.Subscribe(ctx) {
-				cfg.OnProgress(p)
+			last := int64(-1)
+			for more := true; more; {
+				var p Progress
+				p, more = sess.WaitProgress(ctx, last)
+				if p.Version > last {
+					last = p.Version
+					cfg.OnProgress(p)
+				}
 			}
 		}()
 		defer func() { <-done }()

@@ -2,8 +2,10 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 )
 
 // serveMetrics renders the coordinator's state in Prometheus text
@@ -13,7 +15,7 @@ import (
 //   - the server's own protocol counters (tasks served, heartbeats,
 //     results accepted/rejected),
 //   - the attached session's scheduler state (executed, cache hits,
-//     crash re-queues, live leases) via one Progress snapshot,
+//     crash re-queues, live leases) via one locked read of its counters,
 //   - the session's cache-stack traffic and the claim-to-completion
 //     duration histogram.
 //
@@ -44,7 +46,7 @@ func (sv *Server) serveMetrics(w http.ResponseWriter) {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s%s %v\n",
 				name, help, name, typ, name, lbl, v)
 		}
-		p := sess.Progress()
+		p := sess.counters()
 		scoped("charisma_grid_executed_total", "counter",
 			"Replications simulated by workers (cache misses executed).", p.Executed)
 		scoped("charisma_grid_cache_hits_total", "counter",
@@ -80,13 +82,54 @@ func (sv *Server) serveMetrics(w http.ResponseWriter) {
 			counter("charisma_grid_cache_disk_put_errors_total",
 				"Failed on-disk cache writes (disk tier degrades after repeats).", cs.DiskPutErrors)
 		}
-		if h := sess.RepDurations(); h != nil {
-			const hn = "charisma_grid_rep_duration_seconds"
-			fmt.Fprintf(&b, "# HELP %s Worker claim-to-completion time per replication.\n# TYPE %s histogram\n", hn, hn)
-			h.WritePrometheus(&b, hn)
-		}
+		const hn = "charisma_grid_rep_duration_seconds"
+		fmt.Fprintf(&b, "# HELP %s Worker claim-to-completion time per replication.\n# TYPE %s histogram\n", hn, hn)
+		sess.repDur.writePrometheus(&b, hn)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
+}
+
+// repDurBuckets are the upper bounds, in seconds, of the claim-to-completion
+// histogram's buckets; a +Inf bucket follows them. Replications span ~10 ms
+// loopback microsweeps to minutes-long million-station points.
+var repDurBuckets = [...]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
+
+// repDurHist is the claim-to-completion histogram (seconds from a task's
+// claim to its accepted completion) in the Prometheus cumulative-bucket
+// model. Completions observe it and /metrics handlers read it from any
+// goroutine, so every field is atomic. The zero value is ready to use.
+type repDurHist struct {
+	counts  [len(repDurBuckets) + 1]atomic.Uint64 // per bucket, not cumulative; the last is +Inf
+	sumBits atomic.Uint64                         // float64 bits of the running sum
+}
+
+// observe records one duration.
+func (h *repDurHist) observe(v float64) {
+	i := 0
+	for i < len(repDurBuckets) && v > repDurBuckets[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// writePrometheus appends the histogram's samples under name; the caller
+// writes the # HELP and # TYPE lines. The count is the +Inf bucket's.
+func (h *repDurHist) writePrometheus(b *strings.Builder, name string) {
+	cum := uint64(0)
+	for i, bound := range repDurBuckets {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, bound, cum)
+	}
+	cum += h.counts[len(repDurBuckets)].Load()
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %g\n", name, math.Float64frombits(h.sumBits.Load()))
+	fmt.Fprintf(b, "%s_count %d\n", name, cum)
 }

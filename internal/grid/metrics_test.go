@@ -7,8 +7,11 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"charisma/internal/core"
 )
 
 func fetchText(t *testing.T, hs *httptest.Server, path string) (string, string) {
@@ -241,6 +244,106 @@ func TestWorkerStatsSnapshot(t *testing.T) {
 	for _, key := range []string{"claimed", "completed", "abandoned", "cache_hits", "cache_misses", "heartbeats", "heartbeat_avg_ms"} {
 		if !strings.Contains(string(b), `"`+key+`"`) {
 			t.Errorf("snapshot JSON missing %q: %s", key, b)
+		}
+	}
+}
+
+// histPage renders h as /metrics would, under the name x.
+func histPage(h *repDurHist) string {
+	var b strings.Builder
+	h.writePrometheus(&b, "x")
+	return b.String()
+}
+
+// TestRepDurHistBuckets: a value equal to a bound counts in that bound's
+// bucket, a value past the last bound counts only in +Inf, and the sum
+// and count cover every observation.
+func TestRepDurHistBuckets(t *testing.T) {
+	var h repDurHist
+	vals := []float64{0.005, 0.01, 0.5, 2, 200}
+	sum := 0.0
+	for _, v := range vals {
+		h.observe(v)
+		sum += v
+	}
+	page := histPage(&h)
+	for name, want := range map[string]float64{
+		`x_bucket{le="0.01"}`:  2, // 0.005 and the boundary value 0.01
+		`x_bucket{le="0.025"}`: 2,
+		`x_bucket{le="0.5"}`:   3,
+		`x_bucket{le="2.5"}`:   4,
+		`x_bucket{le="120"}`:   4,
+		`x_bucket{le="+Inf"}`:  5,
+		"x_sum":                sum,
+		"x_count":              5,
+	} {
+		if got, ok := metricValue(t, page, name); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v in:\n%s", name, got, ok, want, page)
+		}
+	}
+}
+
+// TestRepDurHistConcurrent: observations from 8 goroutines at once are
+// all counted and summed (run under -race).
+func TestRepDurHistConcurrent(t *testing.T) {
+	var h repDurHist
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.observe(float64(i % 5))
+			}
+		}()
+	}
+	wg.Wait()
+	page := histPage(&h)
+	for name, want := range map[string]float64{
+		`x_bucket{le="1"}`:    3200, // the 0s and 1s
+		`x_bucket{le="2.5"}`:  4800,
+		`x_bucket{le="+Inf"}`: 8000,
+		"x_count":             8000,
+		"x_sum":               8 * 1000 / 5 * (0 + 1 + 2 + 3 + 4),
+	} {
+		if got, ok := metricValue(t, page, name); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
+// TestStatsAndMetricsCostFlatInPoints: /stats and /metrics read the
+// session's counters, so a request allocates about as much at 1,500
+// settled points as at 10; neither copies nor aggregates per-point
+// results.
+func TestStatsAndMetricsCostFlatInPoints(t *testing.T) {
+	ctx := context.Background()
+	cache := NewMemCache()
+	pt := Point{Spec: ScenarioSpec(tinyScenario(core.ProtoCharisma, 4, 0)), Replications: 2}
+	if _, err := RunPoints(ctx, []Point{pt}, DriveConfig{Cache: cache, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int, path string) float64 {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = pt
+		}
+		sess, err := NewSession(pts, cache, Precision{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := sess.Progress(); !p.Done || p.CacheHits != 2*n {
+			t.Fatalf("%d points: session not settled from the cache: %+v", n, p)
+		}
+		sv := NewServer()
+		sv.Attach(sess)
+		req := httptest.NewRequest("GET", path, nil)
+		return testing.AllocsPerRun(20, func() { sv.ServeHTTP(httptest.NewRecorder(), req) })
+	}
+	for _, path := range []string{"/stats", "/metrics"} {
+		small, large := allocs(10, path), allocs(1500, path)
+		if large > small+4 {
+			t.Errorf("%s: %.0f allocs per request at 1500 points, %.0f at 10", path, large, small)
 		}
 	}
 }

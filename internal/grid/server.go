@@ -246,7 +246,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			Done      bool
 		}{}
 		if sess != nil {
-			p := sess.Progress()
+			p := sess.counters()
 			st.Executed, st.CacheHits, st.Requeues, st.Done = p.Executed, p.CacheHits, p.Requeues, p.Done
 		}
 		writeJSON(w, st)

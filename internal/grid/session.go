@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"charisma/internal/mac"
-	"charisma/internal/obs"
-	"charisma/internal/prof"
 	"charisma/internal/rng"
 	"charisma/internal/run"
 	"charisma/internal/stats"
@@ -159,7 +157,7 @@ type Session struct {
 	closed   bool
 
 	// Byzantine-result defense (see Audit / audit.go). auditCond wakes the
-	// audit executors when a remote result is parked for re-execution;
+	// audit executor when a remote result is parked for re-execution;
 	// delivered tracks the provenance of unaudited remote results so a
 	// quarantine can unwind them; quarantined workers get no tasks and
 	// their posts die on lease validation.
@@ -178,14 +176,9 @@ type Session struct {
 	// sweep-point anomalies) when set via SetLogger; nil stays silent.
 	log *slog.Logger
 	// repDur observes wall-clock seconds from lease claim to accepted
-	// completion — the per-task replication-duration histogram /metrics
-	// exports.
-	repDur *obs.Histogram
+	// completion; /metrics exports it.
+	repDur repDurHist
 }
-
-// repDurBuckets are the fixed rep-duration buckets (seconds). Replications
-// span ~10 ms loopback microsweeps to minutes-long million-station points.
-var repDurBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 
 // NewSession validates and hashes every point, resolves the initial
 // replications against the cache, and queues the misses. Identical
@@ -212,7 +205,6 @@ func NewSession(points []Point, cache Cache, prec Precision) (*Session, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.progCond = sync.NewCond(&s.mu)
 	s.auditCond = sync.NewCond(&s.mu)
-	s.repDur = obs.NewHistogram(repDurBuckets...)
 
 	// Hash every point and derive its initial keys, then resolve each
 	// distinct key against the cache once — both spread over run.Map
@@ -392,18 +384,15 @@ func (s *Session) nextTarget(j int) int {
 	repCap := s.prec.repCap()
 	if st.scheduled >= repCap {
 		// A point pinned at the cap whose CI95 still misses the target is
-		// the sweep anomaly the flight recorder wants a post-mortem for:
-		// something in this parameter corner has pathological variance.
-		// Report once per point; the growth decision itself stays a pure
-		// function of the completed results.
+		// a sweep anomaly: something in this parameter corner has
+		// pathological variance. Report once per point; the growth
+		// decision itself stays a pure function of the completed results.
 		if !st.anomaly && st.failed == 0 && st.completed >= 2 && !s.converged(st) {
 			st.anomaly = true
 			if s.log != nil {
 				s.log.Warn("sweep point hit replication cap without converging",
 					"session", s.serial, "point", j, "reps", st.scheduled)
 			}
-			// Detached: DumpAll must not run under s.mu.
-			go prof.DumpAll(fmt.Sprintf("sweep-anomaly: point %d at rep cap %d", j, repCap))
 		}
 		return st.scheduled
 	}
@@ -704,7 +693,7 @@ func (s *Session) Complete(r TaskResult) error {
 	delete(s.leases, r.Lease)
 	delete(s.avoid, key)
 	if !l.claimedAt.IsZero() {
-		s.repDur.Observe(time.Since(l.claimedAt).Seconds())
+		s.repDur.observe(time.Since(l.claimedAt).Seconds())
 	}
 	if _, present := s.inflight[key]; !present {
 		// Duplicate or stray delivery: drop it *before* touching the
@@ -797,10 +786,6 @@ func (s *Session) SetLogger(l *slog.Logger) {
 	s.mu.Unlock()
 }
 
-// RepDurations returns the session's claim-to-completion duration
-// histogram (seconds, fixed buckets). Safe for concurrent reads.
-func (s *Session) RepDurations() *obs.Histogram { return s.repDur }
-
 // CacheStats returns the hit/miss traffic of the session's cache stack,
 // when the cache counts it (ok false otherwise).
 func (s *Session) CacheStats() (CacheStats, bool) {
@@ -869,16 +854,12 @@ type Progress struct {
 	Done         bool
 }
 
-// progressLocked copies the snapshot's raw state: counters plus each
-// point's successful results so far. The O(points × reps) aggregation
-// happens in finishProgress, outside the session mutex, so building a
-// snapshot never stalls claimers or completions beyond a copy. Caller
-// holds s.mu.
-func (s *Session) progressLocked() (Progress, [][]mac.Result) {
-	p := Progress{
+// countersLocked reads the session's counters: a Progress without Points.
+// Caller holds s.mu.
+func (s *Session) countersLocked() Progress {
+	return Progress{
 		Session:      s.serial,
 		Version:      s.version,
-		Points:       make([]PointProgress, len(s.states)),
 		Executed:     s.executed,
 		CacheHits:    s.hits,
 		Requeues:     s.requeues,
@@ -888,6 +869,25 @@ func (s *Session) progressLocked() (Progress, [][]mac.Result) {
 		Quarantined:  s.quarantines,
 		Done:         s.closed,
 	}
+}
+
+// counters returns the session's counters without the per-point
+// snapshot: one locked read that copies and aggregates no results.
+// /stats, /metrics and SweepStats read it.
+func (s *Session) counters() Progress {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.countersLocked()
+}
+
+// progressLocked copies the snapshot's raw state: counters plus each
+// point's successful results so far. The O(points × reps) aggregation
+// happens in finishProgress, outside the session mutex, so building a
+// snapshot never stalls claimers or completions beyond a copy. Caller
+// holds s.mu.
+func (s *Session) progressLocked() (Progress, [][]mac.Result) {
+	p := s.countersLocked()
+	p.Points = make([]PointProgress, len(s.states))
 	good := make([][]mac.Result, len(s.states))
 	for j, st := range s.states {
 		g := make([]mac.Result, 0, st.completed-st.failed)
@@ -947,33 +947,6 @@ func (s *Session) WaitProgress(ctx context.Context, after int64) (p Progress, mo
 	return p, more
 }
 
-// Subscribe returns a channel of progress snapshots: one whenever the
-// session's state changes, coalesced latest-wins so a slow consumer never
-// blocks the scheduler and always sees the freshest state. The channel
-// closes after the final snapshot (session done or context cancelled).
-func (s *Session) Subscribe(ctx context.Context) <-chan Progress {
-	ch := make(chan Progress, 1)
-	go func() {
-		defer close(ch)
-		var last int64 = -1
-		for {
-			p, more := s.WaitProgress(ctx, last)
-			if p.Version > last {
-				last = p.Version
-				select {
-				case <-ch: // drop the undelivered stale snapshot
-				default:
-				}
-				ch <- p
-			}
-			if !more {
-				return
-			}
-		}
-	}()
-	return ch
-}
-
 // SweepStats accumulates grid activity across the sessions of one process
 // (a multi-panel experiments run attaches one session per sweep).
 type SweepStats struct {
@@ -983,16 +956,14 @@ type SweepStats struct {
 	Quarantined int
 }
 
-// Observe folds one finished session's counters into the stats. It reads
-// the four counters under the session lock, not a Progress snapshot, so it
+// Observe folds one finished session's counters into the stats. It
 // copies and aggregates no results.
 func (st *SweepStats) Observe(s *Session) {
-	s.mu.Lock()
-	st.Simulated += s.executed
-	st.CacheHits += s.hits
-	st.Requeues += s.requeues
-	st.Quarantined += s.quarantines
-	s.mu.Unlock()
+	p := s.counters()
+	st.Simulated += p.Executed
+	st.CacheHits += p.CacheHits
+	st.Requeues += p.Requeues
+	st.Quarantined += p.Quarantined
 }
 
 // String renders the counters for operator output.

@@ -186,7 +186,7 @@ func (p *Protocol) Init(s *mac.System) {
 // CSI term: avgEta^exponent, clamped away from zero.
 func (p *Protocol) fairnessWeight(s *mac.System, id int) float64 {
 	exp := s.Cfg.Charisma.FairnessExponent
-	if exp <= 0 {
+	if exp == 0 {
 		return 1
 	}
 	avg := p.avgEta[id]
@@ -199,11 +199,11 @@ func (p *Protocol) fairnessWeight(s *mac.System, id int) float64 {
 // observeEta folds a scheduled transmission's throughput into the user's
 // EWMA for the fairness extension.
 func (p *Protocol) observeEta(s *mac.System, id int, eta float64) {
-	if s.Cfg.Charisma.FairnessExponent <= 0 {
+	if s.Cfg.Charisma.FairnessExponent == 0 {
 		return
 	}
 	mem := s.Cfg.Charisma.FairnessMemory
-	if mem <= 0 || mem >= 1 {
+	if mem == 0 {
 		mem = 0.99
 	}
 	p.avgEta[id] = mem*p.avgEta[id] + (1-mem)*eta

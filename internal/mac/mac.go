@@ -9,7 +9,6 @@ import (
 	"charisma/internal/channel"
 	"charisma/internal/frame"
 	"charisma/internal/mathx"
-	"charisma/internal/obs"
 	"charisma/internal/phy"
 	"charisma/internal/rng"
 	"charisma/internal/sim"
@@ -165,11 +164,11 @@ type CharismaParams struct {
 	// ranked by how good its channel is *relative to its own norm*
 	// rather than absolutely. 0 (default) reproduces eq. (2) exactly;
 	// 1 gives fully proportional-fair ranking that stops starving
-	// permanently shadowed users.
+	// permanently shadowed users. Negative is invalid.
 	FairnessExponent float64
-	// FairnessMemory is the EWMA coefficient for the per-user average
-	// throughput estimate (per scheduled transmission); defaults to
-	// 0.99 when the exponent is positive.
+	// FairnessMemory is the EWMA coefficient, in [0,1), for the per-user
+	// average throughput estimate (per scheduled transmission); 0 means
+	// 0.99.
 	FairnessMemory float64
 }
 
@@ -269,6 +268,12 @@ func (c Config) Validate() error {
 	if c.CSIEstNoiseStd < 0 {
 		return fmt.Errorf("mac: negative CSI noise %v", c.CSIEstNoiseStd)
 	}
+	if cp.FairnessExponent < 0 {
+		return fmt.Errorf("mac: negative CHARISMA fairness exponent %v", cp.FairnessExponent)
+	}
+	if cp.FairnessMemory < 0 || cp.FairnessMemory >= 1 {
+		return fmt.Errorf("mac: CHARISMA fairness memory %v out of [0,1)", cp.FairnessMemory)
+	}
 	return nil
 }
 
@@ -354,18 +359,29 @@ type System struct {
 	// frame path pays one predictable branch.
 	DebugEndFrame func(dur sim.Time)
 
-	// ctr is the system's block of hot-path observability counters
-	// (wheel arms/cascades/wakes, epoch bumps, candidate cache
-	// hits/misses). Plain uint64 adds on the owning goroutine — see
-	// package obs for the synchronization contract.
-	ctr obs.SimCounters
+	ctr Counters
 }
 
-// Obs returns the system's registry/wheel/candidate-cache counters.
-// Cumulative across Reset and ResetLazy (a reused system reports totals
-// over every replication it hosted); read only from the driving goroutine
-// or after it has quiesced.
-func (s *System) Obs() *obs.SimCounters { return &s.ctr }
+// Counters are a System's registry event counts. Only the goroutine that
+// drives the system writes them, with plain adds: no atomics, no
+// allocation, no rng draw, so the frame path pays a register add and no
+// result byte moves. They are cumulative across Reset and ResetLazy: a
+// reused system reports totals over every replication it hosted. Read
+// them only once the driver has quiesced (between replications, or after
+// Run returns).
+type Counters struct {
+	WheelArms     uint64 // timers armed on the wheel
+	WheelCascades uint64 // level cascades triggered by pointer advance
+	WheelWakes    uint64 // stations collected as due and woken
+	EpochBumps    uint64 // candidacy-changing Reindex calls (cache invalidations)
+	CandHits      uint64 // ForEachCandidate served from the cached scratch
+	CandMisses    uint64 // ForEachCandidate rebuilds of the scratch
+}
+
+// Obs returns the system's counters. Only the driving goroutine writes
+// them; read them only once it has quiesced. They are cumulative across
+// Reset and ResetLazy.
+func (s *System) Obs() *Counters { return &s.ctr }
 
 // NewSystem assembles a system over stations the caller built, wired to
 // their fading processes and traffic sources. It is Reset on a new System.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"charisma/internal/obs"
 	"charisma/internal/sim"
 )
 
@@ -160,7 +159,7 @@ type registry struct {
 // the registry with zero allocations when the population size repeats.
 // ctr is the owning System's counter block; the wheel writes its
 // arm/cascade counts there.
-func (r *registry) reset(n int, ctr *obs.SimCounters) {
+func (r *registry) reset(n int, ctr *Counters) {
 	words := (n + 63) / 64
 	for b := range r.sets {
 		if cap(r.sets[b]) >= words {

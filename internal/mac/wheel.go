@@ -3,7 +3,6 @@ package mac
 import (
 	"math/bits"
 
-	"charisma/internal/obs"
 	"charisma/internal/sim"
 )
 
@@ -85,7 +84,7 @@ type timerWheel struct {
 	// private block so a standalone wheel (tests) counts somewhere;
 	// registry.reset re-points it at the owning System's block. Never
 	// nil after reset, so the hot paths increment unconditionally.
-	ctr *obs.SimCounters
+	ctr *Counters
 }
 
 // reset (re-)initializes the wheel for an n-station cell, truncating any
@@ -116,7 +115,7 @@ func (w *timerWheel) reset(n int, stamp []sim.Time) {
 	w.stamp = stamp
 	w.scratch = w.scratch[:0]
 	if w.ctr == nil {
-		w.ctr = new(obs.SimCounters)
+		w.ctr = new(Counters)
 	}
 }
 

@@ -31,10 +31,10 @@ type namedDump struct {
 	fn   func(reason string)
 }
 
-// OnDump registers fn to run whenever DumpAll fires (SIGQUIT, a sweep
-// anomaly, or an explicit call). name labels the artifact in the error
-// path. The returned cancel function unregisters; it is safe to call
-// more than once.
+// OnDump registers fn to run whenever DumpAll fires (SIGQUIT or an
+// explicit call). name labels the artifact in the error path. The
+// returned cancel function unregisters; it is safe to call more than
+// once.
 func OnDump(name string, fn func(reason string)) (cancel func()) {
 	dumpMu.Lock()
 	id := dumpSeq

@@ -1,7 +1,5 @@
 package sim
 
-import "charisma/internal/obs"
-
 // StepFunc is the recurring driver scheduled with ScheduleEvery. After
 // each firing it returns the delay until its next firing; a negative
 // delay stops it. Variable-length cadences (RMAV's variable frames)
@@ -18,7 +16,14 @@ type Engine struct {
 	now  Time
 	at   Time
 	step StepFunc
-	ctr  obs.SimCounters
+	ctr  Counters
+}
+
+// Counters counts the engine's driver firings. Only the goroutine running
+// the engine writes it, with a plain add; read it only once Run has
+// returned.
+type Counters struct {
+	EngineEvents uint64 // driver firings: one per frame of the traced replay
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -27,10 +32,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Obs returns the engine's counters; EngineEvents counts driver firings.
-// Read them only from the goroutine driving the engine, or after it has
-// quiesced.
-func (e *Engine) Obs() *obs.SimCounters { return &e.ctr }
+// Obs returns the engine's counters. Only the goroutine driving the
+// engine writes them; read them only once it has quiesced.
+func (e *Engine) Obs() *Counters { return &e.ctr }
 
 // ScheduleEvery arms the engine's driver: it first fires at absolute time
 // start and thereafter re-fires after whatever delay step returns, until

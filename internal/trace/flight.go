@@ -1,10 +1,9 @@
 // Package trace is the flight recorder: a fixed-size ring buffer of
 // frame-level MAC events kept alive while a run is in progress and
-// dumped as JSONL only when something goes wrong — a panic in the frame
-// loop, a SIGQUIT from the operator, or a sweep point whose CI95 blew
-// past the replication cap. A misbehaving million-station run then
-// leaves its last N frames behind as a post-mortem artifact instead of
-// nothing.
+// dumped as JSONL only when something goes wrong: a panic in the frame
+// loop, or a SIGQUIT from the operator. A misbehaving million-station
+// run then leaves its last N frames behind as a post-mortem artifact
+// instead of nothing.
 //
 // Arming is process-global (ArmFlight, driven by the CLIs'
 // -flight-recorder flag); attachment is per run: core.AttachFlight wires a

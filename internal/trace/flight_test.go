@@ -124,16 +124,16 @@ func TestFlightDumpsOnDumpAll(t *testing.T) {
 	defer trace.ArmFlight(0, "")
 
 	sys, proto := buildCell(t, 10)
-	fl := trace.AttachFlight(sys, 8, "anomaly-test")
+	fl := trace.AttachFlight(sys, 8, "dumpall-test")
 	defer fl.Close()
 	runFrames(sys, proto, 50)
-	prof.DumpAll("sweep-anomaly: test")
+	prof.DumpAll("explicit: test")
 
 	meta, frames := parseFlight(t, path)
 	if meta == nil || len(frames) != 8 {
 		t.Fatalf("DumpAll produced meta=%v frames=%d, want meta + 8 frames", meta, len(frames))
 	}
-	if meta["reason"] != "sweep-anomaly: test" {
+	if meta["reason"] != "explicit: test" {
 		t.Fatalf("reason = %q", meta["reason"])
 	}
 }
