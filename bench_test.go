@@ -442,28 +442,28 @@ func BenchmarkModeSelection(b *testing.B) {
 
 // --- population scaling: million-station cells -----------------------------
 
-// parkedLazyCell builds an n-station deferred population with a common
+// parkedCell builds an n-station deferred population with a common
 // far-future first wake — the cheapest possible cell — and returns it with
 // the measured resident heap per station (GC-settled delta across the
 // build).
-func parkedLazyCell(b *testing.B, n int) (*mac.System, float64) {
+func parkedCell(b *testing.B, n int) (*mac.System, float64) {
 	b.Helper()
 	fw := make([]sim.Time, n)
 	for i := range fw {
 		fw[i] = 1 << 40
 	}
-	pop := &mac.LazyPopulation{
+	pop := &mac.Population{
 		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			b.Fatalf("parked station %d materialized", slot)
+		Materialize: func(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			b.Fatalf("parked station %d materialized", i)
 			return nil, nil, nil
 		},
 	}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(1), pop)
-	if err != nil {
+	sys := &mac.System{}
+	if err := sys.Reset(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(1), pop); err != nil {
 		b.Fatal(err)
 	}
 	runtime.GC()
@@ -483,7 +483,7 @@ func BenchmarkIdleCellPopulation(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys, perStation := parkedLazyCell(b, n)
+			sys, perStation := parkedCell(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -516,14 +516,14 @@ func BenchmarkIdleWakeCell(b *testing.B) {
 			fw[i] = 1 << 40
 		}
 	}
-	pop := &mac.LazyPopulation{
+	pop := &mac.Population{
 		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			return voices[slot], nil, nil
+		Materialize: func(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			return voices[i], nil, nil
 		},
 	}
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(2), pop)
-	if err != nil {
+	sys := &mac.System{}
+	if err := sys.Reset(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(2), pop); err != nil {
 		b.Fatal(err)
 	}
 	// Warm past one level-1 wheel revolution (buckets, scratch slices) AND

@@ -107,7 +107,7 @@ type Options struct {
 	// MaxReplications caps adaptive growth (default 64).
 	MaxReplications int
 	// Warmup is excluded from metrics (default 2 s); Duration is the
-	// measurement window (default 30 s).
+	// measurement window (default 60 s).
 	Warmup   time.Duration
 	Duration time.Duration
 	// SpeedKmh is the mobile speed (default 50, the paper's mean;

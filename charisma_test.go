@@ -312,6 +312,26 @@ func TestRunMultiCellPublicAPI(t *testing.T) {
 	}
 }
 
+// TestDefaultDurations pins the documented default windows: a zero
+// Duration measures 60 s in a single cell and 20 s in each cell of a
+// deployment (2.5 ms frames; a deployment's Frames sums its cells).
+func TestDefaultDurations(t *testing.T) {
+	r, err := Run(Options{VoiceUsers: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Frames != 24_000 {
+		t.Errorf("single cell: %v frames, want 24000 (60 s)", r.Frames)
+	}
+	m, err := RunMultiCell(MultiCellOptions{VoiceUsers: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Frames != 16_000 {
+		t.Errorf("2-cell deployment: %v frames, want 16000 (20 s per cell)", m.Frames)
+	}
+}
+
 func TestRunMultiCellRejectsRMAV(t *testing.T) {
 	for _, proto := range []Protocol{ProtocolRMAV, "RMAV"} {
 		_, err := RunMultiCell(MultiCellOptions{Protocol: proto, VoiceUsers: 5})

@@ -15,7 +15,8 @@ type Params struct {
 	// with it, anchored at the paper's 100 Hz for 50 km/h.
 	SpeedKmh float64
 
-	// DopplerHz overrides the speed-derived Doppler spread when positive.
+	// DopplerHz overrides the speed-derived Doppler spread when positive;
+	// zero means derive it from SpeedKmh. Negative is invalid.
 	DopplerHz float64
 
 	// CoherenceScale κ sets the effective exponential-ACF coherence time
@@ -26,7 +27,7 @@ type Params struct {
 	// correlation at ≈0.95 (CSI usable within the validity window) while
 	// fully decorrelating over a few tens of milliseconds, preserving the
 	// burst-error behaviour the protocols are stressed with. Zero means
-	// the default.
+	// the default; negative is invalid.
 	CoherenceScale float64
 
 	// ShadowMeanDB and ShadowSigmaDB are the mean and standard deviation
@@ -53,7 +54,7 @@ func DefaultParams() Params {
 
 // Doppler returns the effective Doppler spread in Hz.
 func (p Params) Doppler() float64 {
-	if p.DopplerHz > 0 {
+	if p.DopplerHz != 0 {
 		return p.DopplerHz
 	}
 	// Anchor: 100 Hz at 50 km/h (paper §4.2).
@@ -69,13 +70,16 @@ func (p Params) CoherenceTime() float64 {
 		return math.Inf(1)
 	}
 	k := p.CoherenceScale
-	if k <= 0 {
+	if k == 0 {
 		k = 5
 	}
 	return k / fd
 }
 
-// Validate reports configuration errors. Every field must be finite.
+// Validate reports configuration errors. Every field must be finite, no
+// speed, Doppler spread, coherence scale or shadow sigma may be negative
+// (zero keeps its documented meaning), and the shadow coherence time must
+// be positive.
 func (p Params) Validate() error {
 	if err := mathx.CheckFinite("channel",
 		mathx.Field{Name: "SpeedKmh", Value: p.SpeedKmh},
@@ -89,6 +93,12 @@ func (p Params) Validate() error {
 	}
 	if p.SpeedKmh < 0 {
 		return fmt.Errorf("channel: negative speed %v", p.SpeedKmh)
+	}
+	if p.DopplerHz < 0 {
+		return fmt.Errorf("channel: negative Doppler spread %v Hz", p.DopplerHz)
+	}
+	if p.CoherenceScale < 0 {
+		return fmt.Errorf("channel: negative coherence scale %v", p.CoherenceScale)
 	}
 	if p.ShadowSigmaDB < 0 {
 		return fmt.Errorf("channel: negative shadow sigma %v", p.ShadowSigmaDB)

@@ -57,6 +57,28 @@ func TestParamsValidate(t *testing.T) {
 	if p.Validate() == nil {
 		t.Fatal("zero shadow coherence accepted")
 	}
+	// A negative Doppler override or coherence scale is refused, not run
+	// as the default; zero keeps meaning the default.
+	for _, v := range []float64{-100, -3} {
+		p = DefaultParams()
+		p.DopplerHz = v
+		if p.Validate() == nil {
+			t.Fatalf("Doppler %v Hz accepted", v)
+		}
+		p = DefaultParams()
+		p.CoherenceScale = v
+		if p.Validate() == nil {
+			t.Fatalf("coherence scale %v accepted", v)
+		}
+	}
+	p = DefaultParams()
+	p.DopplerHz, p.CoherenceScale = 0, 0
+	if err := p.Validate(); err != nil {
+		t.Fatalf("zero Doppler override and coherence scale: %v", err)
+	}
+	if got, want := p.CoherenceTime(), 5/p.Doppler(); got != want {
+		t.Fatalf("default coherence time %v, want %v", got, want)
+	}
 }
 
 func TestShortTermRayleighStationarity(t *testing.T) {

@@ -153,10 +153,11 @@ func DefaultScenario(protocol string) Scenario {
 }
 
 // WithDefaults returns the scenario with every all-zero substrate block
-// and every unset window replaced by its calibrated default — exactly the
+// and every zero window replaced by its calibrated default — exactly the
 // normalization Build and Run apply before validating. A block is
-// replaced whole or not at all: a partly set one is kept as given, so
-// Validate rejects it instead of a run silently ignoring its knobs.
+// replaced whole or not at all: a partly set one is kept as given, like a
+// negative window, so Validate rejects it instead of a run silently
+// ignoring its knobs.
 // External loaders (the grid's scenario files) use it to validate a
 // scenario as it will actually run.
 func (sc Scenario) WithDefaults() Scenario {
@@ -170,10 +171,10 @@ func (sc Scenario) WithDefaults() Scenario {
 		sc.MAC = mac.DefaultConfig()
 	}
 	sc.MAC.UseQueue = sc.UseQueue
-	if sc.WarmupSec <= 0 {
+	if sc.WarmupSec == 0 {
 		sc.WarmupSec = 2
 	}
-	if sc.DurationSec <= 0 {
+	if sc.DurationSec == 0 {
 		sc.DurationSec = 30
 	}
 	return sc
@@ -214,9 +215,15 @@ func (sc Scenario) Validate() error {
 	); bad {
 		return &ValidationError{Field: f.Name, Reason: fmt.Sprintf("%v, want a finite value", f.Value)}
 	}
+	if sc.WarmupSec < 0 {
+		return &ValidationError{Field: "WarmupSec", Reason: fmt.Sprintf("negative warm-up %v s", sc.WarmupSec)}
+	}
+	if sc.DurationSec < 0 {
+		return &ValidationError{Field: "DurationSec", Reason: fmt.Sprintf("negative duration %v s", sc.DurationSec)}
+	}
 	// The run ends at tick FromSeconds(WarmupSec) + FromSeconds(DurationSec)
-	// of the int64 clock (a value ≤ 0 selects a default, see WithDefaults).
-	w, d := math.Max(sc.WarmupSec, 0)*float64(sim.Second), math.Max(sc.DurationSec, 0)*float64(sim.Second)
+	// of the int64 clock (a zero value selects a default, see WithDefaults).
+	w, d := sc.WarmupSec*float64(sim.Second), sc.DurationSec*float64(sim.Second)
 	if w >= 1<<63 {
 		return &ValidationError{Field: "WarmupSec", Reason: fmt.Sprintf("%v s overflows the simulation clock", sc.WarmupSec)}
 	}
@@ -321,13 +328,13 @@ func (c *CellParts) Protocol(name string) (mac.Protocol, error) {
 }
 
 // runArena owns every allocation a scenario run can recycle across
-// replications: the lazy system (station/registry/request slabs), the
+// replications: the system (station/registry/request slabs), the
 // channel slab, per-slot RNG streams and traffic sources, and the cell's
 // modem and protocols (CellParts). Scenario.Run borrows an arena from a
 // sync.Pool, rebuilds the cell into it, and returns it — so a parameter
 // sweep's rep N+1 reuses rep N's memory with near-zero fresh
 // allocations. Reuse is byte-identity-safe because every component
-// re-initializes completely: mac.ResetLazy (which also closes the
+// re-initializes completely: mac.System.Reset (which also closes the
 // measurement window), channel.Slab.Reset + initUser, Stream.Reseed
 // (pinned equal to a fresh New by TestReseedMatchesNew), and the traffic
 // Reset constructors reproduce the fresh draw sequences exactly.
@@ -335,7 +342,7 @@ type runArena struct {
 	probe     *rng.Stream
 	macStream *rng.Stream
 	firstWake []sim.Time
-	pop       mac.LazyPopulation
+	pop       mac.Population
 	sys       *mac.System
 	slab      *channel.Slab
 	parts     CellParts
@@ -376,7 +383,7 @@ func (a *runArena) stream(pool []*rng.Stream, label string, i int) *rng.Stream {
 	return pool[i]
 }
 
-// materialize is the arena's mac.LazyPopulation hook: identical draws to
+// materialize is the arena's mac.Population hook: identical draws to
 // the fresh-build path (stream seeded from (seed, label, i), then the
 // source/fading constructor draws), but into recycled objects.
 func (a *runArena) materialize(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
@@ -495,12 +502,9 @@ func (sc Scenario) buildIn(a *runArena) (*mac.System, mac.Protocol, error) {
 
 	a.macStream = rng.Renew(a.macStream, rng.SeedFor(sc.Seed, "mac", sc.Protocol))
 	if a.sys == nil {
-		sys, err := mac.NewSystemLazy(sc.MAC, modem, n, a.macStream, &a.pop)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.sys = sys
-	} else if err := a.sys.ResetLazy(sc.MAC, modem, n, a.macStream, &a.pop); err != nil {
+		a.sys = &mac.System{}
+	}
+	if err := a.sys.Reset(sc.MAC, modem, n, a.macStream, &a.pop); err != nil {
 		return nil, nil, err
 	}
 	return a.sys, proto, nil

@@ -80,6 +80,30 @@ func TestValidateRejections(t *testing.T) {
 			field:  "Channel",
 		},
 		{
+			name:   "negative Doppler override",
+			mutate: func(sc *Scenario) { sc.Channel.DopplerHz = -100 },
+			field:  "Channel",
+			reason: "negative Doppler spread -100",
+		},
+		{
+			name:   "negative coherence scale",
+			mutate: func(sc *Scenario) { sc.Channel.CoherenceScale = -3 },
+			field:  "Channel",
+			reason: "negative coherence scale -3",
+		},
+		{
+			name:   "negative warm-up",
+			mutate: func(sc *Scenario) { sc.WarmupSec = -5 },
+			field:  "WarmupSec",
+			reason: "negative warm-up -5",
+		},
+		{
+			name:   "negative duration",
+			mutate: func(sc *Scenario) { sc.DurationSec = -3 },
+			field:  "DurationSec",
+			reason: "negative duration -3",
+		},
+		{
 			name:   "invalid PHY parameters",
 			mutate: func(sc *Scenario) { sc.PHY.Etas = sc.PHY.Etas[:len(sc.PHY.Etas)-1] },
 			field:  "PHY",
@@ -165,6 +189,38 @@ func TestValidateAcceptsFairnessKnobs(t *testing.T) {
 				t.Errorf("memory %v, exponent %v: %v", mem, exp, err)
 			}
 		}
+	}
+}
+
+// TestNegativeKnobsNotDefaulted: zero selects a window's or channel
+// knob's default, and a negative value is rejected by name through Run as
+// through Validate instead of running as the default.
+func TestNegativeKnobsNotDefaulted(t *testing.T) {
+	base := DefaultScenario(ProtoCharisma)
+	base.NumVoice, base.DurationSec = 5, 0.1
+	for field, mutate := range map[string]func(*Scenario){
+		"WarmupSec":   func(sc *Scenario) { sc.WarmupSec = -5 },
+		"DurationSec": func(sc *Scenario) { sc.DurationSec = -3 },
+		"Channel":     func(sc *Scenario) { sc.Channel.DopplerHz = -100 },
+	} {
+		sc := base
+		mutate(&sc)
+		_, err := sc.Run(context.Background())
+		var ve *ValidationError
+		if !errors.As(err, &ve) || ve.Field != field {
+			t.Errorf("%s: Run returned %v, want a *ValidationError for the field", field, err)
+		}
+	}
+	zero := base
+	zero.WarmupSec, zero.Channel.DopplerHz, zero.Channel.CoherenceScale = 0, 0, 0
+	if got := zero.WithDefaults(); got.WarmupSec != 2 || got.DurationSec != base.DurationSec {
+		t.Fatalf("WithDefaults gave warm-up %v, duration %v; want 2 and %v", got.WarmupSec, got.DurationSec, base.DurationSec)
+	}
+	if err := zero.WithDefaults().Validate(); err != nil {
+		t.Fatalf("zero knobs: %v", err)
+	}
+	if got := (Scenario{}).WithDefaults().DurationSec; got != 30 {
+		t.Fatalf("zero duration defaulted to %v, want 30", got)
 	}
 }
 
@@ -261,13 +317,13 @@ func TestValidateRejectsClockOverflow(t *testing.T) {
 	}{
 		{2, 30, ""},
 		{1e13, 1.8e13, ""},
-		{-5, 2.8e13, ""}, // a non-positive warm-up selects the default
+		{0, 2.8e13, ""}, // a zero warm-up selects the default
 		{2, 1e308, "DurationSec"},
 		{1e308, 30, "WarmupSec"},
 		{clockSec, 1, "WarmupSec"},
 		{2, clockSec, "DurationSec"},
 		{1.5e13, 1.5e13, "DurationSec"},
-		{-1e308, 1e308, "DurationSec"},
+		{-1e308, 1e308, "WarmupSec"}, // negative before overflow
 	} {
 		sc := DefaultScenario(ProtoRAMA)
 		sc.NumVoice, sc.NumData = 2, 0

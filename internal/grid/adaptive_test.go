@@ -192,6 +192,32 @@ func TestAdaptiveDisabledKeepsFixedReps(t *testing.T) {
 	}
 }
 
+// TestSweepStatsCountUnconverged: a point that reaches its replication
+// cap unconverged is counted in the progress snapshots and the sweep
+// stats, whose summary line says so, with no logger set — a loopback
+// sweep has none, so the summary is the only place it shows.
+func TestSweepStatsCountUnconverged(t *testing.T) {
+	// As below: two replications cannot pin data throughput to 1e-9.
+	pt := Point{Spec: ScenarioSpec(tinyScenario(core.ProtoCharisma, 4, 4)), Replications: 2}
+	var sw SweepStats
+	var last Progress
+	_, err := RunPoints(context.Background(), []Point{pt}, DriveConfig{
+		Precision:  Precision{TargetRel: 1e-9, MaxReps: 2},
+		Workers:    2,
+		Stats:      &sw,
+		OnProgress: func(p Progress) { last = p },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Unconverged != 1 || last.Unconverged != 1 || !last.Done {
+		t.Fatalf("stats count %d, final progress (done %v) %d unconverged points, want 1", sw.Unconverged, last.Done, last.Unconverged)
+	}
+	if got, want := sw.String(), "grid: 2 simulated, 0 cache hits, 1 points unconverged at the replication cap"; got != want {
+		t.Fatalf("summary %q, want %q", got, want)
+	}
+}
+
 // TestAnomalyWarnsWithoutDump: a point that reaches its replication cap
 // unconverged is reported to the session's logger, and dumps nothing: by
 // then its own replications have closed their flight rings, so a dump

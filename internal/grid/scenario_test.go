@@ -165,6 +165,11 @@ func TestLoadScenarioFileTypedRejections(t *testing.T) {
 		"scenario duration past the clock":  {fmt.Sprintf(cell, `"durationSec": 1e308`), "DurationSec"},
 		"scenario warm-up past the clock":   {fmt.Sprintf(cell, `"warmupSec": 3e13`), "WarmupSec"},
 		"multicell duration past the clock": {fmt.Sprintf(deployment, `"numVoice": 5, "durationSec": 1e308`), "DurationSec"},
+		"scenario negative warm-up":         {fmt.Sprintf(cell, `"warmupSec": -5`), "WarmupSec"},
+		"scenario negative duration":        {fmt.Sprintf(cell, `"durationSec": -3`), "DurationSec"},
+		"multicell negative duration":       {fmt.Sprintf(deployment, `"numVoice": 5, "durationSec": -1`), "DurationSec"},
+		"scenario negative Doppler":         {fmt.Sprintf(cell, channelBlock+`, "dopplerHz": -100}`), "Channel"},
+		"scenario negative coherence scale": {fmt.Sprintf(cell, channelBlock+`, "coherenceScale": -3}`), "Channel"},
 	} {
 		_, err := LoadScenarioFile(strings.NewReader(validLine(5) + "\n" + c.line + "\n"))
 		var ve *core.ValidationError
@@ -173,6 +178,10 @@ func TestLoadScenarioFileTypedRejections(t *testing.T) {
 		}
 	}
 }
+
+// channelBlock opens a channel block that sets speed and shadowing; a
+// case appends one more knob and closes it.
+const channelBlock = `"channel": {"speedKmh": 50, "shadowSigmaDB": 4, "shadowCoherenceSec": 1`
 
 func validLine(nv int) string {
 	return fmt.Sprintf(`{"scenario": {"protocol": "charisma", "numVoice": %d, "durationSec": 1}}`, nv)
@@ -345,6 +354,17 @@ func TestScenarioSchemaHasNoAxisShapes(t *testing.T) {
 		if !seen[typ] {
 			t.Errorf("%v is not reached from scenarioDoc: the walk misses part of the schema", typ)
 		}
+	}
+}
+
+// TestScenarioFileZeroKnobsDefault: a channel block whose Doppler
+// override and coherence scale are zero loads, and so does a line whose
+// windows are zero, each meaning its default.
+func TestScenarioFileZeroKnobsDefault(t *testing.T) {
+	file := `{"scenario": {"protocol": "charisma", "numVoice": 5, "warmupSec": 0, "durationSec": 0, ` +
+		channelBlock + `, "dopplerHz": 0, "coherenceScale": 0}}}`
+	if _, err := LoadScenarioFile(strings.NewReader(file)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -154,7 +154,10 @@ type Session struct {
 	executed int
 	hits     int
 	requeues int
-	closed   bool
+	// unconverged counts points pinned at the replication cap with their
+	// CI95 still past the target (each counted once, where anomaly is set).
+	unconverged int
+	closed      bool
 
 	// Byzantine-result defense (see Audit / audit.go). auditCond wakes the
 	// audit executor when a remote result is parked for re-execution;
@@ -389,6 +392,7 @@ func (s *Session) nextTarget(j int) int {
 		// decision itself stays a pure function of the completed results.
 		if !st.anomaly && st.failed == 0 && st.completed >= 2 && !s.converged(st) {
 			st.anomaly = true
+			s.unconverged++
 			if s.log != nil {
 				s.log.Warn("sweep point hit replication cap without converging",
 					"session", s.serial, "point", j, "reps", st.scheduled)
@@ -847,6 +851,9 @@ type Progress struct {
 	CacheHits int
 	Requeues  int // tasks re-queued from expired leases or quarantines
 	Leases    int // tasks currently out under a lease
+	// Unconverged counts points that reached the replication cap with
+	// their CI95 still past the precision target.
+	Unconverged int
 	// Byzantine-audit state (zero unless DriveConfig.Audit is enabled).
 	AuditsPassed int // remote results verified byte-identical by re-execution
 	AuditsFailed int // remote results that diverged from re-execution
@@ -864,6 +871,7 @@ func (s *Session) countersLocked() Progress {
 		CacheHits:    s.hits,
 		Requeues:     s.requeues,
 		Leases:       len(s.leases),
+		Unconverged:  s.unconverged,
 		AuditsPassed: s.auditsPassed,
 		AuditsFailed: s.auditsFailed,
 		Quarantined:  s.quarantines,
@@ -954,6 +962,7 @@ type SweepStats struct {
 	CacheHits   int
 	Requeues    int
 	Quarantined int
+	Unconverged int // points at the replication cap, CI95 past the target
 }
 
 // Observe folds one finished session's counters into the stats. It
@@ -964,6 +973,7 @@ func (st *SweepStats) Observe(s *Session) {
 	st.CacheHits += p.CacheHits
 	st.Requeues += p.Requeues
 	st.Quarantined += p.Quarantined
+	st.Unconverged += p.Unconverged
 }
 
 // String renders the counters for operator output.
@@ -974,6 +984,9 @@ func (st *SweepStats) String() string {
 	}
 	if st.Quarantined > 0 {
 		out += fmt.Sprintf(", %d workers quarantined", st.Quarantined)
+	}
+	if st.Unconverged > 0 {
+		out += fmt.Sprintf(", %d points unconverged at the replication cap", st.Unconverged)
 	}
 	return out
 }

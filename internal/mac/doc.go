@@ -18,6 +18,12 @@
 // streams, so every protocol observes identical channel and traffic
 // sample paths — the paper's common-random-numbers comparison.
 //
+// A System builds every station it holds: System.Reset, the one way to
+// populate a cell, builds station i deferred with ID i (its index in
+// Stations and in every slab), and the Population's Materialize hook
+// hands it its sources and fading process at its first wake or when an
+// observer needs them (SyncChannel, MaterializeAll).
+//
 // # Performance invariants
 //
 // The frame hot path is allocation-free at steady state and costs

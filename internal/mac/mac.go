@@ -36,13 +36,15 @@ func (k Kind) String() string {
 // identity, its traffic sources, its fading process — packed into 32
 // bytes; all hot per-station state (bucket membership, wake/reservation
 // stamps, fading sync counters, timer-wheel entries) lives in the owning
-// System's structure-of-arrays slabs, indexed by the station's slot (see
-// registry.go). Boolean MAC state is bit-packed into flags. An idle
-// station therefore costs its struct, a pointer in System.Stations, and a
-// handful of slab rows — a few tens of bytes — and a deferred station of a
-// lazy population (see NewSystemLazy) does not even carry sources until
-// its first wake.
+// System's structure-of-arrays slabs, indexed by the station's ID (see
+// registry.go). Boolean MAC state is bit-packed into flags. Only
+// System.Reset builds stations, deferred: a station carries no sources
+// and no fading process until its first wake (see Population), and an
+// idle one costs its struct, a pointer in System.Stations, and a handful
+// of slab rows — a few tens of bytes.
 type Station struct {
+	// ID is the station's index in its System's Stations table and in
+	// every slab.
 	ID int
 	// src bundles the traffic sources behind one pointer so a station
 	// carrying either or both pays 8 bytes in the struct; nil for inert
@@ -51,9 +53,6 @@ type Station struct {
 	// fad is the station's uplink fading process; nil until a deferred
 	// station materializes.
 	fad *channel.Fading
-	// slot is the station's index in its owner's Stations table and every
-	// slab; -1 until registered.
-	slot int32
 	// flags packs the registry bucket (low 3 bits) with the MAC booleans.
 	flags uint8
 }
@@ -74,8 +73,8 @@ const (
 	// flagPendingAtBS marks that a request from this station is held in
 	// the base-station request queue, so the station must not re-contend.
 	flagPendingAtBS uint8 = 1 << 4
-	// flagDeferred marks a lazy-population station whose sources and
-	// fading process have not been constructed yet.
+	// flagDeferred marks a station whose sources and fading process have
+	// not been constructed yet (see Population).
 	flagDeferred uint8 = 1 << 5
 	// flagCandidate mirrors the station's live contention candidacy —
 	// it sits in a contention bucket and NeedsVoiceRequest or
@@ -89,25 +88,6 @@ const (
 
 func (st *Station) bucket() bucketKind     { return bucketKind(st.flags & stationBucketBits) }
 func (st *Station) setBucket(b bucketKind) { st.flags = st.flags&^stationBucketBits | uint8(b) }
-
-// NewStation builds a station from its cold configuration. Any of the
-// sources and the fading process may be nil (an inert clone carries none).
-func NewStation(id int, v *traffic.VoiceSource, d *traffic.DataSource, fad *channel.Fading) *Station {
-	st := new(Station)
-	st.Reset(id, fad)
-	if v != nil || d != nil {
-		st.src = &Sources{Voice: v, Data: d}
-	}
-	return st
-}
-
-// Reset overwrites st whole with a fresh inert station: identity id,
-// fading process fad, no traffic, no MAC state, no slot. A deployment
-// rebuilding its stations into a previous replication's memory (the
-// multicell arena) uses it, so nothing of the old station survives.
-func (st *Station) Reset(id int, fad *channel.Fading) {
-	*st = Station{ID: id, fad: fad, slot: -1}
-}
 
 // Voice returns the station's voice source, or nil.
 func (st *Station) Voice() *traffic.VoiceSource {
@@ -297,16 +277,19 @@ type Protocol interface {
 	RunFrame(s *System) sim.Time
 }
 
-// LazyPopulation describes a population whose stations are constructed on
-// first wake instead of up front. FirstWake[i] is station i's first source
-// event time (computed cheaply at build time, e.g. via the traffic birth
-// probes); Materialize builds the real sources and fading process for one
-// slot, and must return objects whose state at time zero matches what an
-// eager build would have produced — the deferred station then replays its
-// traffic and fading exactly as an eagerly built idle station would have.
-type LazyPopulation struct {
+// Population describes the stations System.Reset builds. Every station
+// starts deferred: parked in the idle bucket with no sources and no fading
+// process. FirstWake[i] is station i's first source event time (computed
+// cheaply at build time, e.g. via the traffic birth probes), or -1 for a
+// station that never wakes on its own (an inert multicell clone).
+// Materialize builds station i's sources and fading process when that
+// wake fires or an observer needs them, and must return objects whose
+// state at time zero matches what building them up front would have
+// produced — the deferred station then replays its traffic and fading
+// exactly as an idle station built up front would have.
+type Population struct {
 	FirstWake   []sim.Time
-	Materialize func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading)
+	Materialize func(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading)
 }
 
 // System is the per-scenario simulation state shared between the platform
@@ -327,16 +310,16 @@ type System struct {
 	// windowOpen: Run has opened the measurement window since the rebuild.
 	windowOpen bool
 
-	reg  registry
-	lazy *LazyPopulation
-	// stnSlab is the contiguous station storage of a lazily built system,
-	// kept on the System so ResetLazy can rebuild the population into the
-	// same memory (the replication arena, see internal/core). srcChunks
-	// is the matching storage for materialized stations' sources pairs:
-	// fixed-capacity chunks allocated on demand (an idle cell pays
-	// nothing, a mostly-deferred million-station cell pays per
-	// materialized station), rewound and reused by ResetLazy. Chunks
-	// never grow, so handed-out *Sources pointers stay valid.
+	reg registry
+	pop *Population
+	// stnSlab is the contiguous station storage, kept on the System so
+	// Reset can rebuild the population into the same memory (the
+	// replication arenas of internal/core and internal/multicell).
+	// srcChunks is the matching storage for materialized stations'
+	// sources pairs: fixed-capacity chunks allocated on demand (an idle
+	// cell pays nothing, a mostly-deferred million-station cell pays per
+	// materialized station), rewound and reused by Reset. Chunks never
+	// grow, so handed-out *Sources pointers stay valid.
 	stnSlab   []Station
 	srcChunks [][]Sources
 	srcChunk  int
@@ -365,10 +348,9 @@ type System struct {
 // Counters are a System's registry event counts. Only the goroutine that
 // drives the system writes them, with plain adds: no atomics, no
 // allocation, no rng draw, so the frame path pays a register add and no
-// result byte moves. They are cumulative across Reset and ResetLazy: a
-// reused system reports totals over every replication it hosted. Read
-// them only once the driver has quiesced (between replications, or after
-// Run returns).
+// result byte moves. They are cumulative across Reset: a reused system
+// reports totals over every replication it hosted. Read them only once
+// the driver has quiesced (between replications, or after Run returns).
 type Counters struct {
 	WheelArms     uint64 // timers armed on the wheel
 	WheelCascades uint64 // level cascades triggered by pointer advance
@@ -380,77 +362,49 @@ type Counters struct {
 
 // Obs returns the system's counters. Only the driving goroutine writes
 // them; read them only once it has quiesced. They are cumulative across
-// Reset and ResetLazy.
+// Reset.
 func (s *System) Obs() *Counters { return &s.ctr }
 
-// NewSystem assembles a system over stations the caller built, wired to
-// their fading processes and traffic sources. It is Reset on a new System.
-func NewSystem(cfg Config, modem phy.PHY, stations []*Station, macStream *rng.Stream) (*System, error) {
-	s := &System{}
-	if err := s.Reset(cfg, modem, stations, macStream); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset re-initializes s as NewSystem would build it over stations,
-// reusing its registry slabs, timer wheel, queue and request free list
-// (see rebuild). Every station is registered afresh: slot, bucket and
-// first wake; the caller hands over stations with no MAC state (new, or
-// rebuilt with Station.Reset). The multicell arena rebuilds each cell's
-// system with it.
-func (s *System) Reset(cfg Config, modem phy.PHY, stations []*Station, macStream *rng.Stream) error {
-	if err := s.rebuild(cfg, modem, len(stations), macStream, nil); err != nil {
+// Reset (re-)builds s as a cell of n deferred stations: station i is
+// parked in the idle bucket with its first wake pop.FirstWake[i] armed in
+// the timer wheel, and pop.Materialize builds its sources and fading
+// process only when that wake fires or an observer needs them
+// (SyncChannel, MaterializeAll). It is the only way to populate a System,
+// so every station a System is handed is one it built, and station i's ID
+// is its index in Stations and in every slab. An idle cell costs
+// O(tens of bytes) per station however heavy the materialized sources
+// are, and results equal those of building every station up front,
+// because an idle station's sources are untouched until its first wake.
+//
+// Reset reuses s's previous station slab, registry slabs, timer wheel,
+// queue and request free list wherever capacity suffices. Every scalar,
+// the metrics and the hooks are re-zeroed, every station struct is
+// overwritten whole, and recycled Requests are zeroed on reuse, so a
+// rebuilt system behaves as a new one: the replication arenas rebuild
+// rep N+1's cells into rep N's memory with near-zero allocations when the
+// population size repeats.
+func (s *System) Reset(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, pop *Population) error {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s.Stations = stations
-	for i, st := range stations {
-		st.slot = int32(i)
-		b := classify(st)
-		st.setBucket(b)
-		s.reg.place(i, b)
-		if b == bucketIdle {
-			s.armWake(st)
-		}
+	if modem == nil {
+		return fmt.Errorf("mac: nil PHY")
 	}
-	return nil
-}
-
-// NewSystemLazy assembles a system of n deferred stations: every station
-// is parked in the idle bucket with its first wake armed in the timer
-// wheel, and its sources and fading process are constructed only when that
-// wake fires (or when an external observer forces it — see MaterializeAll).
-// The station structs live in one contiguous slab, so an idle cell costs
-// O(tens of bytes) per station regardless of how heavy the materialized
-// sources are. Results are byte-identical to building the same population
-// eagerly with NewSystem, because an eagerly built idle station's sources
-// are equally untouched until its first wake.
-func NewSystemLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, pop *LazyPopulation) (*System, error) {
-	s := &System{}
-	if err := s.ResetLazy(cfg, modem, n, macStream, pop); err != nil {
-		return nil, err
+	if macStream == nil {
+		return fmt.Errorf("mac: nil MAC stream")
 	}
-	return s, nil
-}
-
-// ResetLazy re-initializes s as a freshly built lazy system of n deferred
-// stations, reusing its previous life's station slab, registry slabs,
-// timer wheel, queue, and request free list wherever capacity suffices.
-// The rebuilt system is byte-identical in behaviour to one from
-// NewSystemLazy: every scalar is re-zeroed, every station struct is
-// overwritten whole, and recycled Requests are zeroed on reuse. This is
-// the replication arena's core — rep N+1 rebuilds the cell into rep N's
-// memory with near-zero allocations when the population size repeats.
-func (s *System) ResetLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, pop *LazyPopulation) error {
 	if pop == nil || pop.Materialize == nil {
-		return fmt.Errorf("mac: lazy population without a Materialize hook")
+		return fmt.Errorf("mac: population without a Materialize hook")
 	}
 	if len(pop.FirstWake) != n {
 		return fmt.Errorf("mac: %d first wakes for %d stations", len(pop.FirstWake), n)
 	}
-	if err := s.rebuild(cfg, modem, n, macStream, pop); err != nil {
-		return err
-	}
+	s.Cfg, s.PHY, s.Rand, s.pop = cfg, modem, macStream, pop
+	s.M = Metrics{}
+	s.now, s.frameIdx, s.windowOpen = 0, 0, false
+	s.queue = s.queue[:0]
+	s.DebugVoiceTx, s.DebugEndFrame = nil, nil
+	s.reg.reset(n, &s.ctr)
 	if cap(s.stnSlab) >= n {
 		s.stnSlab = s.stnSlab[:n]
 	} else {
@@ -467,38 +421,17 @@ func (s *System) ResetLazy(cfg Config, modem phy.PHY, n int, macStream *rng.Stre
 	}
 	for i := range s.stnSlab {
 		st := &s.stnSlab[i]
-		*st = Station{ID: i, slot: int32(i), flags: flagDeferred | uint8(bucketIdle)}
+		*st = Station{ID: i, flags: flagDeferred | uint8(bucketIdle)}
 		s.Stations[i] = st
 		s.reg.place(i, bucketIdle)
-		if fw := pop.FirstWake[i]; fw >= 0 {
-			s.reg.stamp[i] = fw
+		// A station that never wakes keeps its -1 in the stamp slab,
+		// where nextWake reads a deferred station's first wake.
+		fw := pop.FirstWake[i]
+		s.reg.stamp[i] = fw
+		if fw >= 0 {
 			s.reg.wheel.add(int32(i), fw)
 		}
 	}
-	return nil
-}
-
-// rebuild is the part of Reset and ResetLazy they share: it validates the
-// inputs, re-zeroes every scalar, the metrics and the hooks, empties the
-// queue, and resets the registry for n stations, keeping the capacity of
-// every slab.
-func (s *System) rebuild(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, pop *LazyPopulation) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if modem == nil {
-		return fmt.Errorf("mac: nil PHY")
-	}
-	if macStream == nil {
-		return fmt.Errorf("mac: nil MAC stream")
-	}
-	s.Cfg, s.PHY, s.Rand, s.lazy = cfg, modem, macStream, pop
-	s.M = Metrics{}
-	s.now, s.frameIdx, s.windowOpen = 0, 0, false
-	s.queue = s.queue[:0]
-	s.DebugVoiceTx = nil
-	s.DebugEndFrame = nil
-	s.reg.reset(n, &s.ctr)
 	return nil
 }
 
@@ -509,7 +442,7 @@ const srcChunkSize = 64
 
 // newSources takes the next row of the chunked sources slab. A chunk is
 // append-only up to its fixed capacity and never reallocated, so the
-// returned pointer is stable; ResetLazy rewinds the chunks for reuse.
+// returned pointer is stable; Reset rewinds the chunks for reuse.
 func (s *System) newSources(v *traffic.VoiceSource, d *traffic.DataSource) *Sources {
 	if s.srcChunk == len(s.srcChunks) {
 		s.srcChunks = append(s.srcChunks, make([]Sources, 0, srcChunkSize))
@@ -529,7 +462,7 @@ func (s *System) materialize(st *Station) {
 		return
 	}
 	st.flags &^= flagDeferred
-	v, d, fad := s.lazy.Materialize(int(st.slot))
+	v, d, fad := s.pop.Materialize(st.ID)
 	if v != nil || d != nil {
 		st.src = s.newSources(v, d)
 	}
@@ -540,9 +473,6 @@ func (s *System) materialize(st *Station) {
 // drivers that inspect stations directly (tests, diagnostics) call it
 // before reading sources or fading state; the frame loop never needs it.
 func (s *System) MaterializeAll() {
-	if s.lazy == nil {
-		return
-	}
 	for _, st := range s.Stations {
 		s.materialize(st)
 	}
@@ -583,7 +513,7 @@ func (s *System) BeginFrame() {
 	// the snapshot while its stations are still cache-hot, so the
 	// protocol's first ForEachCandidate scan of the frame is free. This is
 	// exactly the scan that ForEachCandidate would run: the snapshot is a
-	// slot-ordered superset of the contention buckets (wakeDue ran before
+	// ID-ordered superset of the contention buckets (wakeDue ran before
 	// it was taken, and nothing after can move a station into a contention
 	// bucket that was not in an active bucket already), and the Reindex
 	// each snapshot station just went through (in the sweep above, or in
@@ -643,7 +573,7 @@ func (s *System) EndFrame(dur sim.Time) {
 		for _, st := range s.Stations {
 			s.syncChannel(st)
 			st.fad.Advance(dur)
-			s.reg.chSync[st.slot] = int32(s.frameIdx + 1)
+			s.reg.chSync[st.ID] = int32(s.frameIdx + 1)
 		}
 	}
 	s.frameIdx++
@@ -692,15 +622,12 @@ func (s *System) Run(ctx context.Context, p Protocol, warmup, until sim.Time) er
 // the step coefficients once and keeps the recurrence in registers) rather
 // than paying a full Advance per deferred frame.
 func (s *System) syncChannel(st *Station) {
-	if !s.owns(st) {
-		return
-	}
 	if st.flags&flagDeferred != 0 {
 		s.materialize(st)
 	}
-	if k := s.frameIdx - int64(s.reg.chSync[st.slot]); k > 0 {
+	if k := s.frameIdx - int64(s.reg.chSync[st.ID]); k > 0 {
 		st.fad.AdvanceSteps(s.FrameDuration(), int(k))
-		s.reg.chSync[st.slot] = int32(s.frameIdx)
+		s.reg.chSync[st.ID] = int32(s.frameIdx)
 	}
 }
 
@@ -711,15 +638,12 @@ func (s *System) syncChannel(st *Station) {
 // diagnostic traces) must call it before reading, since the frame loop
 // defers fading work until observation.
 func (s *System) SyncChannel(st *Station) {
-	if !s.owns(st) {
-		return
-	}
 	if st.flags&flagDeferred != 0 {
 		s.materialize(st)
 	}
-	if k := s.frameIdx - 1 - int64(s.reg.chSync[st.slot]); k > 0 {
+	if k := s.frameIdx - 1 - int64(s.reg.chSync[st.ID]); k > 0 {
 		st.fad.AdvanceSteps(s.FrameDuration(), int(k))
-		s.reg.chSync[st.slot] = int32(s.frameIdx - 1)
+		s.reg.chSync[st.ID] = int32(s.frameIdx - 1)
 	}
 }
 
@@ -879,12 +803,7 @@ func (s *System) RefreshEstimate(st *Station) channel.Estimate {
 // NextVoiceDue returns when a station's reservation next entitles a
 // transmission. Meaningful only while the station is Reserved: the
 // underlying slab row doubles as the idle wake stamp.
-func (s *System) NextVoiceDue(st *Station) sim.Time {
-	if !s.owns(st) {
-		return 0
-	}
-	return s.reg.stamp[st.slot]
-}
+func (s *System) NextVoiceDue(st *Station) sim.Time { return s.reg.stamp[st.ID] }
 
 // VoiceReservationsDue returns stations whose reservation entitles a
 // transmission this frame and that actually have speech queued, ordered by
@@ -896,7 +815,7 @@ func (s *System) VoiceReservationsDue() []*Station {
 	// re-admission) is honoured before the next reindex.
 	s.reg.dueScratch = s.reg.dueScratch[:0]
 	s.forEachIn(maskReserved|maskTalkspurt|maskPending, func(st *Station) {
-		if st.flags&flagReserved == 0 || s.reg.stamp[st.slot] > s.now {
+		if st.flags&flagReserved == 0 || s.reg.stamp[st.ID] > s.now {
 			return
 		}
 		if st.src.Voice.Buffered() == 0 {
@@ -913,8 +832,8 @@ func (s *System) VoiceReservationsDue() []*Station {
 		// unique and the swap from sort.Slice changed no draws.
 		stamp := s.reg.stamp
 		slices.SortFunc(due, func(a, b *Station) int {
-			if stamp[a.slot] != stamp[b.slot] {
-				return cmp.Compare(stamp[a.slot], stamp[b.slot])
+			if stamp[a.ID] != stamp[b.ID] {
+				return cmp.Compare(stamp[a.ID], stamp[b.ID])
 			}
 			return cmp.Compare(a.ID, b.ID)
 		})
@@ -932,9 +851,7 @@ func (s *System) GrantReservation(st *Station) {
 // due = now rather than one voice period out).
 func (s *System) GrantReservationAt(st *Station, due sim.Time) {
 	st.flags |= flagReserved
-	if s.owns(st) {
-		s.reg.stamp[st.slot] = due
-	}
+	s.reg.stamp[st.ID] = due
 	s.M.ReservationsGranted.Inc()
 	s.Reindex(st)
 }
@@ -965,15 +882,12 @@ func (s *System) SetPendingAtBS(st *Station, pending bool) {
 // postpone the following period, or the service rate would fall below the
 // 20 ms packet arrival rate and the buffer would bleed deadline drops.
 func (s *System) AdvanceReservation(st *Station) {
-	if !s.owns(st) {
-		return
-	}
 	period := s.Cfg.Geometry.VoicePeriod
-	due := s.reg.stamp[st.slot] + period
+	due := s.reg.stamp[st.ID] + period
 	for due <= s.now {
 		due += period
 	}
-	s.reg.stamp[st.slot] = due
+	s.reg.stamp[st.ID] = due
 }
 
 // TransmitVoice sends up to maxPkts buffered voice packets of st in mode m.

@@ -20,21 +20,18 @@ func makeSystem(t *testing.T, nv, nd int, mutate func(*Config)) *System {
 	}
 	n := nv + nd
 	slab := channel.NewSlab()
-	stations := make([]*Station, n)
+	srcs := make([]Sources, n)
+	links := make([]*channel.Fading, n)
 	for i := 0; i < n; i++ {
-		var v *traffic.VoiceSource
-		var d *traffic.DataSource
 		if i < nv {
-			v = traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(1, "v", string(rune('a'+i))), 0)
+			srcs[i].Voice = traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(1, "v", string(rune('a'+i))), 0)
 		} else {
-			d = traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "d", string(rune('a'+i))), 0)
+			srcs[i].Data = traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "d", string(rune('a'+i))), 0)
 		}
-		stations[i] = NewStation(i, v, d, slab.New(channel.DefaultParams(), rng.DeriveIndexed(1, "chan", i)))
+		links[i] = slab.New(channel.DefaultParams(), rng.DeriveIndexed(1, "chan", i))
 	}
-	sys, err := NewSystem(cfg, phy.NewAdaptive(phy.DefaultParams()), stations, rng.Derive(1, "mac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := &System{}
+	Populate(t, sys, cfg, phy.NewAdaptive(phy.DefaultParams()), rng.Derive(1, "mac"), srcs, links)
 	return sys
 }
 
@@ -65,12 +62,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNewSystemRejectsNil(t *testing.T) {
-	if _, err := NewSystem(DefaultConfig(), nil, nil, rng.New(1)); err == nil {
-		t.Fatal("nil PHY accepted")
+// TestResetRejectsBadInput: Reset refuses an invalid config, a nil PHY,
+// stream, population or hook, and a first-wake slice of the wrong length,
+// and accepts the same call with every input sound.
+func TestResetRejectsBadInput(t *testing.T) {
+	modem := phy.NewFixed(phy.DefaultParams())
+	hook := func(int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) { return nil, nil, nil }
+	pop := &Population{FirstWake: []sim.Time{0}, Materialize: hook}
+	noHook := &Population{FirstWake: pop.FirstWake}
+	bad := DefaultConfig()
+	bad.PermVoice = 0
+	for name, reset := range map[string]func(*System) error{
+		"invalid config":    func(s *System) error { return s.Reset(bad, modem, 1, rng.New(1), pop) },
+		"nil PHY":           func(s *System) error { return s.Reset(DefaultConfig(), nil, 1, rng.New(1), pop) },
+		"nil stream":        func(s *System) error { return s.Reset(DefaultConfig(), modem, 1, nil, pop) },
+		"nil population":    func(s *System) error { return s.Reset(DefaultConfig(), modem, 1, rng.New(1), nil) },
+		"nil hook":          func(s *System) error { return s.Reset(DefaultConfig(), modem, 1, rng.New(1), noHook) },
+		"first-wake length": func(s *System) error { return s.Reset(DefaultConfig(), modem, 2, rng.New(1), pop) },
+	} {
+		if err := reset(&System{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := NewSystem(DefaultConfig(), phy.NewFixed(phy.DefaultParams()), nil, nil); err == nil {
-		t.Fatal("nil stream accepted")
+	if err := (&System{}).Reset(DefaultConfig(), modem, 1, rng.New(1), pop); err != nil {
+		t.Fatalf("sound inputs rejected: %v", err)
 	}
 }
 
@@ -258,8 +273,8 @@ func TestContendCollisionsCounted(t *testing.T) {
 }
 
 func TestQueueSemantics(t *testing.T) {
-	s := makeSystem(t, 2, 0, func(c *Config) { c.UseQueue = true; c.QueueCap = 2 })
-	a, b, cExtra := s.Stations[0], s.Stations[1], NewStation(99, nil, nil, nil)
+	s := makeSystem(t, 3, 0, func(c *Config) { c.UseQueue = true; c.QueueCap = 2 })
+	a, b, cExtra := s.Stations[0], s.Stations[1], s.Stations[2]
 	ra := &Request{St: a, Kind: KindVoice}
 	rb := &Request{St: b, Kind: KindVoice}
 	rc := &Request{St: cExtra, Kind: KindVoice}

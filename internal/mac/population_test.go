@@ -1,6 +1,6 @@
 package mac_test
 
-// Population-scale tests for the lazy-instantiation path: 10⁵- and
+// Population-scale tests for deferred stations: 10⁵- and
 // 10⁶-station cells must fit a hard per-station memory budget, and the
 // idle-wake frame path at 10⁵ stations must allocate only on rare
 // high-water growth.
@@ -24,19 +24,19 @@ import (
 // DESIGN.md ("Station memory layout & timer wheel") for the accounting.
 const idleBudgetBytes = 64
 
-// parkedLazySystem builds an n-station cell where every station is deferred
+// parkedSystem builds an n-station cell where every station stays deferred
 // with a common far-future first wake — the cheapest possible population,
 // pinning the platform's fixed per-station cost.
-func parkedLazySystem(tb testing.TB, n int) (*mac.System, float64) {
+func parkedSystem(tb testing.TB, n int) (*mac.System, float64) {
 	tb.Helper()
 	fw := make([]sim.Time, n)
 	for i := range fw {
 		fw[i] = 1 << 40 // ~decades of simulated time away
 	}
-	pop := &mac.LazyPopulation{
+	pop := &mac.Population{
 		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			tb.Fatalf("parked station %d materialized", slot)
+		Materialize: func(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			tb.Fatalf("parked station %d materialized", i)
 			return nil, nil, nil
 		},
 	}
@@ -47,8 +47,8 @@ func parkedLazySystem(tb testing.TB, n int) (*mac.System, float64) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(1), pop)
-	if err != nil {
+	sys := &mac.System{}
+	if err := sys.Reset(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(1), pop); err != nil {
 		tb.Fatal(err)
 	}
 	runtime.GC()
@@ -62,7 +62,7 @@ func parkedLazySystem(tb testing.TB, n int) (*mac.System, float64) {
 // per station.
 func TestMillionStationMemoryBudget(t *testing.T) {
 	for _, n := range []int{100_000, 1_000_000} {
-		sys, perStation := parkedLazySystem(t, n)
+		sys, perStation := parkedSystem(t, n)
 		t.Logf("%d stations: %.1f B/station resident", n, perStation)
 		if perStation > idleBudgetBytes {
 			t.Fatalf("%d stations: resident heap %.1f B/station, budget %d", n, perStation, idleBudgetBytes)
@@ -80,12 +80,12 @@ func TestMillionStationMemoryBudget(t *testing.T) {
 	}
 }
 
-// cyclingLazySystem builds an n-station lazy cell where the first nActive
+// cyclingSystem builds an n-station cell where the first nActive
 // stations carry real voice sources (cycling through talkspurts and
 // silences, waking via the timer wheel) and the rest stay parked far in
 // the future. Active sources are pre-built so FirstWake can be read off
 // NextEventAt; Materialize hands out the pre-built source on first wake.
-func cyclingLazySystem(tb testing.TB, n, nActive int) *mac.System {
+func cyclingSystem(tb testing.TB, n, nActive int) *mac.System {
 	tb.Helper()
 	vp := traffic.DefaultVoiceParams()
 	voices := make([]*traffic.VoiceSource, nActive)
@@ -98,17 +98,17 @@ func cyclingLazySystem(tb testing.TB, n, nActive int) *mac.System {
 			fw[i] = 1 << 40
 		}
 	}
-	pop := &mac.LazyPopulation{
+	pop := &mac.Population{
 		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			if slot >= nActive {
-				tb.Fatalf("parked station %d materialized", slot)
+		Materialize: func(i int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			if i >= nActive {
+				tb.Fatalf("parked station %d materialized", i)
 			}
-			return voices[slot], nil, nil
+			return voices[i], nil, nil
 		},
 	}
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(2), pop)
-	if err != nil {
+	sys := &mac.System{}
+	if err := sys.Reset(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(2), pop); err != nil {
 		tb.Fatal(err)
 	}
 	return sys
@@ -125,7 +125,7 @@ func TestIdleWakeHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long warmup")
 	}
-	sys := cyclingLazySystem(t, 100_000, 2000)
+	sys := cyclingSystem(t, 100_000, 2000)
 	// Warm past one full level-1 wheel revolution (64·64 granules ≈ 5243
 	// frames) so the wheel buckets and scratch slices are near their
 	// peaks, and past every source's first long unserved talkspurt (~1.3 s of

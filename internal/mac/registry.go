@@ -12,7 +12,7 @@ import (
 // the frame loop, the contention-candidate scans of all five fixed-frame
 // schedulers, and reservation service iterate only the relevant buckets
 // instead of the whole population. Bucket membership is a bitset over the
-// station's slot in System.Stations, so
+// station's ID, its index in System.Stations, so
 //
 //   - a state transition is an O(1) clear/set pair,
 //   - scanning a bucket union visits stations in ID order (the order the
@@ -37,13 +37,13 @@ import (
 // tens of bytes — instead of a fat struct plus heap entries.
 //
 // Wake processing order. The old binary-heap queue popped due wakes in
-// (time, slot) order; the wheel yields them in bucket-scan order instead.
+// (time, ID) order; the wheel yields them in bucket-scan order instead.
 // The results are byte-identical because waking is order-insensitive:
 // advanceTraffic draws only from the woken station's private traffic
 // streams (never the shared MAC stream), metric updates are commutative
 // counter adds, and re-bucketing toggles per-station bitset bits. Every
 // later scan that feeds the MAC stream (contention, reservation service)
-// walks the bitsets in slot order, which is independent of the order the
+// walks the bitsets in ID order, which is independent of the order the
 // bits were set. The golden suite pins this end to end.
 
 // bucketKind labels the registry buckets. Classification is by priority:
@@ -102,7 +102,7 @@ func (b bucketKind) String() string {
 	return "?"
 }
 
-// bitset is a fixed-capacity bit vector over station slots.
+// bitset is a fixed-capacity bit vector over station IDs.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -136,7 +136,7 @@ type registry struct {
 
 	frameScratch []*Station // BeginFrame snapshot of the active buckets
 	dueScratch   []*Station // VoiceReservationsDue collection
-	wakeScratch  []int32    // wakeDue's collected due slots
+	wakeScratch  []int32    // wakeDue's collected due station IDs
 
 	// epoch counts candidate-set changes: Reindex bumps it exactly when a
 	// station's contention candidacy flips (tracked per station in
@@ -192,27 +192,19 @@ func (r *registry) reset(n int, ctr *Counters) {
 	r.wakeScratch = r.wakeScratch[:0]
 }
 
-// place inserts a station slot into a bucket (registration time; the slot
-// must not already be in any bucket).
+// place inserts station i into a bucket (build time; the station must not
+// already be in any bucket).
 func (r *registry) place(i int, b bucketKind) {
 	r.sets[b].set(i)
 	r.counts[b]++
 }
 
-// move transfers a slot between buckets.
+// move transfers station i between buckets.
 func (r *registry) move(i int, from, to bucketKind) {
 	r.sets[from].clear(i)
 	r.counts[from]--
 	r.sets[to].set(i)
 	r.counts[to]++
-}
-
-// owns reports whether st is registered with this system: its slot must
-// index this system's station table and resolve back to the same object
-// (a clone registered with another cell fails the identity check).
-func (s *System) owns(st *Station) bool {
-	i := int(st.slot)
-	return i >= 0 && i < len(s.Stations) && s.Stations[i] == st
 }
 
 // classify computes the bucket a station belongs in from its live state.
@@ -235,11 +227,11 @@ func classify(st *Station) bucketKind {
 
 // nextWake returns the station's next source event time, or -1 when the
 // station has no sources (an inert multicell clone never wakes). A deferred
-// station's first wake was computed at build time and parked in the stamp
-// slab.
+// station's first wake, -1 included, was parked in the stamp slab by
+// Reset.
 func (s *System) nextWake(st *Station) sim.Time {
 	if st.flags&flagDeferred != 0 {
-		return s.reg.stamp[st.slot]
+		return s.reg.stamp[st.ID]
 	}
 	if st.src == nil {
 		return -1
@@ -263,9 +255,6 @@ func (s *System) nextWake(st *Station) sim.Time {
 // frame — although any station in an active bucket self-heals at the next
 // BeginFrame, which reindexes everything it advances.
 func (s *System) Reindex(st *Station) {
-	if !s.owns(st) {
-		return // foreign station (e.g. a clone registered with another cell)
-	}
 	b := classify(st)
 	// Candidate-cache maintenance: flagCandidate mirrors the station's
 	// live candidacy, so the cache is invalidated precisely when this
@@ -291,31 +280,32 @@ func (s *System) Reindex(st *Station) {
 		}
 	}
 	if old := st.bucket(); b != old {
-		s.reg.move(int(st.slot), old, b)
+		s.reg.move(st.ID, old, b)
 		st.setBucket(b)
 	}
 	if b == bucketIdle {
 		s.armWake(st)
-	} else if s.reg.wheel.armed(st.slot) {
+	} else if i := int32(st.ID); s.reg.wheel.armed(i) {
 		// Leaving idle invalidates the wake entry; drop it eagerly so the
 		// wheel never accumulates superseded entries and the stamp slab
 		// is free to carry the reservation due time.
-		s.reg.wheel.remove(st.slot)
+		s.reg.wheel.remove(i)
 	}
 }
 
 // armWake (re-)arms an idle station's next source event in the wheel.
 func (s *System) armWake(st *Station) {
+	i := int32(st.ID)
 	at := s.nextWake(st)
 	if at < 0 {
-		s.reg.wheel.remove(st.slot)
+		s.reg.wheel.remove(i)
 		return
 	}
-	if s.reg.wheel.armed(st.slot) && s.reg.stamp[st.slot] == at {
+	if s.reg.wheel.armed(i) && s.reg.stamp[i] == at {
 		return // live entry already covers this event
 	}
-	s.reg.stamp[st.slot] = at
-	s.reg.wheel.add(st.slot, at)
+	s.reg.stamp[i] = at
+	s.reg.wheel.add(i, at)
 }
 
 // wakeDue collects every idle station whose next source event is due and
@@ -323,14 +313,14 @@ func (s *System) armWake(st *Station) {
 // registry's int32/stamp slabs — k due wakes read k slab rows, no station
 // pointers — and the realization phase then materializes, advances and
 // re-buckets each collected station. Because every wheel entry is removed
-// eagerly when its station leaves the idle bucket, every collected slot is
-// live and due; no staleness filtering is needed.
+// eagerly when its station leaves the idle bucket, every collected station
+// is live and due; no staleness filtering is needed.
 func (s *System) wakeDue() {
 	due := s.reg.wheel.collectDue(s.now, s.reg.wakeScratch[:0])
 	s.reg.wakeScratch = due[:0]
 	s.ctr.WheelWakes += uint64(len(due))
-	for _, slot := range due {
-		st := s.Stations[slot]
+	for _, i := range due {
+		st := s.Stations[i]
 		if st.flags&flagDeferred != 0 {
 			s.materialize(st)
 		}
@@ -339,9 +329,9 @@ func (s *System) wakeDue() {
 	}
 }
 
-// forEachIn visits every station in the bucket union in slot (= station ID)
-// order. fn must not re-bucket stations other than the one it was handed;
-// scans that mutate take a snapshot first.
+// forEachIn visits every station in the bucket union in station-ID order.
+// fn must not re-bucket stations other than the one it was handed; scans
+// that mutate take a snapshot first.
 func (s *System) forEachIn(mask bucketMask, fn func(*Station)) {
 	// Gather only the non-empty bucket bitsets; when every selected bucket
 	// is empty (the all-idle cell) the sweep costs nothing at all.
@@ -436,7 +426,7 @@ func (s *System) VerifyRegistry() error {
 	for _, st := range s.Stations {
 		n := 0
 		for b := bucketKind(0); b < numBuckets; b++ {
-			if s.reg.sets[b].has(int(st.slot)) {
+			if s.reg.sets[b].has(st.ID) {
 				n++
 				if b != st.bucket() {
 					return fmt.Errorf("mac: station %d in bucket %v but labeled %v", st.ID, b, st.bucket())
@@ -454,7 +444,8 @@ func (s *System) VerifyRegistry() error {
 		if cand != (st.flags&flagCandidate != 0) {
 			return fmt.Errorf("mac: station %d candidate flag %v, live candidacy %v", st.ID, !cand, cand)
 		}
-		armed := s.reg.wheel.armed(st.slot)
+		i := int32(st.ID)
+		armed := s.reg.wheel.armed(i)
 		if st.bucket() != bucketIdle && armed {
 			return fmt.Errorf("mac: station %d holds a wheel entry outside the idle bucket", st.ID)
 		}
@@ -463,10 +454,10 @@ func (s *System) VerifyRegistry() error {
 		}
 		if armed {
 			entries++
-			l := s.reg.wheel.loc[st.slot]
+			l := s.reg.wheel.loc[i]
 			b := s.reg.wheel.buckets[l>>wheelBits][l&(wheelSlots-1)]
-			p := s.reg.wheel.pos[st.slot]
-			if int(p) >= len(b) || b[p] != st.slot {
+			p := s.reg.wheel.pos[i]
+			if int(p) >= len(b) || b[p] != i {
 				return fmt.Errorf("mac: station %d wheel loc/pos do not resolve to its entry", st.ID)
 			}
 		}
@@ -484,7 +475,7 @@ func (s *System) VerifyRegistry() error {
 		}
 	}
 	// A valid candidate cache must match a fresh scan exactly: same
-	// stations, same slot order.
+	// stations, same ID order.
 	if s.reg.candEpoch == s.reg.epoch {
 		var fresh []*Station
 		s.forEachIn(maskContention, func(st *Station) {

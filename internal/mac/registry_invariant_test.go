@@ -53,14 +53,13 @@ func mostlyIdleSystem(tb testing.TB, n int, meanSilenceSec float64, protocol str
 	tb.Helper()
 	vp := traffic.DefaultVoiceParams()
 	vp.MeanSilenceSec = meanSilenceSec
-	stations := make([]*mac.Station, n)
+	srcs := make([]mac.Sources, n)
+	links := make([]*channel.Fading, n)
 	cp := channel.DefaultParams()
 	slab := channel.NewSlab()
-	for i := range stations {
-		stations[i] = mac.NewStation(i,
-			traffic.NewVoice(vp, rng.Derive(7, "bench-voice", fmt.Sprint(i)), 0),
-			nil,
-			slab.New(cp, rng.Derive(7, "bench-chan", fmt.Sprint(i))))
+	for i := range srcs {
+		srcs[i].Voice = traffic.NewVoice(vp, rng.Derive(7, "bench-voice", fmt.Sprint(i)), 0)
+		links[i] = slab.New(cp, rng.Derive(7, "bench-chan", fmt.Sprint(i)))
 	}
 	var modem phy.PHY
 	if core.AdaptivePHYFor(protocol) {
@@ -68,10 +67,8 @@ func mostlyIdleSystem(tb testing.TB, n int, meanSilenceSec float64, protocol str
 	} else {
 		modem = phy.NewFixed(phy.DefaultParams())
 	}
-	sys, err := mac.NewSystem(mac.DefaultConfig(), modem, stations, rng.Derive(7, "bench-mac", protocol))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	sys := &mac.System{}
+	mac.Populate(tb, sys, mac.DefaultConfig(), modem, rng.Derive(7, "bench-mac", protocol), srcs, links)
 	p, err := core.NewProtocol(protocol)
 	if err != nil {
 		tb.Fatal(err)

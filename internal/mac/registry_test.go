@@ -11,8 +11,11 @@ import (
 )
 
 func TestClassifyPriorityOrder(t *testing.T) {
-	v := traffic.NewVoice(traffic.DefaultVoiceParams(), rng.New(1), 0)
-	st := NewStation(0, v, nil, nil)
+	s := &System{}
+	Populate(t, s, DefaultConfig(), phy.NewFixed(phy.DefaultParams()), rng.New(2),
+		[]Sources{{Voice: traffic.NewVoice(traffic.DefaultVoiceParams(), rng.New(1), 0)}, {}},
+		make([]*channel.Fading, 2))
+	st, inert := s.Stations[0], s.Stations[1]
 	// Highest priority first: pending beats reserved beats activity.
 	st.flags |= flagPendingAtBS | flagReserved
 	if got := classify(st); got != bucketPending {
@@ -26,7 +29,6 @@ func TestClassifyPriorityOrder(t *testing.T) {
 	if got := classify(st); got != bucketTalkspurt && got != bucketIdle {
 		t.Fatalf("voice station classified %v", got)
 	}
-	inert := NewStation(1, nil, nil, nil)
 	if got := classify(inert); got != bucketIdle {
 		t.Fatalf("inert station classified %v", got)
 	}
@@ -55,33 +57,56 @@ func TestBitsetOps(t *testing.T) {
 func registrySystem(t *testing.T, nv, nd int) *System {
 	t.Helper()
 	n := nv + nd
-	stations := make([]*Station, n)
+	srcs := make([]Sources, n)
+	links := make([]*channel.Fading, n)
 	for i := 0; i < n; i++ {
-		var v *traffic.VoiceSource
-		var d *traffic.DataSource
 		if i < nv {
-			v = traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(3, "v", string(rune('a'+i))), 0)
+			srcs[i].Voice = traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(3, "v", string(rune('a'+i))), 0)
 		} else {
-			d = traffic.NewData(traffic.DefaultDataParams(), rng.Derive(3, "d", string(rune('a'+i))), 0)
+			srcs[i].Data = traffic.NewData(traffic.DefaultDataParams(), rng.Derive(3, "d", string(rune('a'+i))), 0)
 		}
-		fad := channel.NewFading(channel.DefaultParams(), rng.Derive(3, "c", string(rune('a'+i))))
-		stations[i] = NewStation(i, v, d, fad)
+		links[i] = channel.NewFading(channel.DefaultParams(), rng.Derive(3, "c", string(rune('a'+i))))
 	}
-	s, err := NewSystem(DefaultConfig(), phy.NewFixed(phy.DefaultParams()), stations, rng.Derive(3, "m"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &System{}
+	Populate(t, s, DefaultConfig(), phy.NewFixed(phy.DefaultParams()), rng.Derive(3, "m"), srcs, links)
 	return s
 }
 
-func TestNewSystemIndexesStations(t *testing.T) {
-	s := registrySystem(t, 3, 2)
+// TestResetIndexesStations: Reset builds station i with ID i, deferred
+// and parked in the idle bucket, its first wake armed in the wheel when
+// it has one and a station without one (-1) never waking; the registry
+// holds both before materialization and after it.
+func TestResetIndexesStations(t *testing.T) {
+	fw := []sim.Time{5, -1, 0, 1 << 20}
+	s := &System{}
+	err := s.Reset(DefaultConfig(), phy.NewFixed(phy.DefaultParams()), len(fw), rng.New(1), &Population{
+		FirstWake: fw,
+		Materialize: func(int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			t.Fatal("Reset materialized a station")
+			return nil, nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range s.Stations {
+		if st.ID != i || st.bucket() != bucketIdle || st.flags&flagDeferred == 0 {
+			t.Fatalf("station %d: ID %d, bucket %v, deferred %v", i, st.ID, st.bucket(), st.flags&flagDeferred != 0)
+		}
+		if armed := s.reg.wheel.armed(int32(i)); armed != (fw[i] >= 0) || s.nextWake(st) != fw[i] {
+			t.Fatalf("station %d: armed %v, next wake %v, want first wake %v", i, armed, s.nextWake(st), fw[i])
+		}
+	}
+	if err := s.VerifyRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	s = registrySystem(t, 3, 2)
 	if err := s.VerifyRegistry(); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range s.Stations {
-		if !s.owns(st) || int(st.slot) != i {
-			t.Fatalf("station %d: slot not wired", i)
+		if st.ID != i || st.flags&flagDeferred != 0 {
+			t.Fatalf("materialized station %d: ID %d, deferred %v", i, st.ID, st.flags&flagDeferred != 0)
 		}
 	}
 }
@@ -91,7 +116,7 @@ func TestReindexMovesBuckets(t *testing.T) {
 	st := s.Stations[0]
 	st.flags |= flagReserved
 	s.Reindex(st)
-	if st.bucket() != bucketReserved || !s.reg.sets[bucketReserved].has(int(st.slot)) {
+	if st.bucket() != bucketReserved || !s.reg.sets[bucketReserved].has(st.ID) {
 		t.Fatal("reservation did not move the station to the reserved bucket")
 	}
 	if err := s.VerifyRegistry(); err != nil {
@@ -99,18 +124,9 @@ func TestReindexMovesBuckets(t *testing.T) {
 	}
 	st.flags &^= flagReserved
 	s.Reindex(st)
-	if s.reg.sets[bucketReserved].has(int(st.slot)) {
+	if s.reg.sets[bucketReserved].has(st.ID) {
 		t.Fatal("station left in reserved bucket after release")
 	}
-	if err := s.VerifyRegistry(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReindexIgnoresForeignStations(t *testing.T) {
-	s := registrySystem(t, 1, 0)
-	foreign := NewStation(99, nil, nil, nil)
-	s.Reindex(foreign) // must not panic or disturb the registry
 	if err := s.VerifyRegistry(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +179,7 @@ func TestLazyChannelReplayMatchesEager(t *testing.T) {
 	s := registrySystem(t, 1, 0)
 	st := s.Stations[0]
 	st.fad = channel.NewFading(p, rng.Derive(9, "f"))
-	s.reg.chSync[st.slot] = 0
+	s.reg.chSync[st.ID] = 0
 
 	const k = 57
 	for i := 0; i < k; i++ {

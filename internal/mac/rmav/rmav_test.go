@@ -123,18 +123,27 @@ func TestVoiceSlotPersistsAcrossFrames(t *testing.T) {
 
 // A station holding a live voice slot sits the competitive slot out, even
 // with data queued: only a station carrying both services can hit this
-// rule, so the cell is built by hand.
+// rule, so the cell is built by hand, its one station materialized and
+// re-bucketed at once as if built up front.
 func TestSlotHolderSitsOutCompetitiveSlot(t *testing.T) {
 	cfg := mac.DefaultConfig()
 	cfg.PermVoice, cfg.PermData = 1, 1
-	st := mac.NewStation(0,
-		traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(1, "voice"), 0),
-		traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "data"), 0),
-		channel.NewFading(channel.DefaultParams(), rng.Derive(1, "chan")))
-	sys, err := mac.NewSystem(cfg, phy.NewFixed(phy.DefaultParams()), []*mac.Station{st}, rng.Derive(1, "mac"))
+	v := traffic.NewVoice(traffic.DefaultVoiceParams(), rng.Derive(1, "voice"), 0)
+	d := traffic.NewData(traffic.DefaultDataParams(), rng.Derive(1, "data"), 0)
+	fad := channel.NewFading(channel.DefaultParams(), rng.Derive(1, "chan"))
+	sys := &mac.System{}
+	err := sys.Reset(cfg, phy.NewFixed(phy.DefaultParams()), 1, rng.Derive(1, "mac"), &mac.Population{
+		FirstWake: []sim.Time{-1},
+		Materialize: func(int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			return v, d, fad
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.MaterializeAll()
+	st := sys.Stations[0]
+	sys.Reindex(st)
 	p := rmav.New()
 	p.Init(sys)
 	held := 0

@@ -9,6 +9,7 @@ import (
 	"context"
 	"testing"
 
+	"charisma/internal/channel"
 	"charisma/internal/core"
 	"charisma/internal/mac"
 	"charisma/internal/sim"
@@ -160,11 +161,14 @@ func TestRunRebuildClosesWindow(t *testing.T) {
 	if err := sys.Run(context.Background(), p, 0, 100*800); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild over the stations of a second, never-run cell.
+	// Rebuild over the sources and links of a second, never-run cell.
 	fresh, _ := mostlyIdleSystem(t, 30, silence, core.ProtoCharisma)
-	if err := sys.Reset(fresh.Cfg, fresh.PHY, fresh.Stations, fresh.Rand); err != nil {
-		t.Fatal(err)
+	srcs := make([]mac.Sources, len(fresh.Stations))
+	links := make([]*channel.Fading, len(fresh.Stations))
+	for i, st := range fresh.Stations {
+		srcs[i], links[i] = mac.Sources{Voice: st.Voice()}, st.Fading()
 	}
+	mac.Populate(t, sys, fresh.Cfg, fresh.PHY, fresh.Rand, srcs, links)
 	p.Init(sys)
 	if err := sys.Run(context.Background(), p, 50*800, 100*800); err != nil {
 		t.Fatal(err)

@@ -58,9 +58,9 @@ const (
 // wheelShift returns the granule shift of a level.
 func wheelShift(level int) uint { return wheelGranuleLog + uint(level)*wheelBits }
 
-// timerWheel is the hierarchical wheel. Buckets hold station slots (int32
+// timerWheel is the hierarchical wheel. Buckets hold station IDs (int32
 // indices into System.Stations); the due time of a live entry is
-// stamp[slot], shared with the registry's stamp slab.
+// stamp[id], shared with the registry's stamp slab.
 type timerWheel struct {
 	base    sim.Time // advanced-to time; all live entries have stamp >= alignDown(base)
 	count   int      // live entries across all levels

@@ -11,11 +11,12 @@
 // user loses its reservation and any queued requests and must re-enter the
 // new cell through the request contention phase.
 //
-// The implementation keeps one station *clone* per (user, cell). Exactly
-// one clone — the attached one — carries the user's live traffic sources;
-// the others are inert but keep their channel processes advancing, so
-// every link's sample path is time-consistent when the handoff rule
-// consults it.
+// Each cell's mac.System holds one station *clone* per user: station k of
+// every cell is user k, built by the cell's System like any single-cell
+// station. Exactly one clone — the attached one — carries the user's live
+// traffic sources; the others are inert but keep their channel processes
+// advancing, so every link's sample path is time-consistent when the
+// handoff rule consults it.
 //
 // Run rebuilds each replication into a deployment a previous run left,
 // as core.Scenario.Run does for a single cell: users, clones, fading
@@ -112,13 +113,13 @@ func (p Params) cell() core.Scenario {
 }
 
 // WithDefaults returns the params as New runs them: a 20 s measurement
-// window when none is set, then core.Scenario's defaults for the warm-up
-// and the substrate blocks (an all-zero block is replaced whole, a partly
-// set one is kept for Validate to reject). External loaders (the grid's
-// scenario files) use it to validate a deployment as it will actually
-// run.
+// window when it is zero, then core.Scenario's defaults for the warm-up
+// and the substrate blocks (an all-zero block is replaced whole; a partly
+// set one, like a negative window, is kept for Validate to reject).
+// External loaders (the grid's scenario files) use it to validate a
+// deployment as it will actually run.
 func (p Params) WithDefaults() Params {
-	if p.DurationSec <= 0 {
+	if p.DurationSec == 0 {
 		p.DurationSec = 20
 	}
 	c := p.cell().WithDefaults()
@@ -163,17 +164,19 @@ type user struct {
 }
 
 // cell is one base station: its system, its protocol and the modem and
-// protocol instances it keeps (parts), and its links. Clone k is user k's
-// station in this cell; its fading process is a slab row on its own
-// stream chStreams[k].
+// protocol instances it keeps (parts), and its links. Station k of sys is
+// user k's clone in this cell; its fading process, links[k], is a slab row
+// on its own stream chStreams[k]. pop hands sys the clones: their first
+// wakes and the hook that gives clone k its link and, in the cell user k
+// attaches to at build, the user's sources.
 type cell struct {
 	sys       *mac.System
 	proto     mac.Protocol
 	parts     core.CellParts
 	macStream *rng.Stream
 	slab      *channel.Slab
-	clones    []mac.Station
-	stations  []*mac.Station // the system's table: &clones[k]
+	links     []*channel.Fading
+	pop       mac.Population
 	chStreams []*rng.Stream
 }
 
@@ -200,9 +203,9 @@ func New(p Params) (*Deployment, error) {
 }
 
 // build assembles the deployment for p into d, reusing whatever d holds
-// from an earlier build. Every stream is reseeded and every station,
-// source, slab, system and protocol re-initialized, so the result does
-// not depend on what d held.
+// from an earlier build. Every stream is reseeded and every source, link,
+// slab, system and protocol re-initialized, so the result does not depend
+// on what d held.
 func (d *Deployment) build(p Params) error {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
@@ -220,39 +223,46 @@ func (d *Deployment) build(p Params) error {
 			cl.slab = channel.NewSlab()
 		}
 		cl.slab.Reset()
-		cl.clones = resize(cl.clones, n)
-		cl.stations = resize(cl.stations, n)
+		cl.links = resize(cl.links, n)
+		cl.pop.FirstWake = resize(cl.pop.FirstWake, n)
 		cl.chStreams = resize(cl.chStreams, n)
+		if cl.pop.Materialize == nil {
+			cl.pop.Materialize = d.materializer(c)
+		}
 	}
-	// Each cell keeps its links on one slab: clone k of cell c is a slab
-	// row on its own stream, derived from (seed, "mc-chan", c, k), so a
-	// link's sample path does not depend on the order the rows are built.
-	// Clones carry cell-local dense IDs.
+	// Each cell keeps its links on one slab: user k's link to cell c is a
+	// slab row on its own stream, derived from (seed, "mc-chan", c, k), so
+	// a link's sample path does not depend on the order the rows are
+	// built. The user attaches to the cell with the best long-term link;
+	// its clone there first wakes at the user's next source event, and its
+	// clones elsewhere never wake on their own.
 	vp, dp := traffic.DefaultVoiceParams(), traffic.DefaultDataParams()
 	for k := range d.users {
 		u := &d.users[k]
+		var first sim.Time
 		if k < p.NumVoice {
 			u.stream = rng.Renew(u.stream, rng.SeedForIndexed(p.Seed, "mc-voice", k))
 			u.voice.Reset(vp, u.stream, 0)
 			u.src = mac.Sources{Voice: &u.voice}
+			first = u.voice.NextEventAt()
 		} else {
 			u.stream = rng.Renew(u.stream, rng.SeedForIndexed(p.Seed, "mc-data", k))
 			u.data.Reset(dp, u.stream, 0)
 			u.src = mac.Sources{Data: &u.data}
+			first = u.data.NextArrivalAt()
 		}
 		bestCell, bestDB := 0, -1e18
 		for c := range d.cells {
 			cl := &d.cells[c]
 			cl.chStreams[k] = rng.Renew(cl.chStreams[k], rng.SeedForIndexed(p.Seed, "mc-chan", c, k))
-			fad := cl.slab.New(p.Channel, cl.chStreams[k])
-			st := &cl.clones[k]
-			st.Reset(k, fad)
-			cl.stations[k] = st
-			if db := fad.LongTermDB(); db > bestDB {
+			cl.links[k] = cl.slab.New(p.Channel, cl.chStreams[k])
+			cl.pop.FirstWake[k] = -1
+			if db := cl.links[k].LongTermDB(); db > bestDB {
 				bestCell, bestDB = c, db
 			}
 		}
-		d.attach(k, bestCell)
+		u.cell = bestCell
+		d.cells[bestCell].pop.FirstWake[k] = first
 	}
 
 	for c := range d.cells {
@@ -261,7 +271,7 @@ func (d *Deployment) build(p Params) error {
 		if cl.sys == nil {
 			cl.sys = &mac.System{}
 		}
-		if err := cl.sys.Reset(p.MAC, cl.parts.Modem(p.Protocol, p.PHY), cl.stations, cl.macStream); err != nil {
+		if err := cl.sys.Reset(p.MAC, cl.parts.Modem(p.Protocol, p.PHY), n, cl.macStream, &cl.pop); err != nil {
 			return err
 		}
 		proto, err := cl.parts.Protocol(p.Protocol)
@@ -283,20 +293,38 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
+// materializer returns cell c's mac.Population hook: clone k gets user k's
+// link to the cell and, in the cell the user is attached to, the user's
+// traffic sources. It draws nothing, since build made the links and
+// sources, and it always sees the attachment build made, because decide
+// materializes every clone of a user before it moves the user. The hook
+// is made once per cell slot and reads the deployment's current build.
+func (d *Deployment) materializer(c int) func(int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+	return func(k int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+		link := d.cells[c].links[k]
+		if u := &d.users[k]; u.cell == c {
+			return u.src.Voice, u.src.Data, link
+		}
+		return nil, nil, link
+	}
+}
+
 // attach points user k's clone in cell c at the user's live traffic
-// sources.
+// sources and re-buckets it.
 func (d *Deployment) attach(k, c int) {
 	u := &d.users[k]
-	d.cells[c].clones[k].SetTraffic(&u.src)
+	sys := d.cells[c].sys
+	sys.Stations[k].SetTraffic(&u.src)
+	sys.Reindex(sys.Stations[k])
 	u.cell = c
 }
 
 // detach makes user k's clone in cell c inert and clears its MAC state in
 // the cell.
 func (d *Deployment) detach(k, c int) {
-	st := &d.cells[c].clones[k]
-	st.SetTraffic(nil)
 	sys := d.cells[c].sys
+	st := sys.Stations[k]
+	st.SetTraffic(nil)
 	// Purge any queued request referencing the departing station.
 	for i := 0; i < sys.QueueLen(); {
 		if sys.Queue()[i].St == st {
@@ -313,8 +341,9 @@ func (d *Deployment) detach(k, c int) {
 func (d *Deployment) Handoffs() uint64 { return d.handoffs }
 
 // decide re-evaluates every user's attachment. Each clone's long-term dB
-// is computed exactly once per decision (settling its lazily-deferred
-// fading first) and reused for the best-cell comparison.
+// is computed exactly once per decision (materializing the clone and
+// settling its lazily-deferred fading first) and reused for the best-cell
+// comparison.
 func (d *Deployment) decide() {
 	if d.p.DisableHandoff {
 		return
@@ -323,9 +352,9 @@ func (d *Deployment) decide() {
 	for k := range d.users {
 		u := &d.users[k]
 		for c := range d.cells {
-			cl := &d.cells[c]
-			st := &cl.clones[k]
-			cl.sys.SyncChannel(st)
+			sys := d.cells[c].sys
+			st := sys.Stations[k]
+			sys.SyncChannel(st)
 			dbs[c] = st.Fading().LongTermDB()
 		}
 		curDB := dbs[u.cell]
@@ -338,7 +367,6 @@ func (d *Deployment) decide() {
 		if best != u.cell && bestDB-curDB >= d.p.HysteresisDB {
 			d.detach(k, u.cell)
 			d.attach(k, best)
-			d.cells[best].sys.Reindex(&d.cells[best].clones[k])
 			d.handoffs++
 		}
 	}

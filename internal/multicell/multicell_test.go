@@ -72,6 +72,9 @@ func TestValidation(t *testing.T) {
 		"padded rmav":       {func(p *Params) { p.Protocol = " rmav " }, "Protocol"},
 		"partial PHY":       {func(p *Params) { p.PHY = phy.Params{MeanSNRdB: -20} }, "PHY"},
 		"partial MAC":       {func(p *Params) { p.MAC = mac.Config{PermVoice: 0.9} }, "MAC"},
+		"negative warm-up":  {func(p *Params) { p.WarmupSec = -5 }, "WarmupSec"},
+		"negative duration": {func(p *Params) { p.DurationSec = -1 }, "DurationSec"},
+		"negative Doppler":  {func(p *Params) { p.Channel.DopplerHz = -100 }, "Channel"},
 	} {
 		p := quickParams()
 		c.mutate(&p)
@@ -81,6 +84,12 @@ func TestValidation(t *testing.T) {
 				t.Errorf("%s: err %v, want a *core.ValidationError for %s", name, err, c.field)
 			}
 		}
+	}
+
+	// Zero, not a negative value, selects the 20 s window and the 2 s
+	// warm-up.
+	if got := (Params{}).WithDefaults(); got.DurationSec != 20 || got.WarmupSec != 2 {
+		t.Errorf("zero windows defaulted to %v s after %v s, want 20 s after 2 s", got.DurationSec, got.WarmupSec)
 	}
 
 	n := 0
@@ -233,6 +242,9 @@ func TestHandoffBeatsStaticAttachment(t *testing.T) {
 	}
 }
 
+// TestExactlyOneLiveCloneInvariant: once every clone is materialized,
+// exactly one clone of each user carries traffic sources, after build and
+// after a run.
 func TestExactlyOneLiveCloneInvariant(t *testing.T) {
 	p := quickParams()
 	d, err := New(p)
@@ -240,10 +252,13 @@ func TestExactlyOneLiveCloneInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func() {
+		for c := range d.cells {
+			d.cells[c].sys.MaterializeAll()
+		}
 		for k := range d.users {
 			live := 0
 			for c := range d.cells {
-				if st := &d.cells[c].clones[k]; st.Voice() != nil || st.Data() != nil {
+				if st := d.cells[c].sys.Stations[k]; st.Voice() != nil || st.Data() != nil {
 					live++
 				}
 			}
@@ -257,6 +272,66 @@ func TestExactlyOneLiveCloneInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	check()
+}
+
+// TestDeferredClonesMatchEager: a cell's System builds every clone
+// deferred, to be materialized at its first wake or when the handoff rule
+// first reads its link. Materializing and re-bucketing every clone right
+// after build gives the state of a cell whose clones were all built up
+// front, and the run from there must equal Run's: the aggregate, the
+// handoffs and every cell, with handoff on and off. A one-frame decision
+// period without hysteresis moves most users before their moved clone's
+// first wake. Every cell's registry holds after both runs.
+func TestDeferredClonesMatchEager(t *testing.T) {
+	handoffs := uint64(0)
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, noHandoff := range []bool{false, true} {
+			p := quickParams()
+			p.Seed = seed
+			p.NumVoice, p.NumData = 24, 6
+			p.DecisionPeriodFrames, p.HysteresisDB = 1, 0
+			p.DisableHandoff = noHandoff
+			p.WarmupSec, p.DurationSec = 0.2, 1
+			run := func(eager bool) Result {
+				d, err := New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eager {
+					for c := range d.cells {
+						sys := d.cells[c].sys
+						sys.MaterializeAll()
+						for _, st := range sys.Stations {
+							sys.Reindex(st)
+						}
+					}
+				}
+				r, err := d.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range d.cells {
+					if err := d.cells[c].sys.VerifyRegistry(); err != nil {
+						t.Fatalf("seed %d, handoff off %v, clones built up front %v: cell %d: %v", seed, noHandoff, eager, c, err)
+					}
+				}
+				return r
+			}
+			want, err := Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, eager := range []bool{false, true} {
+				if err := sameResult(run(eager), want); err != nil {
+					t.Fatalf("seed %d, handoff off %v, clones built up front %v: %v", seed, noHandoff, eager, err)
+				}
+			}
+			handoffs += want.Handoffs
+		}
+	}
+	if handoffs == 0 {
+		t.Fatal("no handoff in any run: the deferred handoff path was not exercised")
+	}
 }
 
 // TestShardedDeterminismAcrossWorkerCounts pins the sharding contract:

@@ -44,7 +44,8 @@ type MultiCellOptions struct {
 	SpeedKmh float64
 	// MeanSNRdB overrides the average link SNR, as in Options.
 	MeanSNRdB float64
-	// Seed, Warmup, Duration, Replications as in Options.
+	// Seed, Warmup and Replications as in Options. Duration is each
+	// cell's measurement window (default 20 s, not Options' 60 s).
 	Seed         int64
 	Warmup       time.Duration
 	Duration     time.Duration
