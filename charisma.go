@@ -113,7 +113,7 @@ type Options struct {
 	// SpeedKmh is the mobile speed (default 50, the paper's mean;
 	// Doppler spread scales with it).
 	SpeedKmh float64
-	// MeanSNRdB overrides the average link SNR (default 10 dB,
+	// MeanSNRdB overrides the average link SNR (default 12 dB,
 	// calibrated so the adaptive PHY averages twice the fixed PHY's
 	// throughput).
 	MeanSNRdB float64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -268,6 +269,14 @@ func TestFadingTracePublicAPI(t *testing.T) {
 	}
 }
 
+// TestFadingTraceNegativeDuration: a negative duration is an empty
+// trace, not a panic.
+func TestFadingTraceNegativeDuration(t *testing.T) {
+	if tr := FadingTrace(1, -time.Second, 50); len(tr) != 0 {
+		t.Fatalf("%d samples for a -1 s trace, want none", len(tr))
+	}
+}
+
 func TestPHYCurvesPublicAPI(t *testing.T) {
 	pts := PHYCurves(100)
 	if len(pts) != 100 {
@@ -329,6 +338,29 @@ func TestDefaultDurations(t *testing.T) {
 	}
 	if m.Frames != 16_000 {
 		t.Errorf("2-cell deployment: %v frames, want 16000 (20 s per cell)", m.Frames)
+	}
+}
+
+// TestDefaultMeanSNR pins the documented default link SNR: a zero
+// MeanSNRdB runs the same cell, and the same deployment, as 12 dB.
+func TestDefaultMeanSNR(t *testing.T) {
+	opts := Options{VoiceUsers: 10, Warmup: 100 * time.Millisecond, Duration: 500 * time.Millisecond}
+	def, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.MeanSNRdB = 12
+	if r, err := Run(opts); err != nil || r != def {
+		t.Errorf("single cell: MeanSNRdB 0 and 12 differ (err %v)", err)
+	}
+	mopts := MultiCellOptions{VoiceUsers: 10, Warmup: 100 * time.Millisecond, Duration: 500 * time.Millisecond}
+	mdef, err := RunMultiCell(mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mopts.MeanSNRdB = 12
+	if m, err := RunMultiCell(mopts); err != nil || !reflect.DeepEqual(m, mdef) {
+		t.Errorf("deployment: MeanSNRdB 0 and 12 differ (err %v)", err)
 	}
 }
 

@@ -59,7 +59,6 @@ import (
 	"charisma/internal/experiments"
 	"charisma/internal/grid"
 	"charisma/internal/mathx"
-	"charisma/internal/prof"
 	"charisma/internal/trace"
 )
 
@@ -94,16 +93,14 @@ func main() {
 		mathx.Field{Name: "-max-reps", Value: float64(*maxReps)},
 		mathx.Field{Name: "-lease-ttl", Value: leaseTTL.Seconds()},
 		mathx.Field{Name: "-audit-frac", Value: *auditFrac},
+		mathx.Field{Name: "-flight-recorder", Value: float64(*flightN)},
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "charisma-experiments:", err)
 		os.Exit(1)
 	}
+	trace.ArmFlight(*flightN, *flightPath)
 
-	if *flightN > 0 {
-		trace.ArmFlight(*flightN, *flightPath)
-	}
-
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := trace.StartProfile(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charisma-experiments:", err)
 		os.Exit(1)

@@ -41,6 +41,7 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		{"-audit-frac", "-1"},
 		{"-audit-frac", "NaN"},
 		{"-audit-frac", "2"},
+		{"-flight-recorder", "-3"},
 	} {
 		cmd := exec.Command(os.Args[0], "-scenario", scen, "-progress=false", tc[0], tc[1])
 		cmd.Env = append(os.Environ(), "CHARISMA_EXPERIMENTS_MAIN=1")

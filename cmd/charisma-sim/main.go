@@ -26,7 +26,6 @@ import (
 	"charisma/internal/experiments"
 	"charisma/internal/grid"
 	"charisma/internal/mathx"
-	"charisma/internal/prof"
 	"charisma/internal/trace"
 )
 
@@ -65,13 +64,19 @@ func main() {
 		flightPath = flag.String("flight-path", "charisma-flight.jsonl", "flight-recorder dump file (JSONL, appended)")
 	)
 	flag.Parse()
-
-	if *flightN > 0 {
-		trace.ArmFlight(*flightN, *flightPath)
+	if err := experiments.CheckFlags(
+		mathx.Field{Name: "-reps", Value: float64(*reps)},
+		mathx.Field{Name: "-workers", Value: float64(*workers)},
+		mathx.Field{Name: "-precision", Value: *prec},
+		mathx.Field{Name: "-max-reps", Value: float64(*maxReps)},
+		mathx.Field{Name: "-flight-recorder", Value: float64(*flightN)},
+	); err != nil {
+		fatal("charisma-sim:", err)
 	}
+	trace.ArmFlight(*flightN, *flightPath)
 
 	var err error
-	if stopProf, err = prof.Start(*cpuProf, *memProf); err != nil {
+	if stopProf, err = trace.StartProfile(*cpuProf, *memProf); err != nil {
 		fmt.Fprintln(os.Stderr, "charisma-sim:", err)
 		os.Exit(1)
 	}
@@ -87,14 +92,6 @@ func main() {
 	if *scenario != "" {
 		if *all || *cells >= 2 {
 			fatal("charisma-sim: -scenario carries its own protocols and cell counts; drop -all/-cells")
-		}
-		if err := experiments.CheckFlags(
-			mathx.Field{Name: "-reps", Value: float64(*reps)},
-			mathx.Field{Name: "-workers", Value: float64(*workers)},
-			mathx.Field{Name: "-precision", Value: *prec},
-			mathx.Field{Name: "-max-reps", Value: float64(*maxReps)},
-		); err != nil {
-			fatal("charisma-sim:", err)
 		}
 		rc := experiments.RunConfig{
 			Seed:            *seed,

@@ -47,12 +47,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"charisma/internal/chaos"
+	"charisma/internal/experiments"
 	"charisma/internal/grid"
+	"charisma/internal/mathx"
 	"charisma/internal/trace"
 )
 
@@ -73,10 +74,25 @@ func main() {
 	)
 	flag.Parse()
 
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: parseLevel(*logLevel)}))
+	var level slog.Level
+	levelErr := level.UnmarshalText([]byte(*logLevel))
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
+	if levelErr != nil {
+		log.Error("bad -log-level", "err", levelErr)
+		os.Exit(2)
+	}
 	if *coordinator == "" {
 		log.Error("-coordinator is required")
+		os.Exit(2)
+	}
+	if err := experiments.CheckFlags(
+		mathx.Field{Name: "-parallel", Value: float64(*parallel)},
+		mathx.Field{Name: "-poll", Value: poll.Seconds()},
+		mathx.Field{Name: "-max-idle", Value: maxIdle.Seconds()},
+		mathx.Field{Name: "-flight-recorder", Value: float64(*flightN)},
+	); err != nil {
+		log.Error("bad flag", "err", err)
 		os.Exit(2)
 	}
 	rates, err := chaos.ParseRates(*chaosRates)
@@ -84,9 +100,7 @@ func main() {
 		log.Error("bad -chaos-rates", "err", err)
 		os.Exit(2)
 	}
-	if *flightN > 0 {
-		trace.ArmFlight(*flightN, *flightPath)
-	}
+	trace.ArmFlight(*flightN, *flightPath)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -144,18 +158,5 @@ func main() {
 		"cache_hits", snap.CacheHits, "cache_misses", snap.CacheMisses)
 	if plan != nil {
 		log.Info("chaos summary", "injected", plan.Counts().String())
-	}
-}
-
-func parseLevel(s string) slog.Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug
-	case "warn":
-		return slog.LevelWarn
-	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
 	}
 }

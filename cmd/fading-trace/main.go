@@ -13,9 +13,11 @@ import (
 	"os"
 
 	"charisma/internal/channel"
+	"charisma/internal/core"
 	"charisma/internal/experiments"
-	"charisma/internal/prof"
+	"charisma/internal/mathx"
 	"charisma/internal/sim"
+	"charisma/internal/trace"
 )
 
 func main() {
@@ -29,8 +31,12 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*seconds, *speed, *stepMs); err != nil {
+		fmt.Fprintln(os.Stderr, "fading-trace:", err)
+		os.Exit(1)
+	}
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := trace.StartProfile(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fading-trace:", err)
 		os.Exit(1)
@@ -44,7 +50,7 @@ func main() {
 		dt := sim.FromMilliseconds(*stepMs)
 		n := int(sim.FromSeconds(*seconds) / dt)
 		fmt.Println("t_ms,amp_db,shadow_db")
-		for _, pt := range channel.Trace(p, *seed, dt, n) {
+		for pt := range channel.Trace(p, *seed, dt, n) {
 			fmt.Printf("%.3f,%.3f,%.3f\n", pt.T.Milliseconds(), pt.AmpDB, pt.ShadowDB)
 		}
 	case "abicm":
@@ -58,4 +64,31 @@ func main() {
 		stopProf() // os.Exit skips the defer
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects, as a *core.ValidationError naming the flag, a
+// length, speed or sample period the trace cannot be drawn at: negative,
+// not a number or infinite, a period shorter than one clock tick, a
+// length or period past the clock, or a speed the channel block refuses.
+// A zero -seconds is a header without samples.
+func checkFlags(seconds, speed, stepMs float64) error {
+	if err := experiments.CheckFlags(
+		mathx.Field{Name: "-seconds", Value: seconds},
+		mathx.Field{Name: "-speed", Value: speed},
+		mathx.Field{Name: "-step", Value: stepMs},
+	); err != nil {
+		return err
+	}
+	if seconds*float64(sim.Second) >= 1<<63 {
+		return &core.ValidationError{Field: "-seconds", Reason: fmt.Sprintf("%v s overflows the simulation clock", seconds)}
+	}
+	if ticks := stepMs * float64(sim.Millisecond); ticks < 1 || ticks >= 1<<63 {
+		return &core.ValidationError{Field: "-step", Reason: fmt.Sprintf("%v ms is not a sample period of one clock tick or more", stepMs)}
+	}
+	p := channel.DefaultParams()
+	p.SpeedKmh = speed
+	if err := p.Validate(); err != nil {
+		return &core.ValidationError{Field: "-speed", Reason: err.Error()}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"charisma/internal/mathx"
@@ -250,19 +251,24 @@ type TracePoint struct {
 	ShadowDB float64
 }
 
-// Trace generates a fading trace of n samples spaced dt apart — the
+// Trace yields a fading trace of n samples spaced dt apart — the
 // regenerator for the paper's Fig. 5 ("a sample of channel fading with fast
-// fading superimposed on long-term shadowing").
-func Trace(p Params, seed int64, dt sim.Time, n int) []TracePoint {
-	f := NewFading(p, rng.Derive(seed, "trace"))
-	out := make([]TracePoint, 0, n)
-	for i := 0; i < n; i++ {
-		f.Advance(dt)
-		out = append(out, TracePoint{
-			T:        sim.Time(i) * dt,
-			AmpDB:    mathx.AmpLinearToDB(f.Amplitude()),
-			ShadowDB: f.LongTermDB(),
-		})
+// fading superimposed on long-term shadowing"). Samples are drawn as they
+// are consumed, so a trace of any length holds one in memory; n <= 0
+// yields none.
+func Trace(p Params, seed int64, dt sim.Time, n int) iter.Seq[TracePoint] {
+	return func(yield func(TracePoint) bool) {
+		f := NewFading(p, rng.Derive(seed, "trace"))
+		for i := 0; i < n; i++ {
+			f.Advance(dt)
+			pt := TracePoint{
+				T:        sim.Time(i) * dt,
+				AmpDB:    mathx.AmpLinearToDB(f.Amplitude()),
+				ShadowDB: f.LongTermDB(),
+			}
+			if !yield(pt) {
+				return
+			}
+		}
 	}
-	return out
 }

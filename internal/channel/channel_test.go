@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -305,7 +306,7 @@ func TestBankWithSpeeds(t *testing.T) {
 }
 
 func TestTraceShape(t *testing.T) {
-	tr := Trace(DefaultParams(), 1, frameDur, 200)
+	tr := slices.Collect(Trace(DefaultParams(), 1, frameDur, 200))
 	if len(tr) != 200 {
 		t.Fatalf("trace length %d", len(tr))
 	}
@@ -328,9 +329,24 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
+// TestTraceDrawsOnDemand: a trace is drawn as it is consumed, so a
+// consumer of the first samples of even a MaxInt-sample trace gets them
+// at once, in constant memory.
+func TestTraceDrawsOnDemand(t *testing.T) {
+	got := 0
+	for range Trace(DefaultParams(), 1, frameDur, math.MaxInt) {
+		if got++; got == 3 {
+			break
+		}
+	}
+	if got != 3 {
+		t.Fatalf("%d samples before the break, want 3", got)
+	}
+}
+
 func TestTraceDeterminism(t *testing.T) {
-	a := Trace(DefaultParams(), 9, frameDur, 50)
-	b := Trace(DefaultParams(), 9, frameDur, 50)
+	a := slices.Collect(Trace(DefaultParams(), 9, frameDur, 50))
+	b := slices.Collect(Trace(DefaultParams(), 9, frameDur, 50))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("trace not deterministic")

@@ -530,7 +530,7 @@ func (sc Scenario) runIn(ctx context.Context, a *runArena) (mac.Result, error) {
 	}
 	warmup := sim.FromSeconds(sc.WarmupSec)
 	proto.Init(sys)
-	if fl := AttachFlight(sys, sc.Protocol, sc.Seed, -1); fl != nil {
+	if fl := trace.Attach(sys, sc.Protocol, sc.Seed, -1); fl != nil {
 		defer fl.Close()
 		defer trace.DumpOnPanic(fl)
 	}
@@ -538,22 +538,4 @@ func (sc Scenario) runIn(ctx context.Context, a *runArena) (mac.Result, error) {
 		return mac.Result{}, err
 	}
 	return sys.M.Result(proto.Name(), sys.Cfg.Geometry.FrameSymbols), nil
-}
-
-// AttachFlight attaches the armed flight recorder (trace.ArmFlight) to
-// sys and returns it; nil, at the cost of one check, when the recorder is
-// disarmed. Scenario.Run and every multicell cell attach through it. The
-// dump labels the ring with the protocol and seed, and with the cell's
-// index when cell is not negative. The caller Closes the recorder when
-// its run ends and defers trace.DumpOnPanic around the frame loop.
-func AttachFlight(sys *mac.System, protocol string, seed int64, cell int) *trace.Flight {
-	frames, _ := trace.FlightArmed()
-	if frames <= 0 {
-		return nil
-	}
-	label := fmt.Sprintf("%s seed=%d", protocol, seed)
-	if cell >= 0 {
-		label += fmt.Sprintf(" cell=%d", cell)
-	}
-	return trace.AttachFlight(sys, frames, label)
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"charisma/internal/channel"
@@ -329,7 +330,7 @@ func Capacity(p Panel, threshold float64) map[string]float64 {
 func FadingTrace(seed int64, seconds float64) []channel.TracePoint {
 	p := channel.DefaultParams()
 	n := int(seconds * 400) // one sample per 2.5 ms frame
-	return channel.Trace(p, seed, 800, n)
+	return slices.Collect(channel.Trace(p, seed, 800, n))
 }
 
 // ABICMPoint is one x-sample of the Fig. 7 curves.

@@ -385,10 +385,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		s.M.AddInfoUsed(cost)
 		p.observeEta(s, st.ID, c.mode.Eta)
 		if c.r.Kind == mac.KindVoice {
-			ok, errs := s.TransmitVoice(st, c.mode, n)
-			if s.DebugVoiceTx != nil {
-				s.DebugVoiceTx(st, c.mode, s.EffectiveAmp(c.r.Est), c.r.Est.Age(s.Now()), ok, errs)
-			}
+			s.TransmitVoice(st, c.mode, n)
 			if !st.Reserved() {
 				s.GrantReservation(st)
 			}

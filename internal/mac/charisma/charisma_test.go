@@ -8,7 +8,6 @@ import (
 	"charisma/internal/mac"
 	charproto "charisma/internal/mac/charisma"
 	"charisma/internal/phy"
-	"charisma/internal/sim"
 )
 
 func build(t *testing.T, nv, nd int, queue bool, mutate func(*core.Scenario)) (*mac.System, mac.Protocol) {
@@ -152,26 +151,37 @@ func TestNoDuplicateStationInQueue(t *testing.T) {
 	}
 }
 
+// modeCounter wraps a cell's PHY and counts the modes it is asked for
+// packet error probabilities in: TransmitVoice asks once per voice
+// transmission, in the mode it sends.
+type modeCounter struct {
+	phy.PHY
+	modeSum, txs int
+}
+
+func (m *modeCounter) PacketErrorProb(mode phy.Mode, actualAmp float64) float64 {
+	m.modeSum += mode.Index
+	m.txs++
+	return m.PHY.PacketErrorProb(mode, actualAmp)
+}
+
 // The channel-aware priority must actually bias service toward good
 // channels: among voice transmissions under load, the mean scheduled mode
 // must sit clearly above the most robust one, while errors stay rare.
 func TestSelectionDiversityBiasesTowardGoodCSI(t *testing.T) {
 	sys, proto := build(t, 90, 0, true, nil)
-	var modeSum, txs, errSum int
-	sys.DebugVoiceTx = func(_ *mac.Station, m phy.Mode, _ float64, _ sim.Time, ok, errs int) {
-		modeSum += m.Index * (ok + errs)
-		txs += ok + errs
-		errSum += errs
-	}
+	modes := &modeCounter{PHY: sys.PHY}
+	sys.PHY = modes
 	runFrames(sys, proto, 2000)
-	if txs == 0 {
+	if modes.txs == 0 {
 		t.Fatal("no voice transmissions observed")
 	}
-	meanMode := float64(modeSum) / float64(txs)
+	meanMode := float64(modes.modeSum) / float64(modes.txs)
 	if meanMode < 1.5 {
 		t.Fatalf("mean scheduled mode = %.2f — scheduler not favouring good CSI", meanMode)
 	}
-	if rate := float64(errSum) / float64(txs); rate > 0.03 {
+	ok, errs := sys.M.VoiceTxOK.Total(), sys.M.VoiceTxErr.Total()
+	if rate := float64(errs) / float64(ok+errs); rate > 0.03 {
 		t.Fatalf("voice tx error rate %v too high for CSI-aware scheduling", rate)
 	}
 }

@@ -331,15 +331,11 @@ type System struct {
 	// ownership rules.
 	reqFree []*Request
 
-	// DebugVoiceTx, when non-nil, observes every voice transmission
-	// (station, mode, scheduler-side amplitude estimate, estimate age,
-	// outcome counts). Only tests install it; nil in production runs.
-	DebugVoiceTx func(st *Station, m phy.Mode, estAmp float64, estAge sim.Time, ok, errs int)
-
 	// DebugEndFrame, when non-nil, observes every completed frame with
-	// the duration the protocol consumed. The flight recorder
-	// (internal/trace) attaches here; nil in production runs, so the
-	// frame path pays one predictable branch.
+	// the duration the protocol consumed. It is the System's only
+	// observer hook, and the flight recorder (internal/trace) its only
+	// user; nil unless the recorder is armed, so the frame path pays one
+	// predictable branch.
 	DebugEndFrame func(dur sim.Time)
 
 	ctr Counters
@@ -403,7 +399,7 @@ func (s *System) Reset(cfg Config, modem phy.PHY, n int, macStream *rng.Stream, 
 	s.M = Metrics{}
 	s.now, s.frameIdx, s.windowOpen = 0, 0, false
 	s.queue = s.queue[:0]
-	s.DebugVoiceTx, s.DebugEndFrame = nil, nil
+	s.DebugEndFrame = nil
 	s.reg.reset(n, &s.ctr)
 	if cap(s.stnSlab) >= n {
 		s.stnSlab = s.stnSlab[:n]

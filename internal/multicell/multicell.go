@@ -397,7 +397,7 @@ func (d *Deployment) Run(ctx context.Context) (Result, error) {
 	warmup := sim.FromSeconds(d.p.WarmupSec)
 	limit := warmup + sim.FromSeconds(d.p.DurationSec)
 	for c := range d.cells {
-		if fl := core.AttachFlight(d.cells[c].sys, d.p.Protocol, d.p.Seed, c); fl != nil {
+		if fl := trace.Attach(d.cells[c].sys, d.p.Protocol, d.p.Seed, c); fl != nil {
 			d.flights = append(d.flights, fl)
 		}
 	}

@@ -1,28 +1,35 @@
-// Package trace is the flight recorder: a fixed-size ring buffer of
-// frame-level MAC events kept alive while a run is in progress and
-// dumped as JSONL only when something goes wrong: a panic in the frame
-// loop, or a SIGQUIT from the operator. A misbehaving million-station
-// run then leaves its last N frames behind as a post-mortem artifact
-// instead of nothing.
+// Package trace holds everything a post-mortem writes: the flight
+// recorder, a fixed-size ring buffer of frame-level MAC events kept
+// alive while a run is in progress and dumped as JSONL only when
+// something goes wrong, and the CPU and heap profiles the CLIs start
+// (StartProfile). A misbehaving million-station run then leaves its last
+// N frames behind as a post-mortem artifact instead of nothing.
 //
 // Arming is process-global (ArmFlight, driven by the CLIs'
-// -flight-recorder flag); attachment is per run: core.AttachFlight wires a
-// Flight onto each System that core.Scenario.Run drives, and onto every
-// cell of a multicell deployment, when armed. Recording costs one
-// DebugEndFrame callback and a handful of counter subtractions per
-// frame; when disarmed the only cost anywhere is the hook's nil check.
-// The recorder only reads the MAC's cumulative counters, so an armed run
-// returns the same result bytes as a disarmed one.
+// -flight-recorder flag); attachment is per run: Attach wires a Flight
+// onto each System that core.Scenario.Run drives, and onto every cell of
+// a multicell deployment, when armed. Recording costs one DebugEndFrame
+// callback and a handful of counter subtractions per frame; when
+// disarmed the only cost anywhere is the hook's nil check. The recorder
+// only reads the MAC's cumulative counters, so an armed run returns the
+// same result bytes as a disarmed one.
+//
+// A panic in a frame loop dumps that loop's rings (DumpOnPanic). One
+// SIGQUIT handler, installed by the first ArmFlight with N > 0 or the
+// first StartProfile, writes the rest in a fixed order: first every
+// attached ring, in attach order, with reason "sigquit"; then the
+// running profile's stop, which flushes the CPU profile and writes the
+// heap profile; then it exits with status 2.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"charisma/internal/mac"
-	"charisma/internal/prof"
 	"charisma/internal/sim"
 )
 
@@ -84,50 +91,28 @@ type Flight struct {
 	filled bool  // ring has wrapped
 	total  int64 // frames observed
 	prev   frameTotals
-	cancel func() // prof.OnDump deregistration
 }
 
-var flightArm struct {
-	mu     sync.Mutex
-	frames int
-	path   string
-}
-
-// ArmFlight arms the process-wide flight recorder: subsequent scenario
-// runs attach a recorder of the given ring size, and dumps append to
-// path. frames <= 0 disarms.
-func ArmFlight(frames int, path string) {
-	flightArm.mu.Lock()
-	defer flightArm.mu.Unlock()
-	flightArm.frames, flightArm.path = frames, path
-	if frames > 0 {
-		// The recorder's whole point is surviving to the post-mortem:
-		// make sure the SIGQUIT dump path exists before anything runs.
-		prof.InstallDumpHandler()
+// Attach installs a recorder of the armed ring size (ArmFlight) on sys's
+// end-of-frame hook and adds it to the rings a SIGQUIT dumps; nil, at
+// the cost of one check, when the recorder is disarmed. The dump labels
+// the ring "<protocol> seed=<seed>", plus " cell=<cell>" when cell is not
+// negative. The caller Closes the recorder when its run ends and defers
+// DumpOnPanic around the frame loop; an un-dumped recorder simply
+// disappears.
+func Attach(sys *mac.System, protocol string, seed int64, cell int) *Flight {
+	post.mu.Lock()
+	defer post.mu.Unlock()
+	if post.frames <= 0 {
+		return nil
 	}
-}
-
-// FlightArmed returns the armed ring size (0 when disarmed) and dump path.
-func FlightArmed() (frames int, path string) {
-	flightArm.mu.Lock()
-	defer flightArm.mu.Unlock()
-	return flightArm.frames, flightArm.path
-}
-
-// AttachFlight installs a flight recorder of the given ring size on sys's
-// end-of-frame hook and registers it with the shared dump path
-// (prof.OnDump). label identifies the run in the dump's meta line.
-// Callers must Close the returned Flight when the run ends; an
-// un-dumped recorder simply disappears.
-func AttachFlight(sys *mac.System, frames int, label string) *Flight {
-	f := &Flight{
-		sys:   sys,
-		label: label,
-		ring:  make([]FrameEvent, frames),
-		prev:  totalsOf(&sys.M),
+	label := fmt.Sprintf("%s seed=%d", protocol, seed)
+	if cell >= 0 {
+		label += fmt.Sprintf(" cell=%d", cell)
 	}
-	sys.DebugEndFrame = func(dur sim.Time) { f.record(dur) }
-	f.cancel = prof.OnDump("flight:"+label, func(reason string) { f.Dump(reason) })
+	f := &Flight{sys: sys, label: label, ring: make([]FrameEvent, post.frames), prev: totalsOf(&sys.M)}
+	sys.DebugEndFrame = f.record
+	post.rings = append(post.rings, f)
 	return f
 }
 
@@ -176,20 +161,18 @@ func (f *Flight) snapshot() ([]FrameEvent, int64) {
 	return out, f.total
 }
 
-var dumpFileMu sync.Mutex
-
 // Dump appends the recorder's retained frames to the armed dump path as
 // JSONL: one meta line, then one line per frame, oldest first. Dump
 // failures are reported to stderr and never abort the caller — a
 // post-mortem must not take down the process it is examining.
 func (f *Flight) Dump(reason string) {
-	_, path := FlightArmed()
+	events, total := f.snapshot()
+	post.mu.Lock() // also serializes concurrent dumps' appends
+	defer post.mu.Unlock()
+	path := post.path
 	if path == "" {
 		path = "charisma-flight.jsonl"
 	}
-	events, total := f.snapshot()
-	dumpFileMu.Lock()
-	defer dumpFileMu.Unlock()
 	file, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trace: flight dump:", err)
@@ -225,13 +208,16 @@ func DumpOnPanic(fls ...*Flight) {
 	}
 }
 
-// Close detaches the recorder from its system and the dump registry.
+// Close detaches the recorder from its system and from the rings a
+// SIGQUIT dumps. A second call does nothing.
 func (f *Flight) Close() {
-	if f.cancel != nil {
-		f.cancel()
-		f.cancel = nil
+	post.mu.Lock()
+	i := slices.Index(post.rings, f)
+	if i >= 0 {
+		post.rings = slices.Delete(post.rings, i, i+1)
 	}
-	if f.sys != nil && f.sys.DebugEndFrame != nil {
+	post.mu.Unlock()
+	if i >= 0 {
 		f.sys.DebugEndFrame = nil
 	}
 }

@@ -7,14 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"charisma/internal/core"
 	"charisma/internal/mac"
 	"charisma/internal/multicell"
-	"charisma/internal/phy"
-	"charisma/internal/prof"
-	"charisma/internal/sim"
 	"charisma/internal/trace"
 )
 
@@ -79,7 +77,7 @@ func TestFlightRingDump(t *testing.T) {
 	defer trace.ArmFlight(0, "")
 
 	sys, proto := buildCell(t, 20)
-	fl := trace.AttachFlight(sys, 16, "ring-test")
+	fl := trace.Attach(sys, core.ProtoCharisma, 7, -1)
 	defer fl.Close()
 	runFrames(sys, proto, 400)
 	fl.Dump("test")
@@ -87,6 +85,9 @@ func TestFlightRingDump(t *testing.T) {
 	meta, frames := parseFlight(t, path)
 	if meta == nil {
 		t.Fatal("no meta line in dump")
+	}
+	if meta["label"] != "charisma seed=7" || meta["reason"] != "test" {
+		t.Fatalf("meta label %q reason %q, want \"charisma seed=7\" and \"test\"", meta["label"], meta["reason"])
 	}
 	if got := int64(meta["frames_seen"].(float64)); got != 400 {
 		t.Fatalf("frames_seen = %d, want 400", got)
@@ -118,37 +119,31 @@ func TestFlightRingDump(t *testing.T) {
 	}
 }
 
-func TestFlightDumpsOnDumpAll(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	trace.ArmFlight(8, path)
-	defer trace.ArmFlight(0, "")
-
-	sys, proto := buildCell(t, 10)
-	fl := trace.AttachFlight(sys, 8, "dumpall-test")
-	defer fl.Close()
-	runFrames(sys, proto, 50)
-	prof.DumpAll("explicit: test")
-
-	meta, frames := parseFlight(t, path)
-	if meta == nil || len(frames) != 8 {
-		t.Fatalf("DumpAll produced meta=%v frames=%d, want meta + 8 frames", meta, len(frames))
-	}
-	if meta["reason"] != "explicit: test" {
-		t.Fatalf("reason = %q", meta["reason"])
-	}
-}
-
+// TestFlightCloseDetaches: Close clears the hook and drops the ring from
+// those a SIGQUIT dumps; a second Close does nothing, not even to the
+// hook of a ring attached to the same system since; and a disarmed
+// recorder attaches nothing.
 func TestFlightCloseDetaches(t *testing.T) {
 	trace.ArmFlight(8, filepath.Join(t.TempDir(), "flight.jsonl"))
 	defer trace.ArmFlight(0, "")
 	sys, proto := buildCell(t, 10)
-	fl := trace.AttachFlight(sys, 8, "close-test")
+	fl := trace.Attach(sys, core.ProtoCharisma, 1, -1)
 	runFrames(sys, proto, 10)
 	fl.Close()
 	if sys.DebugEndFrame != nil {
 		t.Fatal("Close left the DebugEndFrame hook installed")
 	}
 	runFrames(sys, proto, 10) // must not panic or record
+	next := trace.Attach(sys, core.ProtoCharisma, 2, -1)
+	defer next.Close()
+	fl.Close()
+	if sys.DebugEndFrame == nil {
+		t.Fatal("a second Close cleared the hook of a ring attached since")
+	}
+	trace.ArmFlight(0, "")
+	if fl := trace.Attach(sys, core.ProtoCharisma, 3, -1); fl != nil {
+		t.Fatal("a disarmed recorder attached a ring")
+	}
 }
 
 // TestDumpOnPanicDumpsEveryRing: a panic under DumpOnPanic dumps every
@@ -158,9 +153,9 @@ func TestDumpOnPanicDumpsEveryRing(t *testing.T) {
 	trace.ArmFlight(8, path)
 	defer trace.ArmFlight(0, "")
 	var fls []*trace.Flight
-	for _, label := range []string{"cell=0", "cell=1"} {
+	for c := range 2 {
 		sys, proto := buildCell(t, 10)
-		fl := trace.AttachFlight(sys, 8, label)
+		fl := trace.Attach(sys, core.ProtoCharisma, 1, c)
 		defer fl.Close()
 		runFrames(sys, proto, 20)
 		fls = append(fls, fl)
@@ -232,11 +227,9 @@ func parseRings(t *testing.T, path string) []ring {
 	return rings
 }
 
-// TestRecordingDoesNotPerturbResults: an observer never changes a result
-// byte — neither an armed flight recorder around Scenario.Run or around
-// every cell of a multicell replication, nor a DebugVoiceTx hook on a
-// hand-driven frame loop, which must still see the transmissions it
-// exists to observe.
+// TestRecordingDoesNotPerturbResults: the flight recorder never changes
+// a result byte, armed around Scenario.Run or around every cell of a
+// multicell replication.
 func TestRecordingDoesNotPerturbResults(t *testing.T) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice = 25
@@ -268,21 +261,32 @@ func TestRecordingDoesNotPerturbResults(t *testing.T) {
 	if !reflect.DeepEqual(mArmed, mPlain) {
 		t.Fatal("armed flight recorders changed multicell.Run's result")
 	}
+}
 
-	frameLoop := func(observe bool) (res mac.Result, seen int) {
-		sys, proto := buildCell(t, 25)
-		if observe {
-			sys.DebugVoiceTx = func(*mac.Station, phy.Mode, float64, sim.Time, int, int) { seen++ }
+func TestStartStopIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	stop, err := trace.StartProfile(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	stop() // second call must be a no-op, not a double-flush
+	for _, p := range []string{cpu, mem} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("%s not written: %v", p, err)
 		}
-		runFrames(sys, proto, 2000)
-		return sys.M.Result(proto.Name(), sys.Cfg.Geometry.FrameSymbols), seen
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", p)
+		}
 	}
-	want, _ := frameLoop(false)
-	got, seen := frameLoop(true)
-	if seen == 0 {
-		t.Fatal("DebugVoiceTx saw no voice transmissions in 2000 frames of a 25-talker cell")
-	}
-	if got != want {
-		t.Fatal("a DebugVoiceTx observer changed the frame loop's result")
+}
+
+func TestStartRejectsBadPath(t *testing.T) {
+	_, err := trace.StartProfile(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof"), "")
+	if err == nil || !strings.Contains(err.Error(), "cpu") {
+		t.Fatalf("StartProfile with unwritable cpu path: err = %v", err)
 	}
 }

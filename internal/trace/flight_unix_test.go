@@ -3,8 +3,10 @@
 package trace_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,7 +35,7 @@ func TestSIGQUITDumpsFlightJSONL(t *testing.T) {
 		mode   string
 		labels []string
 	}{
-		{"cell", []string{"sigquit-helper"}},
+		{"cell", []string{"charisma seed=1"}},
 		{"deployment", []string{"charisma seed=1 cell=0", "charisma seed=1 cell=1"}},
 	} {
 		path := filepath.Join(t.TempDir(), "flight.jsonl")
@@ -85,7 +87,7 @@ func sigquitHelper(mode string) {
 			os.Exit(3)
 		}
 		proto.Init(sys)
-		fl := trace.AttachFlight(sys, 32, "sigquit-helper")
+		fl := trace.Attach(sys, sc.Protocol, sc.Seed, -1)
 		defer fl.Close()
 		for i := 0; i < 100; i++ {
 			sys.BeginFrame()
@@ -95,4 +97,66 @@ func sigquitHelper(mode string) {
 	_ = syscall.Kill(os.Getpid(), syscall.SIGQUIT)
 	time.Sleep(30 * time.Second) // the handler exits the process first
 	os.Exit(3)
+}
+
+// TestSIGQUITHandlerDumpsAndFlushes raises SIGQUIT against the test
+// process with the exit replaced: the handler must dump the ring attached
+// while armed with reason "sigquit", then run StartProfile's stop, which
+// writes the heap profile, then exit with status 2, in that order.
+func TestSIGQUITHandlerDumpsAndFlushes(t *testing.T) {
+	dir := t.TempDir()
+	path, mem := filepath.Join(dir, "flight.jsonl"), filepath.Join(dir, "mem.pprof")
+	trace.ArmFlight(8, path)
+	defer trace.ArmFlight(0, "")
+	sys, proto := buildCell(t, 10)
+	fl := trace.Attach(sys, core.ProtoCharisma, 1, -1)
+	defer fl.Close()
+	runFrames(sys, proto, 20)
+	stop, err := trace.StartProfile("", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	// Each step reports what the earlier ones left on disk. The buffer
+	// holds both reports, so the handler never blocks on this test.
+	steps := make(chan string, 2)
+	defer trace.HookPostMortem(
+		func(stop func()) func() {
+			return func() {
+				steps <- "profile after " + artifacts(path, mem)
+				stop()
+			}
+		},
+		func(code int) { steps <- fmt.Sprintf("exit %d after %s", code, artifacts(path, mem)) },
+	)()
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"profile after 1 sigquit ring, no heap profile",
+		"exit 2 after 1 sigquit ring, a heap profile",
+	} {
+		select {
+		case got := <-steps:
+			if got != want {
+				t.Fatalf("handler step %q, want %q", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("SIGQUIT handler never reached %q", want)
+		}
+	}
+}
+
+// artifacts describes the post-mortem files: the "sigquit" rings in the
+// dump at path, and whether a heap profile is at mem.
+func artifacts(path, mem string) string {
+	dump, _ := os.ReadFile(path)
+	rings := bytes.Count(dump, []byte(`"reason":"sigquit"`))
+	heap := "no heap profile"
+	if fi, err := os.Stat(mem); err == nil && fi.Size() > 0 {
+		heap = "a heap profile"
+	}
+	return fmt.Sprintf("%d sigquit ring, %s", rings, heap)
 }

@@ -1,11 +1,11 @@
 //go:build !plan9
 
-package prof
+package trace
 
 import (
 	"os"
 	"syscall"
 )
 
-// quitSignal is the signal InstallDumpHandler catches.
+// quitSignal is the signal the post-mortem handler catches.
 var quitSignal os.Signal = syscall.SIGQUIT

@@ -19,7 +19,8 @@ type FadingPoint struct {
 }
 
 // FadingTrace synthesizes a combined-fading sample path at the given mobile
-// speed, sampled once per TDMA frame (2.5 ms).
+// speed, sampled once per TDMA frame (2.5 ms). A duration shorter than
+// one frame, negative included, gives an empty trace.
 func FadingTrace(seed int64, duration time.Duration, speedKmh float64) []FadingPoint {
 	p := channel.DefaultParams()
 	if speedKmh > 0 {
@@ -27,14 +28,13 @@ func FadingTrace(seed int64, duration time.Duration, speedKmh float64) []FadingP
 	}
 	dt := sim.FromMilliseconds(2.5)
 	n := int(sim.FromSeconds(duration.Seconds()) / dt)
-	raw := channel.Trace(p, seed, dt, n)
-	out := make([]FadingPoint, len(raw))
-	for i, pt := range raw {
-		out[i] = FadingPoint{
+	var out []FadingPoint
+	for pt := range channel.Trace(p, seed, dt, n) {
+		out = append(out, FadingPoint{
 			At:          time.Duration(pt.T.Seconds() * float64(time.Second)),
 			AmplitudeDB: pt.AmpDB,
 			ShadowDB:    pt.ShadowDB,
-		}
+		})
 	}
 	return out
 }

@@ -42,7 +42,8 @@ type MultiCellOptions struct {
 	// SpeedKmh is the mobile speed (default 50, the paper's mean; Doppler
 	// spread scales with it), as in Options.
 	SpeedKmh float64
-	// MeanSNRdB overrides the average link SNR, as in Options.
+	// MeanSNRdB overrides the average link SNR (default 12 dB, as in
+	// Options).
 	MeanSNRdB float64
 	// Seed, Warmup and Replications as in Options. Duration is each
 	// cell's measurement window (default 20 s, not Options' 60 s).
